@@ -1,16 +1,17 @@
 //! Gateway-local metrics and the `/metrics` Prometheus endpoint.
 //!
-//! Rendering goes through [`shiptlm_kernel::metrics::prom_name`] and
-//! [`prom_label`] so the gateway's exposition is character-for-character
-//! consistent with the kernel exporter — including label-value escaping,
-//! which matters here because one label (`model`) carries *user-supplied*
-//! model names straight off the wire.
+//! Rendering goes through [`shiptlm_kernel::metrics::prom_name`],
+//! [`prom_label`] and [`prom_histogram`] so the gateway's exposition is
+//! character-for-character consistent with the kernel exporter — including
+//! label-value escaping, which matters here because one label (`model`)
+//! carries *user-supplied* model names straight off the wire.
 //!
 //! Besides the job counters, the gateway exports per-stage latency
-//! histograms mirroring the causal span stages: `queue_wait_ms`
-//! (admission enqueue → executor pop), `cache_wait_ms` (host time of jobs
-//! answered from the cache, including single-flight waits), and `exec_ms`
-//! (host time of jobs that ran a sweep).
+//! histograms mirroring the causal span stages, all kernel
+//! [`Histogram`]s of host nanoseconds: `job_host_ns` (every completed job),
+//! `queue_wait_ns` (admission enqueue → executor pop), `cache_wait_ns`
+//! (host time of jobs answered from the cache, including single-flight
+//! waits), and `exec_ns` (host time of jobs that ran a sweep).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -20,58 +21,30 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use shiptlm_kernel::metrics::{prom_label, prom_name};
+use shiptlm_kernel::metrics::{prom_histogram, prom_label, prom_name};
+use shiptlm_kernel::stats::Histogram;
 
 use crate::lock;
 
-/// Number of power-of-two latency buckets before `+Inf`
-/// (`le="1"` … `le="1024"` milliseconds).
-const MS_BUCKETS: usize = 11;
-
-/// A lock-free power-of-two millisecond histogram (non-cumulative
-/// internally, rendered cumulative as Prometheus requires).
+/// The host-time histograms (nanoseconds) and per-model job counts: the
+/// state that sits behind the one metrics lock.
 #[derive(Debug, Default)]
-struct MsHistogram {
-    buckets: [AtomicU64; MS_BUCKETS + 1],
-    sum_ms: AtomicU64,
+struct Timings {
+    /// Completed jobs (cached or not).
+    host: Histogram,
+    /// Admission enqueue → executor pop.
+    queue_wait: Histogram,
+    /// Jobs answered from the cache (hits and single-flight waits).
+    cache_wait: Histogram,
+    /// Jobs that actually ran a sweep.
+    exec: Histogram,
+    /// Completed-job counts keyed by (untrusted) model name.
+    per_model: BTreeMap<String, u64>,
 }
 
-impl MsHistogram {
-    fn observe(&self, d: Duration) {
-        let ms = d.as_millis() as u64;
-        self.buckets[ms_bucket(ms)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    #[cfg(test)]
-    fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    fn render(&self, out: &mut String, family: &str) {
-        let hist = prom_name(family);
-        out.push_str(&format!("# TYPE {hist} histogram\n"));
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if i < MS_BUCKETS {
-                out.push_str(&format!(
-                    "{hist}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    1u64 << i
-                ));
-            } else {
-                out.push_str(&format!("{hist}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-            }
-        }
-        out.push_str(&format!(
-            "{hist}_sum {}\n{hist}_count {cumulative}\n",
-            self.sum_ms.load(Ordering::Relaxed)
-        ));
-    }
-}
-
-/// Counters and gauges for one gateway instance. Cheap to share behind an
-/// [`Arc`]; every field is updated lock-free except the per-model map.
+/// Counters, gauges and histograms for one gateway instance. Cheap to share
+/// behind an [`Arc`]; counters and gauges are updated lock-free, the
+/// histograms and the per-model map under one mutex.
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
     /// Jobs currently queued for admission (gauge).
@@ -86,23 +59,14 @@ pub struct GatewayMetrics {
     rejected: AtomicU64,
     /// Request frames that failed to decode.
     decode_errors: AtomicU64,
-    /// Host-time histogram of completed jobs (cached or not).
-    host: MsHistogram,
-    /// Admission enqueue → executor pop.
-    queue_wait: MsHistogram,
-    /// Host time of jobs answered from the cache (hits and single-flight
-    /// waits).
-    cache_wait: MsHistogram,
-    /// Host time of jobs that actually ran a sweep.
-    exec: MsHistogram,
     /// Result-cache entries evicted by the LRU bound (sampled counter).
     cache_evictions: AtomicU64,
     /// Approximate result-cache heap bytes (sampled gauge).
     cache_bytes: AtomicU64,
     /// Kernel txn-recorder ring events dropped across traced jobs.
     txn_dropped: AtomicU64,
-    /// Completed-job counts keyed by (untrusted) model name.
-    per_model: Mutex<BTreeMap<String, u64>>,
+    /// Stage histograms and per-model counts.
+    timings: Mutex<Timings>,
 }
 
 impl GatewayMetrics {
@@ -119,7 +83,7 @@ impl GatewayMetrics {
     /// Records a job leaving the admission queue after `waited` in it.
     pub fn queue_pop(&self, waited: Duration) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.queue_wait.observe(waited);
+        lock(&self.timings).queue_wait.record(waited.as_nanos() as u64);
     }
 
     /// Current queue depth.
@@ -134,19 +98,21 @@ impl GatewayMetrics {
 
     /// Records a job finishing execution (cached or not), with its host
     /// time and the model name it carried. The host time also lands in the
-    /// stage histogram matching how the job resolved: `cache_wait_ms` when
-    /// served from the cache, `exec_ms` when it ran a sweep.
+    /// stage histogram matching how the job resolved: `cache_wait_ns` when
+    /// served from the cache, `exec_ns` when it ran a sweep.
     pub fn job_finished(&self, model: &str, host: Duration, cached: bool) {
         self.jobs_inflight.fetch_sub(1, Ordering::Relaxed);
+        let ns = host.as_nanos() as u64;
+        let mut t = lock(&self.timings);
         if cached {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.cache_wait.observe(host);
+            t.cache_wait.record(ns);
         } else {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.exec.observe(host);
+            t.exec.record(ns);
         }
-        self.host.observe(host);
-        *lock(&self.per_model).entry(model.to_string()).or_insert(0) += 1;
+        t.host.record(ns);
+        *t.per_model.entry(model.to_string()).or_insert(0) += 1;
     }
 
     /// Records an admission rejection.
@@ -237,30 +203,26 @@ impl GatewayMetrics {
         );
         counter(&mut out, "gateway.txn_trace_dropped", self.txn_dropped());
 
-        self.host.render(&mut out, "gateway.job_host_ms");
-        self.queue_wait.render(&mut out, "gateway.queue_wait_ms");
-        self.cache_wait.render(&mut out, "gateway.cache_wait_ms");
-        self.exec.render(&mut out, "gateway.exec_ms");
+        let t = lock(&self.timings);
+        let histogram = |out: &mut String, family: &str, h: &Histogram| {
+            let name = prom_name(family);
+            out.push_str(&format!("# TYPE {name} histogram\n"));
+            prom_histogram(out, &name, "", h);
+        };
+        histogram(&mut out, "gateway.job_host_ns", &t.host);
+        histogram(&mut out, "gateway.queue_wait_ns", &t.queue_wait);
+        histogram(&mut out, "gateway.cache_wait_ns", &t.cache_wait);
+        histogram(&mut out, "gateway.exec_ns", &t.exec);
 
         let jobs = prom_name("gateway.jobs");
         out.push_str(&format!("# TYPE {jobs} counter\n"));
-        for (model, count) in lock(&self.per_model).iter() {
+        for (model, count) in &t.per_model {
             out.push_str(&format!(
                 "{jobs}_total{{model=\"{}\"}} {count}\n",
                 prom_label(model)
             ));
         }
         out
-    }
-}
-
-/// Index of the power-of-two bucket covering `ms`: the smallest `i` with
-/// `ms <= 1 << i`, clamped to the `+Inf` bucket.
-fn ms_bucket(ms: u64) -> usize {
-    if ms <= 1 {
-        0
-    } else {
-        ((u64::BITS - (ms - 1).leading_zeros()) as usize).min(MS_BUCKETS)
     }
 }
 
@@ -363,7 +325,7 @@ mod tests {
         let text = m.to_prometheus();
         let parsed = PromText::parse(&text).unwrap();
         assert_eq!(
-            parsed.types.get("shiptlm_gateway_job_host_ms"),
+            parsed.types.get("shiptlm_gateway_job_host_ns"),
             Some(&PromKind::Histogram)
         );
         let depth = parsed
@@ -386,7 +348,7 @@ mod tests {
         let count = parsed
             .samples
             .iter()
-            .find(|s| s.name == "shiptlm_gateway_job_host_ms_count")
+            .find(|s| s.name == "shiptlm_gateway_job_host_ns_count")
             .unwrap();
         assert_eq!(count.value, 2.0);
     }
@@ -400,14 +362,17 @@ mod tests {
         m.job_finished("m", Duration::from_millis(40), false);
         m.job_started();
         m.job_finished("m", Duration::from_millis(1), true);
-        assert_eq!(m.exec.count(), 1);
-        assert_eq!(m.cache_wait.count(), 1);
-        assert_eq!(m.queue_wait.count(), 1);
+        {
+            let t = lock(&m.timings);
+            assert_eq!(t.exec.count(), 1);
+            assert_eq!(t.cache_wait.count(), 1);
+            assert_eq!(t.queue_wait.count(), 1);
+        }
         let parsed = PromText::parse(&m.to_prometheus()).unwrap();
         for family in [
-            "shiptlm_gateway_queue_wait_ms",
-            "shiptlm_gateway_cache_wait_ms",
-            "shiptlm_gateway_exec_ms",
+            "shiptlm_gateway_queue_wait_ns",
+            "shiptlm_gateway_cache_wait_ns",
+            "shiptlm_gateway_exec_ns",
         ] {
             assert_eq!(
                 parsed.types.get(family),
@@ -421,6 +386,41 @@ mod tests {
                 .unwrap();
             assert_eq!(count.value, 1.0, "{family} saw exactly one observation");
         }
+    }
+
+    /// The smallest `le` bound whose cumulative count reaches `n` in the
+    /// (label-free) histogram family `family`.
+    fn first_le_reaching(parsed: &PromText, family: &str, n: f64) -> f64 {
+        parsed
+            .samples
+            .iter()
+            .filter(|s| s.name == format!("{family}_bucket") && s.value >= n)
+            .filter_map(|s| s.label("le")?.parse::<f64>().ok())
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn stage_histograms_resolve_sub_millisecond_jobs() {
+        // A ~50 µs cache hit and a ~900 µs sweep both used to land in the
+        // whole-millisecond `le="1"` bucket; nanosecond buckets tell them
+        // apart.
+        let m = GatewayMetrics::new();
+        m.job_started();
+        m.job_finished("m", Duration::from_micros(50), true);
+        m.job_started();
+        m.job_finished("m", Duration::from_micros(900), false);
+        let parsed = PromText::parse(&m.to_prometheus()).unwrap();
+        let hit = first_le_reaching(&parsed, "shiptlm_gateway_cache_wait_ns", 1.0);
+        let miss = first_le_reaching(&parsed, "shiptlm_gateway_exec_ns", 1.0);
+        assert!((50_000.0..100_000.0).contains(&hit), "hit bucket le={hit}");
+        assert!(
+            (900_000.0..1_800_000.0).contains(&miss),
+            "miss bucket le={miss}"
+        );
+        // Both jobs share `job_host_ns`, in two different buckets.
+        let host = "shiptlm_gateway_job_host_ns";
+        assert_eq!(first_le_reaching(&parsed, host, 1.0), hit);
+        assert_eq!(first_le_reaching(&parsed, host, 2.0), miss);
     }
 
     #[test]

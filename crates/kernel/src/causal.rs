@@ -5,7 +5,7 @@
 //! do"; this module answers "where did the *job* go" — client submit,
 //! gateway admission, queue wait, cache lookup, worker-pool chunk claiming,
 //! per-candidate execution, backend probe/fallback — and stitches the
-//! simulation-level [`TxnTrace`](crate::txn::TxnTrace) spans underneath, so
+//! simulation-level [`TxnTrace`] spans underneath, so
 //! a single Chrome/Perfetto export shows client-to-simulation causality
 //! with correct parenting.
 //!
@@ -20,20 +20,22 @@
 //!   simulated-nanosecond timestamps.
 //! * [`SpanSink`] — a cloneable, thread-safe collector threaded through the
 //!   layers. Cost when absent: one `Option` check per decision point.
-//! * [`CausalTrace`] — the merged result with the Chrome `trace_event`
-//!   exporter.
+//! * [`CausalTrace`] — the merged result with the one Chrome `trace_event`
+//!   exporter, also used for a standalone [`TxnTrace`] via
+//!   `CausalTrace::from(&txn)`; it carries the recorder's ring drops.
 //!
 //! Span ids are process-global and never reused; parent links are carried
 //! in the exported `args` (`span_id` / `parent_id` / `trace_id`), which is
 //! what the testkit causal parser validates.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::txn::{TxnOutcome, TxnTrace};
+use crate::txn::TxnTrace;
 
 /// Process-global span-id allocator. Span id 0 is reserved to mean "no
 /// parent / root of this collection" so cached span sets can be re-parented
@@ -158,6 +160,14 @@ impl CausalSpan {
         self.dur_ns = dur_ns;
         self
     }
+
+    /// The simulation process a `txn` span ran in (its `process` arg).
+    fn process(&self) -> Option<&str> {
+        self.args
+            .iter()
+            .find(|(k, _)| k == "process")
+            .map(|(_, v)| v.as_str())
+    }
 }
 
 /// Re-stamps a trace-neutral span set (trace id 0, roots with parent 0)
@@ -268,10 +278,7 @@ pub fn spans_from_txn(
                     ("resource".to_string(), ev.resource.to_string()),
                     ("process".to_string(), ev.process.to_string()),
                     ("bytes".to_string(), ev.bytes.to_string()),
-                    (
-                        "outcome".to_string(),
-                        if ev.outcome == TxnOutcome::Ok { "ok" } else { "error" }.to_string(),
-                    ),
+                    ("outcome".to_string(), ev.outcome.as_str().to_string()),
                 ],
             }
         })
@@ -283,12 +290,35 @@ pub fn spans_from_txn(
 pub struct CausalTrace {
     /// Every span of the trace, in collection order.
     pub spans: Vec<CausalSpan>,
+    /// Transaction-recorder ring events evicted before the spans were
+    /// built, exported as `otherData.dropped`.
+    pub dropped: u64,
+}
+
+impl From<&TxnTrace> for CausalTrace {
+    /// Exports a standalone transaction trace: every retained event becomes
+    /// a root `txn` span on candidate track 0, and span ids follow the
+    /// event order (1, 2, …) so the export is a pure function of the trace.
+    fn from(trace: &TxnTrace) -> Self {
+        let ctx = TraceCtx {
+            trace_id: 0,
+            parent_span: 0,
+        };
+        let mut spans = spans_from_txn(trace, ctx, track_for_candidate(0));
+        for (id, span) in (1..).zip(spans.iter_mut()) {
+            span.span_id = id;
+        }
+        CausalTrace {
+            spans,
+            dropped: trace.dropped(),
+        }
+    }
 }
 
 impl CausalTrace {
     /// Wraps a span set.
     pub fn new(spans: Vec<CausalSpan>) -> Self {
-        CausalTrace { spans }
+        CausalTrace { spans, dropped: 0 }
     }
 
     /// `true` when the trace holds no spans.
@@ -309,9 +339,12 @@ impl CausalTrace {
     ///
     /// Track 0 (host) becomes `pid` 0 with timestamps normalized so the
     /// earliest host span starts at 0 µs; each candidate track becomes its
-    /// own `pid` on the simulated timebase. Span/parent/trace ids are
-    /// carried in `args` — that is what the testkit causal parser checks,
-    /// since Chrome's visual nesting is only by time containment.
+    /// own `pid` on the simulated timebase, in whole nanoseconds. Within a
+    /// track, each distinct `process` arg gets its own `tid` (1, 2, … in
+    /// first-appearance order, named by `thread_name` metadata); spans
+    /// without one share `tid` 0. Span/parent/trace ids are carried in
+    /// `args` — that is what the testkit causal parser checks, since
+    /// Chrome's visual nesting is only by time containment.
     pub fn to_chrome_json(&self) -> String {
         let host_t0 = self
             .spans
@@ -320,32 +353,40 @@ impl CausalTrace {
             .map(|s| s.ts_ns)
             .min()
             .unwrap_or(0);
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
+        let mut tids: BTreeMap<(SpanTrack, &str), usize> = BTreeMap::new();
+        let mut lanes: BTreeMap<(SpanTrack, usize), &str> = BTreeMap::new();
+        for s in &self.spans {
+            if let Some(p) = s.process() {
+                if let Entry::Vacant(slot) = tids.entry((s.track, p)) {
+                    let tid = lanes.keys().filter(|(t, _)| *t == s.track).count() + 1;
+                    slot.insert(tid);
+                    lanes.insert((s.track, tid), p);
+                }
+            }
+        }
+        let mut events: Vec<String> = Vec::new();
         // Process-name metadata per track, in sorted track order.
         let mut tracks: Vec<SpanTrack> = self.spans.iter().map(|s| s.track).collect();
         tracks.sort_unstable();
         tracks.dedup();
         for t in &tracks {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let name = if *t == TRACK_HOST {
                 "host (wall clock)".to_string()
             } else {
                 format!("candidate {} (simulated time)", t - 1)
             };
-            out.push_str(&format!(
+            events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{t},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
                 json_string(&name)
             ));
         }
+        for ((t, tid), name) in &lanes {
+            events.push(format!(
+                "{{\"ph\":\"M\",\"pid\":{t},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
+                json_string(name)
+            ));
+        }
         for s in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             let ts_ns = if s.track == TRACK_HOST {
                 s.ts_ns.saturating_sub(host_t0)
             } else {
@@ -353,6 +394,7 @@ impl CausalTrace {
             };
             let ts = ts_ns as f64 / 1e3;
             let dur = s.dur_ns as f64 / 1e3;
+            let tid = s.process().map_or(0, |p| tids[&(s.track, p)]);
             let mut args = format!(
                 "\"trace_id\":\"{:016x}\",\"span_id\":{},\"parent_id\":{}",
                 s.trace_id, s.span_id, s.parent_id
@@ -363,15 +405,20 @@ impl CausalTrace {
                 args.push(':');
                 args.push_str(&json_string(v));
             }
-            out.push_str(&format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":0,\"cat\":{},\"name\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}",
+            events.push(format!(
+                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"cat\":{},\"name\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}",
                 s.track,
                 json_string(&s.stage),
                 json_string(&s.name),
             ));
         }
-        out.push_str("]}");
-        out
+        // Chrome's "JSON Object Format" metadata member: tools that know
+        // about it surface the eviction count; everyone else ignores it.
+        format!(
+            "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}],\"otherData\":{{\"dropped\":{}}}}}",
+            events.join(","),
+            self.dropped
+        )
     }
 
     /// Writes the Chrome export to `path`.
@@ -401,7 +448,7 @@ impl fmt::Display for CausalTrace {
 }
 
 /// Escapes `s` as a JSON string literal (with surrounding quotes).
-fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -513,17 +560,7 @@ mod tests {
     }
 
     fn test_txn_trace() -> TxnTrace {
-        let ev = TxnEvent {
-            level: TxnLevel::Ship,
-            op: "send",
-            resource: std::sync::Arc::from("ch0"),
-            process: std::sync::Arc::from("producer"),
-            start: SimTime::from_ps(1_000),
-            end: SimTime::from_ps(4_000),
-            bytes: 16,
-            outcome: TxnOutcome::Ok,
-        };
-        TxnTrace::from_events(vec![ev], 0)
+        TxnTrace::from_events(vec![txn_event("send", "producer", 1_000, 4_000)], 0)
     }
 
     #[test]
@@ -542,7 +579,7 @@ mod tests {
         let trace = CausalTrace::new(vec![root.clone(), child, sim_span]);
         let json = trace.to_chrome_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
+        assert!(json.ends_with("],\"otherData\":{\"dropped\":0}}"));
         // Host t0 normalized: earliest host span at ts 0.
         assert!(json.contains("\"ts\":0,"), "{json}");
         // Child at (6000-5000) ns = 1 µs.
@@ -554,5 +591,53 @@ mod tests {
         assert!(json.contains("\"outcome\":\"miss\""));
         assert!(json.contains("process_name"));
         assert_eq!(trace.trace_ids(), vec![0xabcd]);
+    }
+
+    fn txn_event(op: &'static str, process: &str, start_ps: u64, end_ps: u64) -> TxnEvent {
+        TxnEvent {
+            level: TxnLevel::Ship,
+            op,
+            resource: std::sync::Arc::from("ch0"),
+            process: std::sync::Arc::from(process),
+            start: SimTime::from_ps(start_ps),
+            end: SimTime::from_ps(end_ps),
+            bytes: 64,
+            outcome: TxnOutcome::Ok,
+        }
+    }
+
+    #[test]
+    fn txn_export_gives_each_process_a_lane_and_reports_drops() {
+        let txn = TxnTrace::from_events(
+            vec![
+                txn_event("send", "producer", 1_000_000, 3_000_000),
+                txn_event("recv", "consumer", 2_000_000, 3_000_000),
+                txn_event("send", "producer", 3_000_000, 4_500_999),
+            ],
+            5,
+        );
+        let trace = CausalTrace::from(&txn);
+        assert_eq!(trace.dropped, 5);
+        let ids: Vec<u64> = trace.spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(ids, vec![1, 2, 3], "span ids follow the event order");
+        let json = trace.to_chrome_json();
+        assert_eq!(json, CausalTrace::from(&txn).to_chrome_json());
+        assert!(json.ends_with("],\"otherData\":{\"dropped\":5}}"));
+        assert!(json.contains(
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"producer\"}}"
+        ));
+        assert!(json.contains(
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"consumer\"}}"
+        ));
+        assert!(json.contains("\"tid\":2,\"cat\":\"txn\",\"name\":\"ship:recv\""));
+        // 1e6 ps = 1 µs; the last span's 1.500999 µs floors to whole ns.
+        assert!(json.contains("\"ts\":1,"));
+        assert!(json.contains("\"dur\":1.5,"));
+    }
+
+    #[test]
+    fn json_string_escapes() {
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

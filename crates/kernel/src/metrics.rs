@@ -330,6 +330,41 @@ pub fn prom_label(value: &str) -> String {
     out
 }
 
+/// Renders the sample lines of one histogram series named `name` in the
+/// Prometheus text 0.0.4 format: cumulative `_bucket{le=...}` lines for the
+/// non-empty power-of-two buckets, then `+Inf`, `_sum` and `_count`.
+/// `labels` is the series' rendered label set (`resource="bus0"`), or empty.
+/// The caller writes the family's `# TYPE` header.
+///
+/// Public so the gateway's `/metrics` histograms render exactly like
+/// [`MetricsSnapshot::to_prometheus`].
+pub fn prom_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cumulative = 0;
+    for (lower, count) in h.iter() {
+        cumulative += count;
+        // Bucket k holds [2^k, 2^(k+1)); the inclusive upper bound for `le`
+        // is 2^(k+1) - 1 (bucket 0 holds 0..=1).
+        let le = if lower == 0 { 1 } else { lower * 2 - 1 };
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+        );
+    }
+    let _ = writeln!(
+        out,
+        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
+        h.count()
+    );
+    let labels = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    };
+    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{labels} {}", h.count());
+}
+
 impl MetricsSnapshot {
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
@@ -403,24 +438,7 @@ impl MetricsSnapshot {
                         let _ = writeln!(out, "# TYPE {base} histogram");
                         last_header = base.clone();
                     }
-                    let mut cumulative = 0;
-                    for (lower, count) in h.iter() {
-                        cumulative += count;
-                        // Bucket k holds [2^k, 2^(k+1)); the inclusive upper
-                        // bound for `le` is 2^(k+1) - 1 (bucket 0 holds 0..=1).
-                        let le = if lower == 0 { 1 } else { lower * 2 - 1 };
-                        let _ = writeln!(
-                            out,
-                            "{base}_bucket{{resource=\"{label}\",le=\"{le}\"}} {cumulative}"
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{base}_bucket{{resource=\"{label}\",le=\"+Inf\"}} {}",
-                        h.count()
-                    );
-                    let _ = writeln!(out, "{base}_sum{{resource=\"{label}\"}} {}", h.sum());
-                    let _ = writeln!(out, "{base}_count{{resource=\"{label}\"}} {}", h.count());
+                    prom_histogram(&mut out, &base, &format!("resource=\"{label}\""), h);
                 }
             }
         }

@@ -6,9 +6,11 @@
 //! transfers, driver doorbells — is invisible to waveforms. The
 //! [`TxnRecorder`](crate::sim::Simulation::record_transactions) captures
 //! those operations as timed spans into a bounded ring buffer, aggregates
-//! per-resource latency statistics online, and exports either Chrome
-//! `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) or
-//! line-delimited JSONL.
+//! per-resource latency statistics online, and exports line-delimited
+//! JSONL. Chrome `trace_event` JSON (loadable in `chrome://tracing` /
+//! Perfetto) goes through the one causal exporter:
+//! `CausalTrace::from(&trace).write_chrome(path)`
+//! ([`CausalTrace`](crate::causal::CausalTrace)).
 //!
 //! Recording is off by default and costs a single relaxed atomic load per
 //! instrumented call when disabled.
@@ -20,11 +22,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::causal::json_string;
 use crate::stats::{Histogram, RunningStats};
 use crate::time::SimTime;
 
-/// The abstraction level an event was recorded at (its Chrome-trace
-/// category).
+/// The abstraction level an event was recorded at (the prefix of its
+/// exported span name, e.g. `ship:send`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TxnLevel {
     /// A SHIP interface method call (`send`/`recv`/`request`/`reply`).
@@ -38,7 +41,7 @@ pub enum TxnLevel {
 }
 
 impl TxnLevel {
-    /// Short lowercase name, used as the trace category.
+    /// Short lowercase name, used as the exported span-name prefix.
     pub const fn as_str(self) -> &'static str {
         match self {
             TxnLevel::Ship => "ship",
@@ -209,60 +212,6 @@ impl TxnTrace {
         self.events.is_empty() && self.dropped == 0
     }
 
-    /// Renders the Chrome `trace_event` JSON (the "JSON Array Format" with
-    /// complete `"X"` events), loadable in `chrome://tracing` and Perfetto.
-    ///
-    /// Timestamps are microseconds (fractional; the kernel's picosecond
-    /// resolution is preserved down to 1e-6 µs). One trace `tid` is assigned
-    /// per process, in first-appearance order, so the rendering is
-    /// deterministic.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut order: Vec<&str> = Vec::new();
-        for ev in &self.events {
-            if !tids.contains_key(ev.process.as_ref()) {
-                tids.insert(ev.process.as_ref(), order.len());
-                order.push(ev.process.as_ref());
-            }
-        }
-        let mut first = true;
-        for (tid, name) in order.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json_string(name)
-            ));
-        }
-        for ev in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let tid = tids[ev.process.as_ref()];
-            let ts = ev.start.as_ps() as f64 / 1e6;
-            let dur = ev.end.saturating_since(ev.start).as_ps() as f64 / 1e6;
-            out.push_str(&format!(
-                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"cat\":\"{}\",\"name\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"resource\":{},\"bytes\":{},\"outcome\":\"{}\"}}}}",
-                ev.level.as_str(),
-                json_string(ev.op),
-                json_string(&ev.resource),
-                ev.bytes,
-                ev.outcome.as_str(),
-            ));
-        }
-        // Chrome's "JSON Object Format" metadata member: tools that know
-        // about it surface the eviction count; everyone else ignores it.
-        out.push_str(&format!(
-            "],\"otherData\":{{\"dropped\":{}}}}}",
-            self.dropped
-        ));
-        out
-    }
-
     /// Renders line-delimited JSON: one object per event, raw picosecond
     /// timestamps.
     pub fn to_jsonl(&self) -> String {
@@ -281,17 +230,6 @@ impl TxnTrace {
             ));
         }
         out
-    }
-
-    /// Writes the Chrome trace JSON to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn write_chrome<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_chrome_json().as_bytes())?;
-        f.flush()
     }
 
     /// Writes the JSONL export to `path`.
@@ -324,25 +262,6 @@ impl fmt::Display for TxnTrace {
         }
         Ok(())
     }
-}
-
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct TxnRing {
@@ -401,8 +320,8 @@ impl TxnShared {
         if g.buf.len() >= g.capacity {
             if g.dropped == 0 {
                 // Warn once per enable: silent eviction makes a truncated
-                // trace look complete. The Chrome export also carries the
-                // final count in `otherData.dropped`.
+                // trace look complete. The Chrome export (`CausalTrace`)
+                // also carries the final count in `otherData.dropped`.
                 eprintln!(
                     "shiptlm-kernel: transaction ring full ({} events); evicting oldest \
                      (raise the capacity passed to record_transactions to keep them)",
@@ -493,25 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_shape() {
-        let t = TxnShared::new();
-        t.enable(16);
-        t.record(ev("send", "producer", 1_000_000, 3_000_000, 64));
-        t.record(ev("recv", "consumer", 2_000_000, 3_000_000, 64));
-        let json = t.snapshot().to_chrome_json();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.ends_with("],\"otherData\":{\"dropped\":0}}"));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"name\":\"send\""));
-        assert!(json.contains("\"cat\":\"ship\""));
-        // 1e6 ps = 1 us.
-        assert!(json.contains("\"ts\":1,"));
-        // Two processes -> two distinct tids.
-        assert!(json.contains("\"tid\":0"));
-        assert!(json.contains("\"tid\":1"));
-    }
-
-    #[test]
     fn jsonl_export_one_line_per_event() {
         let t = TxnShared::new();
         t.enable(16);
@@ -521,12 +421,6 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"start_ps\":0"));
         assert!(text.contains("\"end_ps\":9"));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

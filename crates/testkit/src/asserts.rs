@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use shiptlm_kernel::causal::CausalTrace;
 use shiptlm_kernel::txn::TxnTrace;
 
 use crate::json::Json;
@@ -34,82 +35,6 @@ pub fn assert_spans_consistent(trace: &TxnTrace) {
     }
 }
 
-/// Shape summary of a parsed Chrome `trace_event` export.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChromeShape {
-    /// `"M"` thread-name metadata records.
-    pub metadata: usize,
-    /// `"X"` complete events.
-    pub complete: usize,
-    /// Distinct `cat` values seen on complete events.
-    pub categories: Vec<String>,
-}
-
-/// Parses `text` as Chrome `trace_event` JSON and validates the shape the
-/// recorder documents: `displayTimeUnit` is `"ns"`, every event is either a
-/// `thread_name` metadata record or a complete event with non-negative
-/// `ts`/`dur`, a known category and `resource`/`bytes` args.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct.
-pub fn check_chrome_trace(text: &str) -> Result<ChromeShape, String> {
-    let doc = Json::parse(text)?;
-    if doc.get("displayTimeUnit").and_then(Json::as_str) != Some("ns") {
-        return Err("displayTimeUnit is not \"ns\"".into());
-    }
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing traceEvents array")?;
-    let mut shape = ChromeShape::default();
-    for (i, ev) in events.iter().enumerate() {
-        match ev.get("ph").and_then(Json::as_str) {
-            Some("M") => {
-                shape.metadata += 1;
-                if ev.get("name").and_then(Json::as_str) != Some("thread_name") {
-                    return Err(format!("metadata event {i} is not a thread_name record"));
-                }
-            }
-            Some("X") => {
-                shape.complete += 1;
-                let ts = ev
-                    .get("ts")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i} missing numeric ts"))?;
-                let dur = ev
-                    .get("dur")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("event {i} missing numeric dur"))?;
-                if ts < 0.0 || dur < 0.0 {
-                    return Err(format!("event {i} has negative ts/dur"));
-                }
-                let cat = ev
-                    .get("cat")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("event {i} missing cat"))?;
-                if !["ship", "bus", "ocp", "driver"].contains(&cat) {
-                    return Err(format!("event {i} has unknown category '{cat}'"));
-                }
-                if !shape.categories.iter().any(|c| c == cat) {
-                    shape.categories.push(cat.to_string());
-                }
-                let args = ev
-                    .get("args")
-                    .ok_or_else(|| format!("event {i} missing args"))?;
-                if args.get("resource").and_then(Json::as_str).is_none() {
-                    return Err(format!("event {i} missing args.resource"));
-                }
-                if args.get("bytes").and_then(Json::as_num).is_none() {
-                    return Err(format!("event {i} missing args.bytes"));
-                }
-            }
-            other => return Err(format!("event {i} has unexpected phase {other:?}")),
-        }
-    }
-    Ok(shape)
-}
-
 /// One parsed span from a causal Chrome export, reconstructed from the
 /// `args` ids the exporter embeds (Chrome itself nests only by time).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +57,8 @@ pub struct CausalSpanInfo {
 /// Structure of a validated causal Chrome export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalShape {
-    /// The single trace id shared by every span (16 hex digits).
+    /// The single trace id shared by every span (16 hex digits; empty when
+    /// the export holds no spans).
     pub trace_id: String,
     /// Every complete event, in file order.
     pub spans: Vec<CausalSpanInfo>,
@@ -176,17 +102,26 @@ impl CausalShape {
     }
 }
 
-/// Parses `text` as a *causal* Chrome `trace_event` export (the
-/// [`CausalTrace`] flavor: span/parent/trace ids in `args`) and validates
-/// end-to-end causality: exactly one trace id across all complete events,
-/// unique span ids, every non-zero parent resolving to a span in the same
-/// file, at least one root, and no parent cycles.
+/// Parses `text` as the Chrome `trace_event` export of a [`CausalTrace`]
+/// and validates it:
+///
+/// * shape — `displayTimeUnit` is `"ns"`; every event is a `process_name` /
+///   `thread_name` metadata record or a complete event with non-negative
+///   numeric `ts`/`dur`; `txn` spans carry a `resource` and a numeric
+///   `bytes` arg;
+/// * lanes — a span with a `process` arg sits on a `tid` whose
+///   `thread_name` is that process, and each process has one `tid` per
+///   track;
+/// * causality — exactly one trace id across all complete events, unique
+///   span ids, every non-zero parent resolving to a span in the same file,
+///   at least one root, and no parent cycles.
+///
+/// An export without complete events (an empty trace) is valid; its
+/// [`CausalShape::trace_id`] is empty.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated property.
-///
-/// [`CausalTrace`]: shiptlm_kernel::causal::CausalTrace
 pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
     let doc = Json::parse(text)?;
     if doc.get("displayTimeUnit").and_then(Json::as_str) != Some("ns") {
@@ -196,12 +131,43 @@ pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
         .get("traceEvents")
         .and_then(Json::as_arr)
         .ok_or("missing traceEvents array")?;
+    let id = |ev: &Json, key: &str| ev.get(key).and_then(Json::as_num).map(|v| v as u64);
+    // (pid, tid) -> thread name, from the metadata records.
+    let mut lane_names = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        if ev.get("ph").and_then(Json::as_str) != Some("M") {
+            continue;
+        }
+        match ev.get("name").and_then(Json::as_str) {
+            Some("process_name") => {}
+            Some("thread_name") => {
+                let name = ev
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str);
+                lane_names.insert((id(ev, "pid"), id(ev, "tid")), name);
+            }
+            _ => {
+                return Err(format!(
+                    "metadata event {i} is not a process/thread name record"
+                ))
+            }
+        }
+    }
+    let mut process_lanes = BTreeMap::new();
     let mut trace_id: Option<String> = None;
     let mut spans = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         match ev.get("ph").and_then(Json::as_str) {
             Some("M") => continue,
             Some("X") => {
+                for key in ["ts", "dur"] {
+                    match ev.get(key).and_then(Json::as_num) {
+                        Some(v) if v >= 0.0 => {}
+                        Some(_) => return Err(format!("event {i} has negative {key}")),
+                        None => return Err(format!("event {i} missing numeric {key}")),
+                    }
+                }
                 let args = ev
                     .get("args")
                     .ok_or_else(|| format!("event {i} missing args"))?;
@@ -225,12 +191,32 @@ pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
                         .map(|v| v as u64)
                         .ok_or_else(|| format!("event {i} missing numeric args.{key}"))
                 };
+                let stage = ev
+                    .get("cat")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("event {i} missing cat"))?;
+                if stage == "txn" {
+                    if args.get("resource").and_then(Json::as_str).is_none() {
+                        return Err(format!("txn event {i} missing args.resource"));
+                    }
+                    if args.get("bytes").and_then(Json::as_u64_str).is_none() {
+                        return Err(format!("txn event {i} missing numeric args.bytes"));
+                    }
+                }
+                let track = id(ev, "pid").ok_or_else(|| format!("event {i} missing pid"))?;
+                if let Some(process) = args.get("process").and_then(Json::as_str) {
+                    let lane = id(ev, "tid");
+                    if lane_names.get(&(Some(track), lane)) != Some(&Some(process)) {
+                        return Err(format!(
+                            "event {i} of process '{process}' sits on a tid not named for it"
+                        ));
+                    }
+                    if *process_lanes.entry((track, process)).or_insert(lane) != lane {
+                        return Err(format!("process '{process}' spans more than one tid"));
+                    }
+                }
                 spans.push(CausalSpanInfo {
-                    stage: ev
-                        .get("cat")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("event {i} missing cat"))?
-                        .to_string(),
+                    stage: stage.to_string(),
                     name: ev
                         .get("name")
                         .and_then(Json::as_str)
@@ -238,19 +224,13 @@ pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
                         .to_string(),
                     span_id: num("span_id")?,
                     parent_id: num("parent_id")?,
-                    track: ev
-                        .get("pid")
-                        .and_then(Json::as_num)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("event {i} missing pid"))?,
+                    track,
                 });
             }
             other => return Err(format!("event {i} has unexpected phase {other:?}")),
         }
     }
-    let trace_id = trace_id.ok_or("trace holds no complete events")?;
-
-    let mut ids = std::collections::BTreeMap::new();
+    let mut ids = BTreeMap::new();
     for s in &spans {
         if s.span_id == 0 {
             return Err(format!("span '{}' has id 0 (reserved for roots)", s.name));
@@ -276,7 +256,10 @@ pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
         let mut steps = 0usize;
         while cursor != 0 {
             cursor = *ids.get(&cursor).ok_or_else(|| {
-                format!("span chain from {} escapes the trace at {cursor}", s.span_id)
+                format!(
+                    "span chain from {} escapes the trace at {cursor}",
+                    s.span_id
+                )
             })?;
             steps += 1;
             if steps > spans.len() {
@@ -284,18 +267,23 @@ pub fn check_causal_trace(text: &str) -> Result<CausalShape, String> {
             }
         }
     }
-    if roots == 0 {
+    if roots == 0 && !spans.is_empty() {
         return Err("trace has no root span (every parent_id is non-zero)".into());
     }
-    Ok(CausalShape { trace_id, spans })
+    Ok(CausalShape {
+        trace_id: trace_id.unwrap_or_default(),
+        spans,
+    })
 }
 
-/// Asserts that `trace`'s Chrome export is well-formed and covers exactly
-/// the retained events; returns the shape for further inspection.
-pub fn assert_chrome_export(trace: &TxnTrace) -> ChromeShape {
-    let shape = check_chrome_trace(&trace.to_chrome_json()).expect("chrome trace must be valid");
+/// Asserts that `trace`'s Chrome export (through [`CausalTrace`]) passes
+/// [`check_causal_trace`] and covers exactly the retained events; returns
+/// the shape for further inspection.
+pub fn assert_chrome_export(trace: &TxnTrace) -> CausalShape {
+    let json = CausalTrace::from(trace).to_chrome_json();
+    let shape = check_causal_trace(&json).expect("chrome trace must be valid");
     assert_eq!(
-        shape.complete,
+        shape.spans.len(),
         trace.events().len(),
         "chrome export must carry one complete event per retained span"
     );
@@ -329,34 +317,6 @@ pub fn assert_jsonl_export(trace: &TxnTrace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chrome_checker_accepts_documented_shape() {
-        let text = concat!(
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"p\"}},",
-            "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"cat\":\"ship\",\"name\":\"send\",\"ts\":1,\"dur\":2,",
-            "\"args\":{\"resource\":\"ch0\",\"bytes\":64,\"outcome\":\"ok\"}}",
-            "]}"
-        );
-        let shape = check_chrome_trace(text).unwrap();
-        assert_eq!(shape.metadata, 1);
-        assert_eq!(shape.complete, 1);
-        assert_eq!(shape.categories, vec!["ship".to_string()]);
-    }
-
-    #[test]
-    fn chrome_checker_rejects_bad_shapes() {
-        assert!(check_chrome_trace("{\"traceEvents\":[]}").is_err());
-        assert!(check_chrome_trace(
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{\"ph\":\"Q\"}]}"
-        )
-        .is_err());
-        assert!(check_chrome_trace(
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{\"ph\":\"X\",\"cat\":\"nope\",\"ts\":0,\"dur\":0,\"args\":{}}]}"
-        )
-        .is_err());
-    }
 
     #[test]
     fn causal_checker_accepts_a_real_export_and_checks_nesting() {
@@ -394,16 +354,72 @@ mod tests {
         let mixed = format!("{},{}", span(1, 0, "aa"), span(2, 1, "bb"));
         assert!(bad(&mixed).unwrap_err().contains("trace id"));
         // Parent outside the trace.
-        assert!(bad(&span(1, 99, "aa")).unwrap_err().contains("not in the trace"));
+        assert!(bad(&span(1, 99, "aa"))
+            .unwrap_err()
+            .contains("not in the trace"));
         // Duplicate span ids.
         let dup = format!("{},{}", span(1, 0, "aa"), span(1, 0, "aa"));
         assert!(bad(&dup).unwrap_err().contains("duplicate"));
         // Parent cycle (2 -> 3 -> 2).
-        let cycle = format!("{},{},{}", span(1, 0, "aa"), span(2, 3, "aa"), span(3, 2, "aa"));
+        let cycle = format!(
+            "{},{},{}",
+            span(1, 0, "aa"),
+            span(2, 3, "aa"),
+            span(3, 2, "aa")
+        );
         assert!(bad(&cycle).unwrap_err().contains("cycle"));
-        // No root at all is unreachable without a cycle or an escape, so
-        // the empty trace is the remaining edge.
-        assert!(bad("").unwrap_err().contains("no complete events"));
+    }
+
+    #[test]
+    fn causal_checker_folds_in_the_chrome_shape_checks() {
+        let check = |events: &str| {
+            check_causal_trace(&format!(
+                "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{events}]}}"
+            ))
+        };
+        let lane = |tid: u64, name: &str| {
+            format!(
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
+            )
+        };
+        let txn = |id: u64, tid: u64, ts: &str, extra: &str| {
+            format!(
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"cat\":\"txn\",\"name\":\"ship:send\",\"ts\":{ts},\"dur\":1,\
+                 \"args\":{{\"trace_id\":\"00\",\"span_id\":{id},\"parent_id\":0{extra}}}}}"
+            )
+        };
+        let ok = ",\"resource\":\"ch0\",\"process\":\"p\",\"bytes\":\"64\"";
+        let good = format!("{},{}", lane(1, "p"), txn(1, 1, "0", ok));
+        assert_eq!(check(&good).unwrap().spans.len(), 1);
+
+        // An empty trace is valid.
+        let empty = check("").unwrap();
+        assert!(empty.spans.is_empty() && empty.trace_id.is_empty());
+        assert!(
+            check_causal_trace("{\"traceEvents\":[]}").is_err(),
+            "displayTimeUnit"
+        );
+        assert!(check("{\"ph\":\"Q\"}").unwrap_err().contains("phase"));
+        assert!(check("{\"ph\":\"M\",\"name\":\"x\"}")
+            .unwrap_err()
+            .contains("metadata"));
+        let negative = format!("{},{}", lane(1, "p"), txn(1, 1, "-1", ok));
+        assert!(check(&negative).unwrap_err().contains("negative ts"));
+        let no_bytes = format!("{},{}", lane(1, "p"), txn(1, 1, "0", ",\"resource\":\"r\""));
+        assert!(check(&no_bytes).unwrap_err().contains("args.bytes"));
+        let no_resource = txn(1, 0, "0", ",\"bytes\":\"1\"");
+        assert!(check(&no_resource).unwrap_err().contains("args.resource"));
+        // A process must sit on a tid named for it, and on only one.
+        let misnamed = format!("{},{}", lane(1, "q"), txn(1, 1, "0", ok));
+        assert!(check(&misnamed).unwrap_err().contains("not named for it"));
+        let split = format!(
+            "{},{},{},{}",
+            lane(1, "p"),
+            lane(2, "p"),
+            txn(1, 1, "0", ok),
+            txn(2, 2, "0", ok)
+        );
+        assert!(check(&split).unwrap_err().contains("more than one tid"));
     }
 
     #[test]
@@ -411,7 +427,7 @@ mod tests {
         let trace = TxnTrace::default();
         assert_spans_consistent(&trace);
         let shape = assert_chrome_export(&trace);
-        assert_eq!(shape.complete, 0);
+        assert!(shape.spans.is_empty());
         assert_jsonl_export(&trace);
     }
 }

@@ -59,8 +59,8 @@ pub mod wirecase;
 /// One-stop imports for conformance tests.
 pub mod prelude {
     pub use crate::asserts::{
-        assert_chrome_export, assert_jsonl_export, assert_spans_consistent, check_chrome_trace,
-        ChromeShape,
+        assert_chrome_export, assert_jsonl_export, assert_spans_consistent, check_causal_trace,
+        CausalShape,
     };
     pub use crate::corpus::{CorpusCase, Expectation};
     pub use crate::diff::{check_model, CheckConfig, Failure, FailureKind, PassReport, Target};

@@ -75,7 +75,7 @@ fn main() -> Result<(), FlowError> {
         );
     }
     if let Ok(path) = std::env::var("SHIPTLM_TRACE_OUT") {
-        trace
+        CausalTrace::from(trace)
             .write_chrome(&path)
             .expect("failed to write Chrome trace");
         println!("wrote Chrome trace to {path}");

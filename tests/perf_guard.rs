@@ -115,45 +115,57 @@ fn direct_backend_beats_de_kernel_on_untimed_pipeline() {
     // Like `large_sweep_parallel_beats_serial`, the bound is tiered by host
     // cores: the direct backend's free-running threads only show their full
     // advantage when they can actually run in parallel, while the DE kernel
-    // serializes every rendezvous through the scheduler regardless. On a
-    // single core the tier flips to "not much slower" — what it pins there
-    // is that the direct path never *regresses* exploration throughput.
+    // serializes every rendezvous through the scheduler regardless. Below
+    // four cores the tier flips to "not much slower": under contention
+    // (other test binaries, a parallel sweep) direct ≈ DE, so what it pins
+    // there is that the direct path never *regresses* exploration
+    // throughput.
+    //
+    // The two backends run interleaved and are compared by their median
+    // run, so a burst of host load lands on both sides instead of skewing
+    // one of them.
     let app = || workload::pipeline(6, 64, 256, SimDur::ZERO);
-    let time_backend = |backend: Backend| {
+    let run = |backend: Backend| {
         let opts = RunOptions::default().with_backend(backend);
-        // Warm-up run, also the correctness probe: the requested backend
-        // must actually be used, and content must match the DE reference.
-        let probe = run_component_assembly_with(&app(), &opts).expect("probe run");
-        assert_eq!(probe.backend.used, backend, "probe fell back");
-        assert!(!probe.output.log.is_empty());
-        let iters = 8;
         let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            run_component_assembly_with(&app(), &opts).expect("timed run");
-        }
-        (t0.elapsed() / iters, probe)
+        let out = run_component_assembly_with(&app(), &opts).expect("run");
+        (t0.elapsed(), out)
     };
-
-    let (de_time, de) = time_backend(Backend::De);
-    let (direct_time, direct) = time_backend(Backend::Direct);
+    // Warm-up runs, also the correctness probe: the requested backend must
+    // actually be used, and content must match the DE reference.
+    let (_, de) = run(Backend::De);
+    let (_, direct) = run(Backend::Direct);
+    assert_eq!(de.backend.used, Backend::De, "probe fell back");
+    assert_eq!(direct.backend.used, Backend::Direct, "probe fell back");
+    assert!(!de.output.log.is_empty());
     direct
         .output
         .log
         .content_equivalent(&de.output.log)
         .expect("direct backend must stay content-equivalent to the DE kernel");
 
+    let (mut de_times, mut direct_times) = (Vec::new(), Vec::new());
+    for _ in 0..9 {
+        de_times.push(run(Backend::De).0);
+        direct_times.push(run(Backend::Direct).0);
+    }
+    let median = |times: &mut Vec<std::time::Duration>| {
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    let (de_time, direct_time) = (median(&mut de_times), median(&mut direct_times));
+
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let min_speedup = match cores {
         n if n >= 8 => 5.0,
         n if n >= 4 => 2.0,
-        2 | 3 => 1.2,
         _ => 1.0 / 1.35,
     };
     let speedup = de_time.as_secs_f64() / direct_time.as_secs_f64();
     assert!(
         speedup >= min_speedup,
         "untimed pipeline: DE kernel {de_time:?}/run, direct backend {direct_time:?}/run \
-         (speedup {speedup:.2}x, required {min_speedup:.2}x on {cores} cores)"
+         (median speedup {speedup:.2}x, required {min_speedup:.2}x on {cores} cores)"
     );
 }
 

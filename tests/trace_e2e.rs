@@ -1,7 +1,8 @@
 //! End-to-end checks of the transaction-level trace recorder: a quickstart
 //! topology run with recording on must export well-formed Chrome
-//! `trace_event` JSON covering every instrumented layer, event times must be
-//! consistent, and parallel sweeps must trace identically to serial ones.
+//! `trace_event` JSON (through the one causal exporter, [`CausalTrace`])
+//! covering every instrumented layer, event times must be consistent, and
+//! parallel sweeps must trace identically to serial ones.
 //!
 //! JSON parsing and the trace shape assertions live in `shiptlm-testkit`
 //! ([`shiptlm_testkit::json`] / [`shiptlm_testkit::asserts`]), shared with
@@ -9,8 +10,22 @@
 
 use shiptlm::prelude::*;
 use shiptlm_testkit::prelude::{
-    assert_chrome_export, assert_jsonl_export, assert_spans_consistent, check_chrome_trace,
+    assert_chrome_export, assert_jsonl_export, assert_spans_consistent, check_causal_trace,
+    CausalShape,
 };
+
+/// The abstraction levels present in an export, read from the `ship:` /
+/// `bus:` / `ocp:` / `driver:` prefix of its `txn` span names.
+fn levels_of(shape: &CausalShape) -> Vec<&str> {
+    let mut levels: Vec<&str> = shape
+        .stage("txn")
+        .iter()
+        .filter_map(|s| s.name.split_once(':').map(|(level, _)| level))
+        .collect();
+    levels.sort_unstable();
+    levels.dedup();
+    levels
+}
 
 // ---------------------------------------------------------------------------
 // The quickstart producer/consumer topology.
@@ -100,8 +115,10 @@ fn chrome_export_is_valid_json_with_expected_shape() {
     let trace = run.ccatb.output.txn.as_ref().unwrap();
 
     let shape = assert_chrome_export(trace);
-    assert_eq!(shape.metadata, 2); // producer + consumer
-    assert!(shape.categories.iter().any(|c| c == "ship"));
+    assert!(levels_of(&shape).contains(&"ship"));
+    // One lane (tid) per PE: producer + consumer.
+    let json = CausalTrace::from(trace).to_chrome_json();
+    assert_eq!(json.matches("\"name\":\"thread_name\"").count(), 2);
 
     // The JSONL export carries the same number of events, one per line,
     // each a valid JSON object with the documented fields.
@@ -159,10 +176,11 @@ fn parallel_sweep_traces_are_identical_to_serial() {
     for (s, p) in serial.rows().iter().zip(parallel.rows()) {
         assert_eq!(s.label, p.label);
         let (st, pt) = (s.txn.as_ref().unwrap(), p.txn.as_ref().unwrap());
-        check_chrome_trace(&st.to_chrome_json()).expect("serial trace must be valid");
+        let serial_json = CausalTrace::from(st).to_chrome_json();
+        check_causal_trace(&serial_json).expect("serial trace must be valid");
         assert_eq!(
-            st.to_chrome_json(),
-            pt.to_chrome_json(),
+            serial_json,
+            CausalTrace::from(pt).to_chrome_json(),
             "trace of {} differs between serial and 2-thread sweep",
             s.label
         );
@@ -177,4 +195,22 @@ fn parallel_sweep_traces_are_identical_to_serial() {
     let csv = serial.channel_latency_csv();
     assert!(csv.starts_with("config,channel,calls,min_ns,mean_ns,max_ns\n"));
     assert!(csv.contains("stream"));
+}
+
+/// CI hook: when `SHIPTLM_TRACE_FILE` points at the Chrome JSON written by
+/// the `quickstart` example, validate it with the same testkit parser the
+/// unit suites use: it must cover the ship, bus and OCP levels.
+#[test]
+fn validates_quickstart_artifact_from_env() {
+    if let Ok(path) = std::env::var("SHIPTLM_TRACE_FILE") {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let shape = check_causal_trace(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let levels = levels_of(&shape);
+        for level in ["ship", "bus", "ocp"] {
+            assert!(
+                levels.contains(&level),
+                "{path}: {level} missing from {levels:?}"
+            );
+        }
+    }
 }
