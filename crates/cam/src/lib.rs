@@ -68,7 +68,7 @@ pub mod prelude {
         DMA_STATUS_ERROR,
     };
     pub use crate::wrapper::{
-        map_channel, MappedChannel, PendingMapping, ShipBusMasterEndpoint, ShipSlaveAdapter,
-        WrapperConfig, ADAPTER_SIZE,
+        map_channel, PendingMapping, ShipBusMasterEndpoint, ShipSlaveAdapter, WrapperConfig,
+        ADAPTER_SIZE,
     };
 }

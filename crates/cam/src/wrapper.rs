@@ -807,21 +807,10 @@ impl fmt::Debug for ShipBusMasterEndpoint {
     }
 }
 
-/// Everything produced by mapping one SHIP channel onto a bus.
-#[derive(Debug)]
-pub struct MappedChannel {
-    /// The bus-slave mailbox adapter; map it at the base address used for
-    /// the master endpoint.
-    pub adapter: Arc<ShipSlaveAdapter>,
-    /// The master PE's port (behaves exactly like the unmapped port).
-    pub master_port: ShipPort,
-    /// The slave PE's port.
-    pub slave_port: ShipPort,
-}
-
-/// Maps a SHIP channel onto a bus: builds the adapter + both wrapper ports.
+/// Maps a SHIP channel onto a bus: builds the adapter and the slave port;
+/// [`PendingMapping::bind`] builds the master port.
 ///
-/// The caller maps `mapped.adapter` into the bus at `base` (the same address
+/// The caller maps `pending.adapter` into the bus at `base` (the same address
 /// the master endpoint transacts against), e.g.:
 ///
 /// ```

@@ -221,21 +221,19 @@ impl DesignFlow {
     pub fn run(&self) -> Result<FlowRun, FlowError> {
         let ca = run_component_assembly_with(&self.app, &self.opts)?;
         let ccatb = run_mapped_with(&self.app, &ca.roles, &self.arch, &self.opts)?;
-        ca.output
-            .log
-            .content_equivalent(&ccatb.output.log)
-            .map_err(|source| FlowError::Equivalence {
-                level: Level::Ccatb,
-                source,
-            })?;
+        Self::check(&ca, Level::Ccatb, &ccatb)?;
         let pin_accurate = if self.with_pin_level {
-            Some(run_pin_accurate_with(
-                &self.app, &ca.roles, &self.arch, &self.opts,
-            )?)
+            let pin = run_pin_accurate_with(&self.app, &ca.roles, &self.arch, &self.opts)?;
+            Self::check(&ca, Level::PinAccurate, &pin)?;
+            Some(pin)
         } else {
             None
         };
-        Self::check_and_assemble(ca, ccatb, pin_accurate)
+        Ok(FlowRun {
+            component_assembly: ca,
+            ccatb,
+            pin_accurate,
+        })
     }
 
     /// Like [`DesignFlow::run`], but simulates the CCATB and pin-accurate
@@ -263,34 +261,21 @@ impl DesignFlow {
         })?;
         let pin = runs.pop().expect("pin-accurate level ran");
         let ccatb = runs.pop().expect("ccatb level ran");
-        Self::check_and_assemble(ca, ccatb, Some(pin))
-    }
-
-    fn check_and_assemble(
-        ca: CaRun,
-        ccatb: MappedRun,
-        pin_accurate: Option<MappedRun>,
-    ) -> Result<FlowRun, FlowError> {
-        ca.output
-            .log
-            .content_equivalent(&ccatb.output.log)
-            .map_err(|source| FlowError::Equivalence {
-                level: Level::Ccatb,
-                source,
-            })?;
-        if let Some(pin) = &pin_accurate {
-            ca.output
-                .log
-                .content_equivalent(&pin.output.log)
-                .map_err(|source| FlowError::Equivalence {
-                    level: Level::PinAccurate,
-                    source,
-                })?;
-        }
+        Self::check(&ca, Level::Ccatb, &ccatb)?;
+        Self::check(&ca, Level::PinAccurate, &pin)?;
         Ok(FlowRun {
             component_assembly: ca,
             ccatb,
-            pin_accurate,
+            pin_accurate: Some(pin),
         })
+    }
+
+    /// Checks one refined level's log against the component-assembly
+    /// reference.
+    fn check(ca: &CaRun, level: Level, run: &MappedRun) -> Result<(), FlowError> {
+        ca.output
+            .log
+            .content_equivalent(&run.output.log)
+            .map_err(|source| FlowError::Equivalence { level, source })
     }
 }

@@ -21,13 +21,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
-use shiptlm_cam::wrapper::{map_channel, WrapperConfig, ADAPTER_SIZE};
 use shiptlm_explore::app::AppSpec;
-use shiptlm_explore::arch::{build_interconnect, ArchSpec};
-use shiptlm_explore::mapper::{MappedRun, RoleMap, RunOptions, RunOutput, MAP_BASE};
+use shiptlm_explore::arch::ArchSpec;
+use shiptlm_explore::mapper::{map_communication, MappedRun, RoleMap, RunOptions, RunOutput};
 use shiptlm_hwsw::cpu::{Cpu, SwChannelBinding};
 use shiptlm_hwsw::rtos::RtosStats;
 use shiptlm_kernel::sim::Simulation;
@@ -151,31 +149,9 @@ pub fn run_partitioned_with(
     let h = sim.handle();
     let log = TransactionLog::new();
 
-    let wrapper_cfg = WrapperConfig {
-        burst_bytes: arch.burst_bytes,
-        poll_interval: arch.poll_interval,
-        rx_capacity: arch.rx_capacity,
-    };
-
-    // Mailbox adapter per channel (HW adapters; also the HW half of every
-    // HW/SW interface).
-    let mut pendings = Vec::new();
-    let mut bases = Vec::new();
-    let mut slaves: Vec<(std::ops::Range<u64>, Arc<dyn shiptlm_ocp::tl::OcpTarget>)> = Vec::new();
-    for (k, c) in app.channels().iter().enumerate() {
-        let base = MAP_BASE + k as u64 * ADAPTER_SIZE;
-        let master_pe = roles.master_pe(&c.name)?;
-        let (ml, sl) = if master_pe == &c.a {
-            (c.a.as_str(), c.b.as_str())
-        } else {
-            (c.b.as_str(), c.a.as_str())
-        };
-        let pending = map_channel(&h, &c.name, base, wrapper_cfg.clone(), (ml, sl));
-        slaves.push((base..base + ADAPTER_SIZE, pending.adapter.clone() as _));
-        pendings.push(pending);
-        bases.push(base);
-    }
-    let interconnect = build_interconnect(&h, arch, slaves)?;
+    // The mailbox adapters are the HW adapters, and also the HW half of
+    // every HW/SW interface.
+    let (interconnect, channels) = map_communication(&h, app, roles, arch)?;
 
     // The CPU is one more bus master, after all HW PEs.
     let cpu = Cpu::new(
@@ -184,52 +160,47 @@ pub fn run_partitioned_with(
         interconnect.master_port(MasterId(app.pes().len())),
     );
 
-    let master_id_of: BTreeMap<&str, MasterId> = app
-        .pes()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), MasterId(i)))
-        .collect();
-
     // HW PEs get wrapper/adapter ports; SW PEs get driver bindings.
     let mut hw_ports: BTreeMap<String, Vec<ShipPort>> = BTreeMap::new();
     let mut sw_bindings: BTreeMap<String, Vec<SwChannelBinding>> = BTreeMap::new();
-    for ((pending, c), base) in pendings.iter().zip(app.channels()).zip(&bases) {
-        let master_pe = roles.master_of[&c.name].clone();
-        let slave_pe = if master_pe == c.a {
-            c.b.clone()
-        } else {
-            c.a.clone()
-        };
+    for ch in &channels {
+        let base = ch.pending.base();
         // Master end.
-        if partition.sw.contains(&master_pe) {
-            sw_bindings.entry(master_pe.clone()).or_default().push(
+        if partition.sw.contains(&ch.master_pe) {
+            sw_bindings.entry(ch.master_pe.clone()).or_default().push(
                 SwChannelBinding::master_polling(
-                    &c.name,
-                    &master_pe,
-                    *base,
+                    &ch.name,
+                    &ch.master_pe,
+                    base,
                     partition.poll_interval,
                 )
                 .with_burst(arch.burst_bytes),
             );
         } else {
-            let bus_port = interconnect.master_port(master_id_of[master_pe.as_str()]);
-            let mport = pending.bind(&bus_port);
+            let mport = ch.pending.bind(&interconnect.master_port(ch.master_id));
             mport.attach_recorder(log.clone());
-            let mport = opts.hook_port(&c.name, &master_pe, true, mport);
-            hw_ports.entry(master_pe.clone()).or_default().push(mport);
+            let mport = opts.hook_port(&ch.name, &ch.master_pe, true, mport);
+            hw_ports
+                .entry(ch.master_pe.clone())
+                .or_default()
+                .push(mport);
         }
         // Slave end.
-        if partition.sw.contains(&slave_pe) {
-            sw_bindings.entry(slave_pe.clone()).or_default().push(
-                SwChannelBinding::slave_polling(&c.name, &slave_pe, *base, partition.poll_interval)
-                    .with_burst(arch.burst_bytes),
+        if partition.sw.contains(&ch.slave_pe) {
+            sw_bindings.entry(ch.slave_pe.clone()).or_default().push(
+                SwChannelBinding::slave_polling(
+                    &ch.name,
+                    &ch.slave_pe,
+                    base,
+                    partition.poll_interval,
+                )
+                .with_burst(arch.burst_bytes),
             );
         } else {
-            let sport = pending.slave_port.clone();
+            let sport = ch.pending.slave_port.clone();
             sport.attach_recorder(log.clone());
-            let sport = opts.hook_port(&c.name, &slave_pe, true, sport);
-            hw_ports.entry(slave_pe.clone()).or_default().push(sport);
+            let sport = opts.hook_port(&ch.name, &ch.slave_pe, true, sport);
+            hw_ports.entry(ch.slave_pe.clone()).or_default().push(sport);
         }
     }
 
@@ -257,18 +228,7 @@ pub fn run_partitioned_with(
 
     Ok(PartitionedRun {
         mapped: MappedRun {
-            output: RunOutput {
-                log,
-                sim_time: result
-                    .time
-                    .saturating_since(shiptlm_kernel::time::SimTime::ZERO),
-                delta_cycles: sim.delta_count(),
-                wall_seconds: started.elapsed().as_secs_f64(),
-                txn: opts.collect(&sim),
-                metrics: opts.collect_metrics(&sim),
-                reason: result.reason,
-                diagnosis: RunOptions::diagnose_blocked(&sim),
-            },
+            output: RunOutput::from_run(&sim, opts, started, log, result),
             bus: interconnect.stats(),
         },
         rtos: cpu.rtos.stats(),

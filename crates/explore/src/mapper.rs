@@ -14,25 +14,28 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use shiptlm_cam::wrapper::{map_channel, WrapperConfig, ADAPTER_SIZE};
+use shiptlm_cam::accessor::Accessor;
+use shiptlm_cam::wrapper::{map_channel, PendingMapping, WrapperConfig, ADAPTER_SIZE};
 use shiptlm_kernel::direct::{DirectOutcome, DirectSim, Disqualified};
 use shiptlm_kernel::liveness::DeadlockReport;
 use shiptlm_kernel::metrics::MetricsSnapshot;
-use shiptlm_kernel::sim::Simulation;
+use shiptlm_kernel::sim::{SimHandle, Simulation};
 use shiptlm_kernel::time::{SimDur, SimTime};
 use shiptlm_kernel::txn::TxnTrace;
 use shiptlm_kernel::{RunResult, StopReason};
-use shiptlm_ocp::tl::MasterId;
+use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
 use shiptlm_ship::channel::{ShipChannel, ShipConfig, ShipPort};
 use shiptlm_ship::direct::DirectChannel;
 use shiptlm_ship::record::TransactionLog;
 use shiptlm_ship::role::RoleObservation;
 
 use crate::app::AppSpec;
-use crate::arch::{build_interconnect, ArchSpec};
+use crate::arch::{build_interconnect, ArchSpec, Interconnect};
 
 /// Base bus address of the first channel adapter.
 pub const MAP_BASE: u64 = 0x1000_0000;
@@ -377,6 +380,30 @@ pub struct RunOutput {
     pub diagnosis: Option<DeadlockReport>,
 }
 
+impl RunOutput {
+    /// Packages a finished delta-cycle-kernel run: `result` comes from
+    /// [`RunOptions::execute`] on `sim`, `started` marks the start of
+    /// elaboration, and `opts` says which trace and metrics to collect.
+    pub fn from_run(
+        sim: &Simulation,
+        opts: &RunOptions,
+        started: Instant,
+        log: TransactionLog,
+        result: RunResult,
+    ) -> Self {
+        RunOutput {
+            log,
+            sim_time: result.time.saturating_since(SimTime::ZERO),
+            delta_cycles: sim.delta_count(),
+            wall_seconds: started.elapsed().as_secs_f64(),
+            txn: opts.collect(sim),
+            metrics: opts.collect_metrics(sim),
+            reason: result.reason,
+            diagnosis: RunOptions::diagnose_blocked(sim),
+        }
+    }
+}
+
 /// Output of the component-assembly run: functional results plus detected
 /// roles.
 #[derive(Debug)]
@@ -464,31 +491,36 @@ fn run_component_assembly_de(
     for c in app.channels() {
         let ch = ShipChannel::new(&h, &c.name, config.clone());
         let (pa, pb) = ch.ports(&c.a, &c.b);
-        pa.attach_recorder(log.clone());
-        pb.attach_recorder(log.clone());
-        let pa = opts.hook_port(&c.name, &c.a, false, pa);
-        let pb = opts.hook_port(&c.name, &c.b, false, pb);
-        pe_ports.entry(c.a.clone()).or_default().push(pa);
-        pe_ports.entry(c.b.clone()).or_default().push(pb);
+        let ends = [(&c.a, pa), (&c.b, pb)];
+        hand_out(&mut pe_ports, &log, opts, &c.name, false, ends);
         channels.push(ch);
     }
-    for pe in app.pes() {
-        let ports = pe_ports.remove(&pe.name).unwrap_or_default();
-        let behavior = app.behavior(&pe.name);
-        sim.spawn_thread(&pe.name, move |ctx| behavior(ctx, ports));
-    }
+    spawn_pes(&sim, app, pe_ports);
     let result = opts.execute(&sim);
+    let roles = derive_roles(app, channels.iter().map(ShipChannel::observed_roles))?;
+    Ok(CaRun {
+        output: RunOutput::from_run(&sim, opts, started, log, result),
+        roles,
+        backend,
+    })
+}
 
+/// Derives the master end of every channel of `app` from the per-channel
+/// `(end A, end B)` usage observed by an untimed run, in channel order.
+///
+/// # Errors
+///
+/// Returns [`MapError::Unused`] for a channel that carried no traffic and
+/// [`MapError::Inconsistent`] for one without a unique master/slave split.
+fn derive_roles(
+    app: &AppSpec,
+    observed: impl IntoIterator<Item = (RoleObservation, RoleObservation)>,
+) -> Result<RoleMap, MapError> {
     let mut roles = RoleMap::default();
-    for (ch, spec) in channels.iter().zip(app.channels()) {
-        let observed = ch.observed_roles();
-        match observed {
-            (RoleObservation::Master, RoleObservation::Slave) => {
-                roles.master_of.insert(spec.name.clone(), spec.a.clone());
-            }
-            (RoleObservation::Slave, RoleObservation::Master) => {
-                roles.master_of.insert(spec.name.clone(), spec.b.clone());
-            }
+    for (spec, observed) in app.channels().iter().zip(observed) {
+        let master = match observed {
+            (RoleObservation::Master, RoleObservation::Slave) => &spec.a,
+            (RoleObservation::Slave, RoleObservation::Master) => &spec.b,
             (RoleObservation::Unused, RoleObservation::Unused) => {
                 return Err(MapError::Unused {
                     channel: spec.name.clone(),
@@ -500,23 +532,20 @@ fn run_component_assembly_de(
                     observed,
                 })
             }
-        }
+        };
+        roles.master_of.insert(spec.name.clone(), master.clone());
     }
+    Ok(roles)
+}
 
-    Ok(CaRun {
-        output: RunOutput {
-            log,
-            sim_time: result.time.saturating_since(SimTime::ZERO),
-            delta_cycles: sim.delta_count(),
-            wall_seconds: started.elapsed().as_secs_f64(),
-            txn: opts.collect(&sim),
-            metrics: opts.collect_metrics(&sim),
-            reason: result.reason,
-            diagnosis: RunOptions::diagnose_blocked(&sim),
-        },
-        roles,
-        backend,
-    })
+/// Spawns every PE of `app` in declaration order as a kernel thread that
+/// runs its behaviour on its ports from `pe_ports`.
+fn spawn_pes(sim: &Simulation, app: &AppSpec, mut pe_ports: BTreeMap<String, Vec<ShipPort>>) {
+    for pe in app.pes() {
+        let ports = pe_ports.remove(&pe.name).unwrap_or_default();
+        let behavior = app.behavior(&pe.name);
+        sim.spawn_thread(&pe.name, move |ctx| behavior(ctx, ports));
+    }
 }
 
 /// Spawn order for the direct backend: producers before consumers so the
@@ -593,12 +622,8 @@ fn run_component_assembly_direct(
             Err(d) => return Ok(Err(d)),
         };
         let (pa, pb) = ch.ports(&c.a, &c.b);
-        pa.attach_recorder(log.clone());
-        pb.attach_recorder(log.clone());
-        let pa = opts.hook_port(&c.name, &c.a, false, pa);
-        let pb = opts.hook_port(&c.name, &c.b, false, pb);
-        pe_ports.entry(c.a.clone()).or_default().push(pa);
-        pe_ports.entry(c.b.clone()).or_default().push(pb);
+        let ends = [(&c.a, pa), (&c.b, pb)];
+        hand_out(&mut pe_ports, &log, opts, &c.name, false, ends);
         channels.push(ch);
     }
     for pe in wake_order(app) {
@@ -614,31 +639,7 @@ fn run_component_assembly_direct(
         DirectOutcome::Watchdog(report) => (StopReason::Watchdog, Some(report)),
         DirectOutcome::Disqualified(d) => return Ok(Err(d)),
     };
-
-    let mut roles = RoleMap::default();
-    for (ch, spec) in channels.iter().zip(app.channels()) {
-        let observed = ch.observed_roles();
-        match observed {
-            (RoleObservation::Master, RoleObservation::Slave) => {
-                roles.master_of.insert(spec.name.clone(), spec.a.clone());
-            }
-            (RoleObservation::Slave, RoleObservation::Master) => {
-                roles.master_of.insert(spec.name.clone(), spec.b.clone());
-            }
-            (RoleObservation::Unused, RoleObservation::Unused) => {
-                return Err(MapError::Unused {
-                    channel: spec.name.clone(),
-                })
-            }
-            _ => {
-                return Err(MapError::Inconsistent {
-                    channel: spec.name.clone(),
-                    observed,
-                })
-            }
-        }
-    }
-
+    let roles = derive_roles(app, channels.iter().map(DirectChannel::observed_roles))?;
     Ok(Ok(CaRun {
         output: RunOutput {
             log,
@@ -668,12 +669,118 @@ pub struct MappedRun {
     pub bus: shiptlm_cam::bus::BusStats,
 }
 
+/// One channel of a [`map_communication`] result, oriented by the role map.
+#[derive(Debug)]
+pub struct ChannelMapping {
+    /// The channel name.
+    pub name: String,
+    /// The channel's mailbox adapter (already mapped into the interconnect)
+    /// and slave port; [`PendingMapping::bind`] completes the master end.
+    pub pending: PendingMapping,
+    /// The PE that initiates on this channel.
+    pub master_pe: String,
+    /// The PE that serves this channel.
+    pub slave_pe: String,
+    /// The master PE's bus identity: its index in PE declaration order, so
+    /// fixed-priority arbitration follows PE declaration order.
+    pub master_id: MasterId,
+}
+
+/// Maps the communication part of `app` onto `arch`: the one elaboration
+/// step every refined level (CCATB, pin-accurate, HW/SW-partitioned)
+/// shares.
+///
+/// Channel `k` becomes a mailbox adapter at `MAP_BASE + k·ADAPTER_SIZE`
+/// with SHIP↔OCP wrappers configured from `arch` and oriented by `roles`;
+/// the adapters are then mapped into the interconnect. Callers bind the
+/// master ends (see [`PendingMapping::bind`]) and spawn the PEs. Process ids
+/// and event order follow from elaboration order, so the order is fixed:
+/// one `map_channel` per channel in declaration order, then the
+/// interconnect.
+///
+/// # Errors
+///
+/// Returns [`MapError::Missing`] if `roles` does not cover every channel of
+/// `app`, and [`MapError::Arch`] if `arch` cannot be elaborated.
+pub fn map_communication(
+    h: &SimHandle,
+    app: &AppSpec,
+    roles: &RoleMap,
+    arch: &ArchSpec,
+) -> Result<(Interconnect, Vec<ChannelMapping>), MapError> {
+    let cfg = WrapperConfig {
+        burst_bytes: arch.burst_bytes,
+        poll_interval: arch.poll_interval,
+        rx_capacity: arch.rx_capacity,
+    };
+    let master_id_of: BTreeMap<&str, MasterId> = app
+        .pes()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.name.as_str(), MasterId(i)))
+        .collect();
+    let mut channels = Vec::with_capacity(app.channels().len());
+    let mut slaves: Vec<(Range<u64>, Arc<dyn OcpTarget>)> = Vec::new();
+    for (k, c) in app.channels().iter().enumerate() {
+        let base = MAP_BASE + k as u64 * ADAPTER_SIZE;
+        let master_pe = roles.master_pe(&c.name)?;
+        let slave_pe = if master_pe == &c.a { &c.b } else { &c.a };
+        let pending = map_channel(h, &c.name, base, cfg.clone(), (master_pe, slave_pe));
+        slaves.push((base..base + ADAPTER_SIZE, pending.adapter.clone() as _));
+        channels.push(ChannelMapping {
+            name: c.name.clone(),
+            pending,
+            master_pe: master_pe.clone(),
+            slave_pe: slave_pe.clone(),
+            master_id: master_id_of[master_pe.as_str()],
+        });
+    }
+    Ok((build_interconnect(h, arch, slaves)?, channels))
+}
+
+/// Binds both ends of every mapped channel for PE code, channel by channel
+/// (the master end through `bus_port`, the slave end off the adapter), and
+/// returns each PE's ports.
+fn bind_ports(
+    channels: &[ChannelMapping],
+    log: &TransactionLog,
+    opts: &RunOptions,
+    bus_port: impl Fn(&ChannelMapping) -> OcpMasterPort,
+) -> BTreeMap<String, Vec<ShipPort>> {
+    let mut pe_ports: BTreeMap<String, Vec<ShipPort>> = BTreeMap::new();
+    for ch in channels {
+        let mport = ch.pending.bind(&bus_port(ch));
+        let sport = ch.pending.slave_port.clone();
+        let ends = [(&ch.master_pe, mport), (&ch.slave_pe, sport)];
+        hand_out(&mut pe_ports, log, opts, &ch.name, true, ends);
+    }
+    pe_ports
+}
+
+/// Hands both ends of one channel to PE code: each port is recorded into
+/// `log`, passed through the port hook and appended to its PE's ports, so
+/// every PE sees its ports in channel order (the order
+/// `AppSpec::channels_of` lists them).
+fn hand_out(
+    pe_ports: &mut BTreeMap<String, Vec<ShipPort>>,
+    log: &TransactionLog,
+    opts: &RunOptions,
+    channel: &str,
+    mapped: bool,
+    ends: [(&String, ShipPort); 2],
+) {
+    for (pe, port) in ends {
+        port.attach_recorder(log.clone());
+        let port = opts.hook_port(channel, pe, mapped, port);
+        pe_ports.entry(pe.clone()).or_default().push(port);
+    }
+}
+
 /// Re-elaborates `app` with channels mapped onto `arch` per `roles`, runs
 /// it, and returns log + interconnect statistics.
 ///
-/// PE source is reused verbatim; each master PE gets one bus-master identity
-/// (its index in declaration order), so fixed-priority arbitration follows
-/// PE declaration order.
+/// PE source is reused verbatim; master PEs bind straight to their bus
+/// ports (see [`map_communication`]).
 ///
 /// # Errors
 ///
@@ -699,89 +806,24 @@ pub fn run_mapped_with(
     let started = Instant::now();
     let sim = Simulation::new();
     opts.arm(&sim);
-    let h = sim.handle();
     let log = TransactionLog::new();
-
-    let wrapper_cfg = WrapperConfig {
-        burst_bytes: arch.burst_bytes,
-        poll_interval: arch.poll_interval,
-        rx_capacity: arch.rx_capacity,
-    };
-
-    // One mailbox adapter per channel, in address order.
-    let mut pendings = Vec::new();
-    let mut slaves: Vec<(std::ops::Range<u64>, Arc<dyn shiptlm_ocp::tl::OcpTarget>)> = Vec::new();
-    for (k, c) in app.channels().iter().enumerate() {
-        let base = MAP_BASE + k as u64 * ADAPTER_SIZE;
-        let master_pe = roles.master_pe(&c.name)?;
-        let (master_label, slave_label) = if master_pe == &c.a {
-            (c.a.as_str(), c.b.as_str())
-        } else {
-            (c.b.as_str(), c.a.as_str())
-        };
-        let pending = map_channel(
-            &h,
-            &c.name,
-            base,
-            wrapper_cfg.clone(),
-            (master_label, slave_label),
-        );
-        slaves.push((base..base + ADAPTER_SIZE, pending.adapter.clone() as _));
-        pendings.push(pending);
-    }
-    let interconnect = build_interconnect(&h, arch, slaves)?;
-
-    // Distribute ports per PE, master ends bound through the PE's bus port.
-    let mut pe_ports: BTreeMap<String, Vec<ShipPort>> = BTreeMap::new();
-    let master_id_of: BTreeMap<&str, MasterId> = app
-        .pes()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), MasterId(i)))
-        .collect();
-    for (pending, c) in pendings.iter().zip(app.channels()) {
-        let master_pe = &roles.master_of[&c.name];
-        let slave_pe = if master_pe == &c.a { &c.b } else { &c.a };
-        let bus_port = interconnect.master_port(master_id_of[master_pe.as_str()]);
-        let mport = pending.bind(&bus_port);
-        mport.attach_recorder(log.clone());
-        let sport = pending.slave_port.clone();
-        sport.attach_recorder(log.clone());
-        let mport = opts.hook_port(&c.name, master_pe, true, mport);
-        let sport = opts.hook_port(&c.name, slave_pe, true, sport);
-        // Insert in the PE's channel order.
-        pe_ports.entry(master_pe.clone()).or_default().push(mport);
-        pe_ports.entry(slave_pe.clone()).or_default().push(sport);
-    }
-    // NOTE: ports were pushed channel-by-channel, which matches
-    // `AppSpec::channels_of` order (both iterate the channel list).
-    for pe in app.pes() {
-        let ports = pe_ports.remove(&pe.name).unwrap_or_default();
-        let behavior = app.behavior(&pe.name);
-        sim.spawn_thread(&pe.name, move |ctx| behavior(ctx, ports));
-    }
+    let (interconnect, channels) = map_communication(&sim.handle(), app, roles, arch)?;
+    let pe_ports = bind_ports(&channels, &log, opts, |ch| {
+        interconnect.master_port(ch.master_id)
+    });
+    spawn_pes(&sim, app, pe_ports);
     let result = opts.execute(&sim);
-
     Ok(MappedRun {
-        output: RunOutput {
-            log,
-            sim_time: result.time.saturating_since(SimTime::ZERO),
-            delta_cycles: sim.delta_count(),
-            wall_seconds: started.elapsed().as_secs_f64(),
-            txn: opts.collect(&sim),
-            metrics: opts.collect_metrics(&sim),
-            reason: result.reason,
-            diagnosis: RunOptions::diagnose_blocked(&sim),
-        },
+        output: RunOutput::from_run(&sim, opts, started, log, result),
         bus: interconnect.stats(),
     })
 }
 
 /// Re-elaborates `app` at the **pin-accurate prototype level**: channels are
 /// mapped as in [`run_mapped`], and every master PE additionally reaches the
-/// interconnect through a pin-level OCP [`Accessor`](shiptlm_cam::accessor::Accessor)
-/// — request and response cross real signal pins cycle by cycle (paper §3's
-/// synthesizable prototype path).
+/// interconnect through a pin-level OCP [`Accessor`] — request and response
+/// cross real signal pins cycle by cycle (paper §3's synthesizable
+/// prototype path).
 ///
 /// # Errors
 ///
@@ -813,97 +855,43 @@ pub fn run_pin_accurate_with(
     opts.arm(&sim);
     let h = sim.handle();
     let log = TransactionLog::new();
-
-    let wrapper_cfg = WrapperConfig {
-        burst_bytes: arch.burst_bytes,
-        poll_interval: arch.poll_interval,
-        rx_capacity: arch.rx_capacity,
-    };
-
-    let mut pendings = Vec::new();
-    let mut slaves: Vec<(std::ops::Range<u64>, Arc<dyn shiptlm_ocp::tl::OcpTarget>)> = Vec::new();
-    for (k, c) in app.channels().iter().enumerate() {
-        let base = MAP_BASE + k as u64 * ADAPTER_SIZE;
-        let master_pe = roles.master_pe(&c.name)?;
-        let (ml, sl) = if master_pe == &c.a {
-            (c.a.as_str(), c.b.as_str())
-        } else {
-            (c.b.as_str(), c.a.as_str())
-        };
-        let pending = map_channel(&h, &c.name, base, wrapper_cfg.clone(), (ml, sl));
-        slaves.push((base..base + ADAPTER_SIZE, pending.adapter.clone() as _));
-        pendings.push(pending);
-    }
-    let interconnect = build_interconnect(&h, arch, slaves)?;
+    let (interconnect, channels) = map_communication(&h, app, roles, arch)?;
     let clk = sim.clock("clk", interconnect.clock_period());
 
-    // One pin-level accessor per master PE.
-    let master_id_of: BTreeMap<&str, MasterId> = app
-        .pes()
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), MasterId(i)))
-        .collect();
-    let mut accessor_port_of: BTreeMap<String, shiptlm_ocp::tl::OcpMasterPort> = BTreeMap::new();
-    for c in app.channels() {
-        let master_pe = roles.master_of[&c.name].clone();
-        accessor_port_of
-            .entry(master_pe.clone())
-            .or_insert_with(|| {
-                let acc = shiptlm_cam::accessor::Accessor::attach(
-                    &h,
-                    &format!("{master_pe}.acc"),
-                    &clk,
-                    interconnect.as_target(),
-                    master_id_of[master_pe.as_str()],
-                    false,
-                );
-                acc.port().clone()
-            });
+    // One pin-level accessor per master PE, attached in order of the
+    // master's first channel.
+    let mut accessor_port_of: BTreeMap<&str, OcpMasterPort> = BTreeMap::new();
+    for ch in &channels {
+        accessor_port_of.entry(&ch.master_pe).or_insert_with(|| {
+            let name = format!("{}.acc", ch.master_pe);
+            let target = interconnect.as_target();
+            Accessor::attach(&h, &name, &clk, target, ch.master_id, false)
+                .port()
+                .clone()
+        });
     }
+    let mut pe_ports = bind_ports(&channels, &log, opts, |ch| {
+        accessor_port_of[ch.master_pe.as_str()].clone()
+    });
 
-    let mut pe_ports: BTreeMap<String, Vec<ShipPort>> = BTreeMap::new();
-    for (pending, c) in pendings.iter().zip(app.channels()) {
-        let master_pe = &roles.master_of[&c.name];
-        let slave_pe = if master_pe == &c.a { &c.b } else { &c.a };
-        let mport = pending.bind(&accessor_port_of[master_pe]);
-        mport.attach_recorder(log.clone());
-        let sport = pending.slave_port.clone();
-        sport.attach_recorder(log.clone());
-        let mport = opts.hook_port(&c.name, master_pe, true, mport);
-        let sport = opts.hook_port(&c.name, slave_pe, true, sport);
-        pe_ports.entry(master_pe.clone()).or_default().push(mport);
-        pe_ports.entry(slave_pe.clone()).or_default().push(sport);
-    }
     // The free-running clock would keep the simulation alive forever, so
     // stop exactly when the last PE behaviour returns (all transactions are
     // blocking, hence complete by then).
-    let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(app.pes().len()));
+    let remaining = Arc::new(AtomicUsize::new(app.pes().len()));
     for pe in app.pes() {
         let ports = pe_ports.remove(&pe.name).unwrap_or_default();
         let behavior = app.behavior(&pe.name);
         let remaining = Arc::clone(&remaining);
         sim.spawn_thread(&pe.name, move |ctx| {
             behavior(ctx, ports);
-            if remaining.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
                 ctx.stop();
             }
         });
     }
     let result = opts.execute(&sim);
-    let result_time = sim.now();
-
     Ok(MappedRun {
-        output: RunOutput {
-            log,
-            sim_time: result_time.saturating_since(SimTime::ZERO),
-            delta_cycles: sim.delta_count(),
-            wall_seconds: started.elapsed().as_secs_f64(),
-            txn: opts.collect(&sim),
-            metrics: opts.collect_metrics(&sim),
-            reason: result.reason,
-            diagnosis: RunOptions::diagnose_blocked(&sim),
-        },
+        output: RunOutput::from_run(&sim, opts, started, log, result),
         bus: interconnect.stats(),
     })
 }

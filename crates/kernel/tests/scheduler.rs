@@ -404,6 +404,34 @@ fn stop_from_process() {
     assert_eq!(r.time, SimTime::ZERO + SimDur::ns(42));
 }
 
+/// A run's reported end time is the kernel's current time whatever stopped
+/// it — a process stop with a free-running clock still ticking, the time
+/// limit, or starvation — so runners may report either.
+#[test]
+fn run_result_time_is_now_on_every_stop_reason() {
+    let sim = Simulation::new();
+    let _clk = sim.clock("clk", SimDur::ns(10));
+    sim.spawn_thread("p", |ctx| {
+        ctx.wait_for(SimDur::ns(42));
+        ctx.stop();
+    });
+    let r = sim.run();
+    assert_eq!(r.reason, StopReason::Stopped);
+    assert_eq!(r.time, sim.now());
+
+    let sim = Simulation::new();
+    let _clk = sim.clock("clk", SimDur::ns(10));
+    let r = sim.run_until(SimTime::ZERO + SimDur::ns(95));
+    assert_eq!(r.reason, StopReason::TimeLimit);
+    assert_eq!(r.time, sim.now());
+
+    let sim = Simulation::new();
+    sim.spawn_thread("p", |ctx| ctx.wait_for(SimDur::ns(7)));
+    let r = sim.run();
+    assert_eq!(r.reason, StopReason::Starved);
+    assert_eq!(r.time, sim.now());
+}
+
 #[test]
 fn dynamic_spawn_during_run() {
     let sim = Simulation::new();

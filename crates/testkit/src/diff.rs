@@ -29,8 +29,8 @@ use std::panic::{self, AssertUnwindSafe};
 use shiptlm::partition::{run_partitioned_with, Partition};
 use shiptlm_explore::arch::{ArchSpec, BusKind};
 use shiptlm_explore::mapper::{
-    run_component_assembly_with, run_mapped_with, run_pin_accurate_with, Backend, RunOptions,
-    RunOutput,
+    run_component_assembly_with, run_mapped_with, run_pin_accurate_with, Backend, RoleMap,
+    RunOptions, RunOutput,
 };
 use shiptlm_kernel::time::SimDur;
 use shiptlm_kernel::StopReason;
@@ -295,6 +295,32 @@ fn check_equivalence(
     })
 }
 
+/// Runs one target and checks it: a panic is classified, a mapping error
+/// is a [`FailureKind::Map`] failure, and the output must be live and —
+/// for refined levels — content-equivalent to `reference`. A passing
+/// level's simulated time is appended to `times`.
+fn run_level<E: std::fmt::Display>(
+    level: &'static str,
+    reference: Option<&TransactionLog>,
+    pe_names: &[String],
+    times: &mut Vec<(&'static str, SimDur)>,
+    run: impl FnOnce() -> Result<RunOutput, E>,
+) -> Result<RunOutput, Failure> {
+    let out = panic::catch_unwind(AssertUnwindSafe(run))
+        .map_err(|p| classify_panic(level, p))?
+        .map_err(|e| Failure {
+            kind: FailureKind::Map,
+            level,
+            detail: e.to_string(),
+        })?;
+    check_liveness(level, &out, pe_names)?;
+    if let Some(reference) = reference {
+        check_equivalence(level, reference, &out.log)?;
+    }
+    times.push((level, out.sim_time));
+    Ok(out)
+}
+
 /// Runs `spec` through every configured target and checks conformance.
 ///
 /// # Errors
@@ -303,49 +329,47 @@ fn check_equivalence(
 /// level first).
 pub fn check_model(spec: &ModelSpec, cfg: &CheckConfig) -> Result<PassReport, Failure> {
     let pe_names = spec.pe_names();
-    // Fresh options per level: the fault hook carries a per-run send
-    // counter, which must restart from zero at every level.
-    let opts = cfg.options();
+    let mut times = Vec::new();
 
     // Reference: untimed component assembly, also yields channel roles.
+    // Every level gets fresh options: the fault hook carries a per-run
+    // send counter, which must restart from zero at every level.
     let app = spec.to_app();
-    let ca = panic::catch_unwind(AssertUnwindSafe(|| {
-        run_component_assembly_with(&app, &opts)
-    }))
-    .map_err(|p| classify_panic("component-assembly", p))?
-    .map_err(|e| Failure {
-        kind: FailureKind::Map,
-        level: "component-assembly",
-        detail: e.to_string(),
-    })?;
-    check_liveness("component-assembly", &ca.output, &pe_names)?;
-
-    let mut times = vec![("component-assembly", ca.output.sim_time)];
-    let mut levels = 1;
+    let opts = cfg.options();
+    let mut roles = RoleMap::default();
+    let ca = run_level(
+        Target::ComponentAssembly.label(),
+        None,
+        &pe_names,
+        &mut times,
+        || {
+            run_component_assembly_with(&app, &opts).map(|ca| {
+                roles = ca.roles;
+                ca.output
+            })
+        },
+    )?;
+    let reference = Some(&ca.log);
 
     // Direct-execution differential: the same untimed level, scheduled by
     // free-running threads instead of the delta-cycle event queue, must
     // deliver the exact same per-(channel, port) streams.
     let mut direct_used = false;
     if cfg.direct_ca {
-        let level = Target::DirectCA.label();
-        let untimed = spec.untimed();
-        let app = untimed.to_app();
+        let app = spec.untimed().to_app();
         let opts = cfg.options().with_backend(Backend::Auto);
-        let dca = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_component_assembly_with(&app, &opts)
-        }))
-        .map_err(|p| classify_panic(level, p))?
-        .map_err(|e| Failure {
-            kind: FailureKind::Map,
-            level,
-            detail: e.to_string(),
-        })?;
-        check_liveness(level, &dca.output, &pe_names)?;
-        check_equivalence(level, &ca.output.log, &dca.output.log)?;
-        direct_used = dca.backend.used == Backend::Direct;
-        times.push((level, dca.output.sim_time));
-        levels += 1;
+        run_level(
+            Target::DirectCA.label(),
+            reference,
+            &pe_names,
+            &mut times,
+            || {
+                run_component_assembly_with(&app, &opts).map(|dca| {
+                    direct_used = dca.backend.used == Backend::Direct;
+                    dca.output
+                })
+            },
+        )?;
     }
 
     // New-interconnect differential legs: the same model at CCATB
@@ -353,141 +377,83 @@ pub fn check_model(spec: &ModelSpec, cfg: &CheckConfig) -> Result<PassReport, Fa
     // and once onto a 4×4 mesh NoC. These run *before* the configured-arch
     // CCATB leg so a fault at the mapped site classifies at the first
     // refined level that sees it.
-    let mut family_times: Vec<(&'static str, SimDur)> = Vec::new();
+    let mut timed = Vec::new();
     for (enabled, target, arch) in [
         (cfg.ahb_ca, Target::AhbCA, cfg.ahb_leg_arch()),
         (cfg.noc_ca, Target::NocCA, cfg.noc_leg_arch()),
     ] {
-        if !enabled {
-            continue;
+        if enabled {
+            let (app, opts) = (spec.to_app(), cfg.options());
+            let out = run_level(target.label(), reference, &pe_names, &mut times, || {
+                run_mapped_with(&app, &roles, &arch, &opts).map(|r| r.output)
+            })?;
+            timed.push((target.label(), out.sim_time));
         }
-        let level = target.label();
-        let app = spec.to_app();
-        let opts = cfg.options();
-        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_mapped_with(&app, &ca.roles, &arch, &opts)
-        }))
-        .map_err(|p| classify_panic(level, p))?
-        .map_err(|e| Failure {
-            kind: FailureKind::Map,
-            level,
-            detail: e.to_string(),
-        })?;
-        check_liveness(level, &run.output, &pe_names)?;
-        check_equivalence(level, &ca.output.log, &run.output.log)?;
-        times.push((level, run.output.sim_time));
-        family_times.push((level, run.output.sim_time));
-        levels += 1;
     }
 
     // CCATB.
-    let app = spec.to_app();
-    let opts = cfg.options();
-    let ccatb = panic::catch_unwind(AssertUnwindSafe(|| {
-        run_mapped_with(&app, &ca.roles, &cfg.arch, &opts)
-    }))
-    .map_err(|p| classify_panic("ccatb", p))?
-    .map_err(|e| Failure {
-        kind: FailureKind::Map,
-        level: "ccatb",
-        detail: e.to_string(),
-    })?;
-    check_liveness("ccatb", &ccatb.output, &pe_names)?;
-    check_equivalence("ccatb", &ca.output.log, &ccatb.output.log)?;
-    times.push(("ccatb", ccatb.output.sim_time));
-    levels += 1;
+    let (app, opts) = (spec.to_app(), cfg.options());
+    let ccatb = run_level(
+        Target::Ccatb.label(),
+        reference,
+        &pe_names,
+        &mut times,
+        || run_mapped_with(&app, &roles, &cfg.arch, &opts).map(|r| r.output),
+    )?;
+    // The CCATB level's latency check reports before the families'.
+    timed.insert(0, (Target::Ccatb.label(), ccatb.sim_time));
 
     // Pin-accurate prototype.
-    let pin_time = if cfg.pin_level {
-        let app = spec.to_app();
-        let opts = cfg.options();
-        let pin = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_pin_accurate_with(&app, &ca.roles, &cfg.arch, &opts)
-        }))
-        .map_err(|p| classify_panic("pin-accurate", p))?
-        .map_err(|e| Failure {
-            kind: FailureKind::Map,
-            level: "pin-accurate",
-            detail: e.to_string(),
-        })?;
-        check_liveness("pin-accurate", &pin.output, &pe_names)?;
-        check_equivalence("pin-accurate", &ca.output.log, &pin.output.log)?;
-        times.push(("pin-accurate", pin.output.sim_time));
-        levels += 1;
-        Some(pin.output.sim_time)
-    } else {
-        None
-    };
+    if cfg.pin_level {
+        let (app, opts) = (spec.to_app(), cfg.options());
+        let pin = run_level(
+            Target::PinAccurate.label(),
+            reference,
+            &pe_names,
+            &mut times,
+            || run_pin_accurate_with(&app, &roles, &cfg.arch, &opts).map(|r| r.output),
+        )?;
+        timed.push((Target::PinAccurate.label(), pin.sim_time));
+    }
 
     // HW/SW-partitioned target: same roles, one master PE per motif in SW.
     if cfg.partition {
-        let app = spec.to_app();
-        let opts = cfg.options();
+        let (app, opts) = (spec.to_app(), cfg.options());
         let partition = Partition::software(spec.sw_candidates());
-        let sw = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_partitioned_with(&app, &ca.roles, &cfg.arch, &partition, &opts)
-        }))
-        .map_err(|p| classify_panic("partitioned", p))?
-        .map_err(|e| Failure {
-            kind: FailureKind::Map,
-            level: "partitioned",
-            detail: e.to_string(),
-        })?;
-        check_liveness("partitioned", &sw.mapped.output, &pe_names)?;
-        check_equivalence("partitioned", &ca.output.log, &sw.mapped.output.log)?;
-        times.push(("partitioned", sw.mapped.output.sim_time));
-        levels += 1;
+        run_level(
+            Target::Partitioned.label(),
+            reference,
+            &pe_names,
+            &mut times,
+            || {
+                run_partitioned_with(&app, &roles, &cfg.arch, &partition, &opts)
+                    .map(|r| r.mapped.output)
+            },
+        )?;
     }
 
     // Latency monotonicity (only meaningful without injected timing
-    // faults, which may legitimately reorder level timings).
+    // faults, which may legitimately reorder level timings): every timed
+    // level must be at least as slow as the untimed reference. The timed
+    // levels are not ordered against *each other* — CCATB's burst-granular
+    // bus estimate may land on either side of the cycle-true pin schedule,
+    // and an AHB split bus and a mesh have incomparable schedules.
     if cfg.fault.is_none() {
-        if ccatb.output.sim_time < ca.output.sim_time {
+        if let Some((level, t)) = timed.into_iter().find(|(_, t)| *t < ca.sim_time) {
             return Err(Failure {
                 kind: FailureKind::LatencyOrder,
-                level: "ccatb",
+                level,
                 detail: format!(
-                    "ccatb finished at {} before the untimed reference's {}",
-                    ccatb.output.sim_time, ca.output.sim_time
+                    "{level} finished at {t} before the untimed reference's {}",
+                    ca.sim_time
                 ),
             });
-        }
-        // The interconnect-family legs are timed models too: each must be
-        // at least as slow as the untimed reference. (Like CCATB vs pin,
-        // the families are not ordered against *each other* — an AHB split
-        // bus and a mesh have incomparable schedules.)
-        for (level, t) in &family_times {
-            if *t < ca.output.sim_time {
-                return Err(Failure {
-                    kind: FailureKind::LatencyOrder,
-                    level,
-                    detail: format!(
-                        "{level} finished at {t} before the untimed reference's {}",
-                        ca.output.sim_time
-                    ),
-                });
-            }
-        }
-        // CCATB and pin-accurate are deliberately *not* ordered against
-        // each other: CCATB's burst-granular bus estimate may land on
-        // either side of the cycle-true pin schedule.
-        if let Some(pt) = pin_time {
-            if pt < ca.output.sim_time {
-                return Err(Failure {
-                    kind: FailureKind::LatencyOrder,
-                    level: "pin-accurate",
-                    detail: format!(
-                        "pin-accurate finished at {pt} before the untimed reference's {}",
-                        ca.output.sim_time
-                    ),
-                });
-            }
         }
     }
 
     Ok(PassReport {
-        ship_ops: ca.output.log.len(),
-        levels,
+        ship_ops: ca.log.len(),
+        levels: times.len(),
         times,
         direct_used,
     })

@@ -16,7 +16,6 @@
 use shiptlm_explore::prelude::ArchSpec;
 use shiptlm_kernel::time::SimDur;
 use shiptlm_ship::prelude::{ByteReader, ByteWriter, ShipSerialize, WireError};
-use shiptlm_ship::wire;
 
 use crate::model::{ModelSpec, Motif};
 use shiptlm_cam::prelude::ArbPolicy;
@@ -213,10 +212,6 @@ pub fn get_archs(r: &mut ByteReader<'_>) -> Result<Vec<ArchSpec>, WireError> {
     }
     Ok(out)
 }
-
-// Re-exported so downstream callers can spell the module-level helpers
-// without also importing `shiptlm_ship::wire`.
-pub use wire::WireError as CaseWireError;
 
 #[cfg(test)]
 mod tests {
