@@ -262,6 +262,62 @@ fn crossbar_serializes_same_target() {
     assert!(waits.iter().any(|w| *w > 0), "one master must have waited");
 }
 
+/// Address decoding on the shared bus, the crossbar and the NoC: an
+/// unmapped address is an `AddressDecode` error and a burst past the end of
+/// its mapping a `BadRequest`. The bus decodes after arbitration, so both
+/// failures take bus time and count as errors; the crossbar and the NoC
+/// decode before arbitration, so a rejected request takes no time.
+#[test]
+fn decode_errors_are_reported_on_every_family() {
+    let ram = || Arc::new(Memory::new("ram", 0x100));
+    let sim = Simulation::new();
+    let mut bus = CcatbBus::new(&sim.handle(), BusConfig::plb("plb"));
+    bus.map_slave(0x1000..0x1100, ram(), true);
+    let mut xbar = Crossbar::new(&sim.handle(), CrossbarConfig::default_64bit("xbar"));
+    xbar.map_slave(0x1000..0x1100, ram(), true);
+    let mut noc = MeshNoc::new(&sim.handle(), NocConfig::mesh("noc", 2, 2));
+    noc.map_slave(0x1000..0x1100, ram(), true);
+    let (bus, xbar, noc) = (Arc::new(bus), Arc::new(xbar), Arc::new(noc));
+    let ports = [
+        bus.master_port(MasterId(0)),
+        xbar.master_port(MasterId(0)),
+        noc.master_port(MasterId(0)),
+    ];
+    let got = Arc::new(Mutex::new(Vec::new()));
+    {
+        let got = Arc::clone(&got);
+        sim.spawn_thread("m", move |ctx| {
+            for port in &ports {
+                let t0 = ctx.now();
+                let unmapped = port.read(ctx, 0x2000, 4);
+                let crossing = port.write(ctx, 0x10F0, vec![0; 32]);
+                got.lock()
+                    .unwrap()
+                    .push((unmapped, crossing, ctx.now().since(t0)));
+            }
+        });
+    }
+    sim.run();
+    let got = got.lock().unwrap();
+    for (unmapped, crossing, _) in got.iter() {
+        assert_eq!(*unmapped, Err(OcpError::AddressDecode { addr: 0x2000 }));
+        assert!(
+            matches!(crossing, Err(OcpError::BadRequest(_))),
+            "{crossing:?}"
+        );
+    }
+    assert!(got[0].2 > SimDur::ZERO);
+    assert_eq!(bus.stats().errors, 2);
+    assert_eq!(bus.stats().transactions, 0);
+    for (family, elapsed, stats) in [
+        ("xbar", got[1].2, xbar.stats()),
+        ("noc", got[2].2, noc.stats()),
+    ] {
+        assert_eq!(elapsed, SimDur::ZERO, "{family}");
+        assert_eq!(stats.transactions, 0, "{family}");
+    }
+}
+
 #[test]
 fn bridge_adds_latency_and_routes_downstream() {
     let sim = Simulation::new();

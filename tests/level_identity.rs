@@ -4,7 +4,9 @@
 //! the same channel mapping; process ids and event order follow from the
 //! elaboration order, so any reordering of that step shows up as a changed
 //! simulated time or delta count. This suite pins the observable figures of
-//! one seeded generated model on three interconnect families.
+//! one seeded generated model on every interconnect family: PLB, OPB, AHB
+//! (with SPLIT, and with 128-byte bursts that exceed its 16-beat grant
+//! budget and so take the RETRY path), the crossbar and the mesh NoC.
 
 use shiptlm::prelude::*;
 use shiptlm_testkit::prelude::*;
@@ -70,6 +72,27 @@ fn plb_levels_keep_their_timing() {
 }
 
 #[test]
+fn plb_ignores_the_split_axis() {
+    // SPLIT is an AHB-only axis (`BusKind::supports_split`).
+    assert_eq!(
+        run_levels(&ArchSpec::plb().with_split(true)),
+        run_levels(&ArchSpec::plb())
+    );
+}
+
+#[test]
+fn opb_levels_keep_their_timing() {
+    assert_eq!(
+        run_levels(&ArchSpec::opb()),
+        [
+            (37_040_000, 384, 13, 2980, 95),
+            (43_250_000, 6678, 13, 2980, 95),
+            (40_880_000, 369, 13, 2980, 95),
+        ]
+    );
+}
+
+#[test]
 fn ahb_split_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::ahb().with_split(true)),
@@ -77,6 +100,32 @@ fn ahb_split_levels_keep_their_timing() {
             (12_120_000, 552, 13, 2980, 95),
             (15_345_000, 4794, 13, 2980, 95),
             (16_830_000, 537, 13, 2980, 96),
+        ]
+    );
+}
+
+#[test]
+fn ahb_retry_levels_keep_their_timing() {
+    // A 128-byte burst is 32 beats on AHB's 4-byte data path, twice its
+    // 16-beat grant budget: every full burst is RETRY-terminated once.
+    assert_eq!(
+        run_levels(&ArchSpec::ahb().with_burst(128)),
+        [
+            (9_773_000, 284, 13, 2980, 70),
+            (12_955_000, 4027, 13, 2980, 70),
+            (13_880_000, 297, 13, 2980, 71),
+        ]
+    );
+}
+
+#[test]
+fn crossbar_levels_keep_their_timing() {
+    assert_eq!(
+        run_levels(&ArchSpec::crossbar()),
+        [
+            (4_900_000, 179, 13, 2980, 95),
+            (9_095_000, 2901, 13, 2980, 95),
+            (10_120_000, 274, 13, 2980, 95),
         ]
     );
 }
