@@ -1,119 +1,12 @@
-//! An AMBA AHB-style shared-bus CAM with SPLIT/RETRY arbitration.
+//! AMBA AHB protocol vocabulary of the shared bus.
 //!
-//! [`AhbBus`] follows the same CCATB discipline as [`CcatbBus`]
-//! (crate::bus::CcatbBus): arbitration, address phase and data beats are
-//! charged as blocking cycle-count waits and no pins wiggle. What it adds
-//! over the CoreConnect-style models are the two AHB protocol features that
-//! exercise arbitration paths a plain shared bus never reaches:
-//!
-//! * **SPLIT responses** — when [`AhbConfig::split_slaves`] is set, the
-//!   addressed slave signals SPLIT after
-//!   [`AhbConfig::split_response_cycles`]: the master is parked, the bus is
-//!   **released** so other masters can transfer while the slave prepares
-//!   the data off-bus, and the arbiter re-grants the split master before
-//!   the data phase runs. The release/re-grant pair is real — competing
-//!   masters genuinely slip in between, which is what makes SPLIT worth
-//!   modeling at all.
-//! * **RETRY / early burst termination** — a burst longer than
-//!   [`AhbConfig::max_beats_per_grant`] beats is terminated at the grant
-//!   boundary and re-arbitrated, segment by segment, so one long burst
-//!   cannot monopolize the bus.
-//!
-//! Burst classification (SINGLE / INCR / WRAP4 / WRAP8 / WRAP16) and the
-//! wrapping-address sequence are pure functions ([`burst_kind`],
-//! [`wrap_addresses`]) so the address math is unit-testable without a
-//! simulation.
-
-use std::fmt;
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
-
-use shiptlm_kernel::process::ThreadCtx;
-use shiptlm_kernel::sim::SimHandle;
-use shiptlm_kernel::time::SimDur;
-use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
-use shiptlm_ocp::error::OcpError;
-use shiptlm_ocp::memory::Router;
-use shiptlm_ocp::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
-use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
-
-use crate::arb::ArbPolicy;
-use crate::bus::{ArbGate, BusStats};
-
-/// Static parameters of an AHB-style bus.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AhbConfig {
-    /// Bus name (reports, trace).
-    pub name: String,
-    /// Bus clock period.
-    pub clock: SimDur,
-    /// Data path width in bytes (AHB is canonically 32-bit).
-    pub width_bytes: usize,
-    /// Address-phase cycles per grant.
-    pub addr_cycles: u64,
-    /// Cycles per data beat.
-    pub cycles_per_beat: u64,
-    /// Minimum arbitration latency in cycles.
-    pub arb_cycles: u64,
-    /// Overlap the address phase with the previous transfer's data phase on
-    /// back-to-back grants (AHB pipelines address and data by design).
-    pub pipelined: bool,
-    /// Treat every mapped slave as SPLIT-capable: each transfer draws a
-    /// SPLIT response, releases the bus during the slave access and is
-    /// re-granted for the data phase.
-    pub split_slaves: bool,
-    /// Cycles from address phase to the slave's SPLIT response.
-    pub split_response_cycles: u64,
-    /// Beat budget of one grant; longer bursts are RETRY-terminated and
-    /// re-arbitrated (0 = unlimited, never terminate early).
-    pub max_beats_per_grant: u64,
-    /// Classify 4/8/16-beat bursts as wrapping (WRAP4/8/16) instead of
-    /// incrementing.
-    pub wrap_bursts: bool,
-    /// Arbitration policy.
-    pub arb: ArbPolicy,
-}
-
-impl AhbConfig {
-    /// An AMBA AHB-like high-performance bus: 32-bit, 100 MHz, pipelined
-    /// address/data, single-cycle beats, 16-beat grant budget, static
-    /// priority. SPLIT is off by default; enable it per architecture with
-    /// [`split_slaves`](Self::split_slaves).
-    pub fn ahb(name: &str) -> Self {
-        AhbConfig {
-            name: name.to_string(),
-            clock: SimDur::ns(10),
-            width_bytes: 4,
-            addr_cycles: 1,
-            cycles_per_beat: 1,
-            arb_cycles: 1,
-            pipelined: true,
-            split_slaves: false,
-            split_response_cycles: 2,
-            max_beats_per_grant: 16,
-            wrap_bursts: true,
-            arb: ArbPolicy::FixedPriority,
-        }
-    }
-
-    /// Replaces the arbitration policy.
-    pub fn with_arb(mut self, arb: ArbPolicy) -> Self {
-        self.arb = arb;
-        self
-    }
-
-    /// Replaces the clock period.
-    pub fn with_clock(mut self, clock: SimDur) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Enables or disables SPLIT-capable slaves.
-    pub fn with_split(mut self, split: bool) -> Self {
-        self.split_slaves = split;
-        self
-    }
-}
+//! AHB is a [`BusConfig::ahb`](crate::bus::BusConfig::ahb) preset of the one
+//! [`CcatbBus`](crate::bus::CcatbBus); SPLIT and RETRY are described there.
+//! This module holds what is AHB-specific about a transfer: its HBURST
+//! classification (SINGLE / INCR / WRAP4 / WRAP8 / WRAP16), the
+//! wrapping-address sequence, and the counters the bus keeps of both. Burst
+//! classification and address math are pure functions ([`burst_kind`],
+//! [`wrap_addresses`]), so they are unit-testable without a simulation.
 
 /// AHB burst classification (beats per AHB HBURST encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,11 +64,14 @@ pub fn wrap_addresses(start: u64, beats: u64, width: usize) -> Vec<u64> {
         .collect()
 }
 
-/// AHB-specific accounting on top of the common [`BusStats`].
+/// AHB protocol counters a [`CcatbBus`](crate::bus::CcatbBus) keeps beside
+/// its common [`BusStats`](crate::bus::BusStats); splits and retries stay
+/// zero unless the bus configuration enables them.
 #[derive(Debug, Clone, Default)]
 pub struct AhbStats {
     /// SPLIT responses issued (one per transfer when
-    /// [`AhbConfig::split_slaves`] is set).
+    /// [`BusConfig::split_slaves`](crate::bus::BusConfig::split_slaves) is
+    /// set).
     pub splits: u64,
     /// Re-grants of parked split masters (equals `splits` for completed
     /// transfers).
@@ -196,7 +92,7 @@ pub struct AhbStats {
 }
 
 impl AhbStats {
-    fn record_burst(&mut self, kind: AhbBurst) {
+    pub(crate) fn record_burst(&mut self, kind: AhbBurst) {
         match kind {
             AhbBurst::Single => self.singles += 1,
             AhbBurst::Incr => self.incrs += 1,
@@ -204,283 +100,6 @@ impl AhbStats {
             AhbBurst::Wrap8 => self.wrap8 += 1,
             AhbBurst::Wrap16 => self.wrap16 += 1,
         }
-    }
-}
-
-/// An AHB-style shared-bus CAM with SPLIT/RETRY arbitration.
-///
-/// ```
-/// use std::sync::Arc;
-/// use shiptlm_kernel::prelude::*;
-/// use shiptlm_ocp::prelude::*;
-/// use shiptlm_cam::ahb::{AhbBus, AhbConfig};
-///
-/// let sim = Simulation::new();
-/// let mut bus = AhbBus::new(&sim.handle(), AhbConfig::ahb("ahb0").with_split(true));
-/// bus.map_slave(0x0000..0x1000, Arc::new(Memory::new("ram", 0x1000)), true);
-/// let bus = Arc::new(bus);
-/// let port = bus.master_port(MasterId(0));
-/// sim.spawn_thread("cpu", move |ctx| {
-///     port.write(ctx, 0x10, vec![1, 2, 3, 4]).unwrap();
-/// });
-/// sim.run();
-/// assert_eq!(bus.stats().transactions, 1);
-/// assert_eq!(bus.ahb_stats().splits, 1);
-/// ```
-pub struct AhbBus {
-    cfg: AhbConfig,
-    router: Router,
-    gate: ArbGate,
-    stats: Mutex<BusStats>,
-    ahb: Mutex<AhbStats>,
-    /// Interned bus name for the transaction recorder.
-    label: Arc<str>,
-}
-
-impl AhbBus {
-    /// Creates a bus; map slaves with [`map_slave`](Self::map_slave) before
-    /// sharing it.
-    pub fn new(sim: &SimHandle, cfg: AhbConfig) -> Self {
-        assert!(cfg.width_bytes > 0, "bus width must be non-zero");
-        assert!(!cfg.clock.is_zero(), "bus clock must be non-zero");
-        let gate = ArbGate::new(sim, &cfg.name, cfg.arb.clone());
-        AhbBus {
-            router: Router::new(&format!("{}.decoder", cfg.name)),
-            gate,
-            stats: Mutex::new(BusStats::default()),
-            ahb: Mutex::new(AhbStats::default()),
-            label: Arc::from(cfg.name.as_str()),
-            cfg,
-        }
-    }
-
-    /// Maps a slave into the bus address space.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overlapping ranges.
-    pub fn map_slave(&mut self, range: Range<u64>, target: Arc<dyn OcpTarget>, relative: bool) {
-        self.router.map(range, target, relative);
-    }
-
-    /// The bus configuration.
-    pub fn config(&self) -> &AhbConfig {
-        &self.cfg
-    }
-
-    /// A master port bound to this bus.
-    pub fn master_port(self: &Arc<Self>, id: MasterId) -> OcpMasterPort {
-        OcpMasterPort::bind(id, Arc::<AhbBus>::clone(self))
-    }
-
-    /// A snapshot of the common bus statistics.
-    pub fn stats(&self) -> BusStats {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// A snapshot of the AHB-specific statistics (splits, retries, burst
-    /// kinds).
-    pub fn ahb_stats(&self) -> AhbStats {
-        self.ahb.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    fn cycles(&self, n: u64) -> SimDur {
-        self.cfg.clock.saturating_mul(n)
-    }
-}
-
-impl OcpTarget for AhbBus {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
-        master: MasterId,
-        req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let t_req = ctx.now();
-        let is_read = matches!(req.cmd, OcpCommand::Read { .. });
-        let len = req.cmd.len();
-        let beats = req.beats(self.cfg.width_bytes);
-        let burst = burst_kind(beats, self.cfg.wrap_bursts);
-        let max_grant = if self.cfg.max_beats_per_grant == 0 {
-            beats
-        } else {
-            self.cfg.max_beats_per_grant
-        };
-
-        // --- First grant ----------------------------------------------------
-        let (granted_at, back_to_back, queue_depth) = self.gate.acquire(ctx, master);
-        let mut held = true;
-        let mut seg_start = granted_at;
-        let mut busy = SimDur::ZERO;
-        let mut splits = 0u64;
-        let mut regrants = 0u64;
-        let mut retries = 0u64;
-        let result = (|| {
-            ctx.wait_for(self.cycles(self.cfg.arb_cycles));
-
-            // --- Address phase (overlapped when pipelined, back-to-back) ----
-            if !(self.cfg.pipelined && back_to_back) {
-                ctx.wait_for(self.cycles(self.cfg.addr_cycles));
-            }
-
-            let mut remaining = beats;
-            let resp = if self.cfg.split_slaves {
-                // --- SPLIT: slave parks the master, bus goes free ----------
-                // The slave cannot serve immediately; it answers SPLIT after
-                // a fixed response latency, the master releases the bus and
-                // the slave access proceeds off-bus while other masters
-                // transfer. The arbiter re-grants the split master for the
-                // data phase.
-                ctx.wait_for(self.cycles(self.cfg.split_response_cycles));
-                busy += ctx.now().since(seg_start);
-                self.gate.release(ctx.now());
-                held = false;
-                splits += 1;
-                let resp = self.router.transact(ctx, master, req)?;
-                let (regrant, _, _) = self.gate.acquire(ctx, master);
-                seg_start = regrant;
-                held = true;
-                regrants += 1;
-                ctx.wait_for(self.cycles(self.cfg.arb_cycles));
-                let n = remaining.min(max_grant);
-                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
-                remaining -= n;
-                resp
-            } else {
-                // --- No SPLIT: slave access overlaps the first segment -----
-                let n = remaining.min(max_grant);
-                let data_time = self.cycles(n * self.cfg.cycles_per_beat);
-                let t_data = ctx.now();
-                let resp = self.router.transact(ctx, master, req)?;
-                let slave_time = ctx.now().since(t_data);
-                if slave_time < data_time {
-                    ctx.wait_for(data_time - slave_time);
-                }
-                remaining -= n;
-                resp
-            };
-
-            // --- RETRY: early burst termination ----------------------------
-            // Segments beyond the grant's beat budget are terminated and
-            // re-arbitrated, so competing masters can slip in between.
-            // (`held` stays true here: nothing between the release and the
-            // re-acquire can return early.)
-            while remaining > 0 {
-                busy += ctx.now().since(seg_start);
-                self.gate.release(ctx.now());
-                retries += 1;
-                let (regrant, _, _) = self.gate.acquire(ctx, master);
-                seg_start = regrant;
-                ctx.wait_for(self.cycles(self.cfg.arb_cycles + self.cfg.addr_cycles));
-                let n = remaining.min(max_grant);
-                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
-                remaining -= n;
-            }
-            Ok(resp)
-        })();
-        let end = ctx.now();
-        if held {
-            busy += end.since(seg_start);
-            self.gate.release(end);
-        }
-
-        // --- Accounting -----------------------------------------------------
-        let wait_cycles = granted_at.since(t_req) / self.cfg.clock;
-        let total_cycles = end.since(t_req) / self.cfg.clock;
-        {
-            let mut s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            match &result {
-                Ok(_) => {
-                    s.transactions += 1;
-                    if is_read {
-                        s.reads += 1;
-                    }
-                    s.bytes += len as u64;
-                    s.latency_cycles.record(total_cycles as f64);
-                    s.wait_cycles.record(wait_cycles);
-                    s.busy += busy;
-                    let m = s.per_master.entry(master.0).or_default();
-                    m.transactions += 1;
-                    m.bytes += len as u64;
-                    m.wait_cycles.record(wait_cycles as f64);
-                }
-                Err(_) => s.errors += 1,
-            }
-        }
-        {
-            let mut a = self.ahb.lock().unwrap_or_else(|e| e.into_inner());
-            a.splits += splits;
-            a.split_regrants += regrants;
-            a.retries += retries;
-            if result.is_ok() {
-                a.record_burst(burst);
-            }
-        }
-
-        if ctx.metrics_enabled() {
-            let m = ctx.metrics();
-            m.counter_add("bus.txns", &self.label, 1, end);
-            m.counter_add("bus.bytes", &self.label, len as u64, end);
-            m.span_record("bus.busy", &self.label, granted_at, end);
-            m.gauge_set("bus.queue_depth", &self.label, queue_depth as u64, t_req);
-            m.observe(
-                "bus.grant_wait_ns",
-                &self.label,
-                granted_at.since(t_req).as_ns(),
-            );
-            if splits > 0 {
-                m.counter_add("ahb.splits", &self.label, splits, end);
-            }
-            if retries > 0 {
-                m.counter_add("ahb.retries", &self.label, retries, end);
-            }
-        }
-
-        if ctx.txn_enabled() {
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: "grant",
-                resource: &self.label,
-                start: t_req,
-                end: granted_at,
-                bytes: 0,
-                ok: true,
-            });
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: if is_read { "read" } else { "write" },
-                resource: &self.label,
-                start: granted_at,
-                end,
-                bytes: len,
-                ok: result.is_ok(),
-            });
-        }
-
-        result.map(|mut resp| {
-            resp.timing = TxTiming {
-                start: t_req,
-                end,
-                total_cycles,
-                wait_cycles,
-            };
-            resp
-        })
-    }
-
-    fn target_name(&self) -> String {
-        self.cfg.name.clone()
-    }
-}
-
-impl fmt::Debug for AhbBus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AhbBus")
-            .field("name", &self.cfg.name)
-            .field("arb", &self.cfg.arb)
-            .field("split_slaves", &self.cfg.split_slaves)
-            .field("transactions", &self.stats().transactions)
-            .finish()
     }
 }
 

@@ -1,4 +1,4 @@
-//! The generic CCATB bus model and its CoreConnect-style presets.
+//! The generic CCATB bus model and its PLB, OPB and AHB presets.
 //!
 //! A [`CcatbBus`] is a *communication architecture model* in the paper's
 //! sense: "CAMs are CCATB models with a cycle-accurate notion of time when
@@ -7,6 +7,24 @@
 //! happens here — arbitration wait, address phase and data beats are computed
 //! as cycle counts and charged as blocking waits, so the boundary timing is
 //! cycle-accurate while simulation cost stays low.
+//!
+//! Two AMBA AHB protocol features extend the one bus rather than forming a
+//! second one; the [`BusConfig::ahb`] preset turns them on:
+//!
+//! * **SPLIT responses** — with [`BusConfig::split_slaves`] set, the
+//!   addressed slave signals SPLIT after
+//!   [`BusConfig::split_response_cycles`]: the master is parked, the bus is
+//!   **released** so other masters can transfer while the slave prepares
+//!   the data off-bus, and the arbiter re-grants the split master before
+//!   the data phase runs. The release/re-grant pair is real — competing
+//!   masters genuinely slip in between.
+//! * **RETRY / early burst termination** — a burst longer than
+//!   [`BusConfig::max_beats_per_grant`] beats is terminated at the grant
+//!   boundary and re-arbitrated, segment by segment, so one long burst
+//!   cannot monopolize the bus.
+//!
+//! Bursts are classified SINGLE / INCR / WRAP4 / WRAP8 / WRAP16 by
+//! [`burst_kind`]; [`AhbStats`] counts the kinds, splits and retries.
 
 use std::fmt;
 use std::ops::Range;
@@ -17,12 +35,13 @@ use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::stats::{Histogram, RunningStats};
 use shiptlm_kernel::time::{SimDur, SimTime};
-use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::memory::Router;
-use shiptlm_ocp::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
+use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
 use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
 
+use crate::account::{Book, Cam, Transfer};
+use crate::ahb::{burst_kind, AhbStats};
 use crate::arb::{ArbPolicy, Ticket};
 
 /// Static parameters of a CCATB bus.
@@ -43,13 +62,26 @@ pub struct BusConfig {
     /// Overlap the address phase with the previous transaction's data phase
     /// on back-to-back grants (PLB-style pipelining).
     pub pipelined: bool,
+    /// Treat every mapped slave as SPLIT-capable: each transfer draws a
+    /// SPLIT response, releases the bus during the slave access and is
+    /// re-granted for the data phase.
+    pub split_slaves: bool,
+    /// Cycles from address phase to the slave's SPLIT response.
+    pub split_response_cycles: u64,
+    /// Beat budget of one grant; longer bursts are RETRY-terminated and
+    /// re-arbitrated (0 = unlimited, never terminate early).
+    pub max_beats_per_grant: u64,
+    /// Classify 4/8/16-beat bursts as wrapping (WRAP4/8/16) instead of
+    /// incrementing.
+    pub wrap_bursts: bool,
     /// Arbitration policy.
     pub arb: ArbPolicy,
 }
 
 impl BusConfig {
     /// A CoreConnect PLB-like high-performance bus: 64-bit, 100 MHz,
-    /// pipelined address/data, single-cycle beats, static priority.
+    /// pipelined address/data, single-cycle beats, static priority, no
+    /// SPLIT and no grant beat budget.
     pub fn plb(name: &str) -> Self {
         BusConfig {
             name: name.to_string(),
@@ -59,6 +91,10 @@ impl BusConfig {
             cycles_per_beat: 1,
             arb_cycles: 1,
             pipelined: true,
+            split_slaves: false,
+            split_response_cycles: 0,
+            max_beats_per_grant: 0,
+            wrap_bursts: false,
             arb: ArbPolicy::FixedPriority,
         }
     }
@@ -67,14 +103,44 @@ impl BusConfig {
     /// two cycles per beat.
     pub fn opb(name: &str) -> Self {
         BusConfig {
-            name: name.to_string(),
             clock: SimDur::ns(20),
             width_bytes: 4,
-            addr_cycles: 1,
             cycles_per_beat: 2,
-            arb_cycles: 1,
             pipelined: false,
-            arb: ArbPolicy::FixedPriority,
+            ..BusConfig::plb(name)
+        }
+    }
+
+    /// An AMBA AHB-like high-performance bus: 32-bit, 100 MHz, pipelined
+    /// address/data, single-cycle beats, WRAP4/8/16 bursts, a 16-beat grant
+    /// budget and a 2-cycle SPLIT response, static priority. SPLIT is off;
+    /// enable it with [`with_split`](Self::with_split).
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use shiptlm_kernel::prelude::*;
+    /// use shiptlm_ocp::prelude::*;
+    /// use shiptlm_cam::bus::{BusConfig, CcatbBus};
+    ///
+    /// let sim = Simulation::new();
+    /// let mut bus = CcatbBus::new(&sim.handle(), BusConfig::ahb("ahb0").with_split(true));
+    /// bus.map_slave(0x0000..0x1000, Arc::new(Memory::new("ram", 0x1000)), true);
+    /// let bus = Arc::new(bus);
+    /// let port = bus.master_port(MasterId(0));
+    /// sim.spawn_thread("cpu", move |ctx| {
+    ///     port.write(ctx, 0x10, vec![1, 2, 3, 4]).unwrap();
+    /// });
+    /// sim.run();
+    /// assert_eq!(bus.stats().transactions, 1);
+    /// assert_eq!(bus.ahb_stats().splits, 1);
+    /// ```
+    pub fn ahb(name: &str) -> Self {
+        BusConfig {
+            width_bytes: 4,
+            split_response_cycles: 2,
+            max_beats_per_grant: 16,
+            wrap_bursts: true,
+            ..BusConfig::plb(name)
         }
     }
 
@@ -87,6 +153,12 @@ impl BusConfig {
     /// Replaces the clock period.
     pub fn with_clock(mut self, clock: SimDur) -> Self {
         self.clock = clock;
+        self
+    }
+
+    /// Enables or disables SPLIT-capable slaves.
+    pub fn with_split(mut self, split: bool) -> Self {
+        self.split_slaves = split;
         self
     }
 }
@@ -257,9 +329,7 @@ pub struct CcatbBus {
     cfg: BusConfig,
     router: Router,
     gate: ArbGate,
-    stats: Mutex<BusStats>,
-    /// Interned bus name for the transaction recorder.
-    label: Arc<str>,
+    book: Book<AhbStats>,
 }
 
 impl CcatbBus {
@@ -272,8 +342,7 @@ impl CcatbBus {
         CcatbBus {
             router: Router::new(&format!("{}.decoder", cfg.name)),
             gate,
-            stats: Mutex::new(BusStats::default()),
-            label: Arc::from(cfg.name.as_str()),
+            book: Book::new(&cfg.name, cfg.clock),
             cfg,
         }
     }
@@ -299,12 +368,18 @@ impl CcatbBus {
 
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> BusStats {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.book.stats()
+    }
+
+    /// A snapshot of the AHB protocol counters (splits, retries, burst
+    /// kinds).
+    pub fn ahb_stats(&self) -> AhbStats {
+        self.book.family()
     }
 
     /// Resets the statistics (e.g. after a warm-up phase).
     pub fn reset_stats(&self) {
-        *self.stats.lock().unwrap_or_else(|e| e.into_inner()) = BusStats::default();
+        self.book.reset();
     }
 
     fn cycles(&self, n: u64) -> SimDur {
@@ -319,12 +394,22 @@ impl OcpTarget for CcatbBus {
         master: MasterId,
         req: OcpRequest,
     ) -> Result<OcpResponse, OcpError> {
-        let t_req = ctx.now();
-        let is_read = matches!(req.cmd, OcpCommand::Read { .. });
-        let len = req.cmd.len();
+        let mut t = Transfer::begin(ctx, master, &req);
+        let beats = req.beats(self.cfg.width_bytes);
+        let burst = burst_kind(beats, self.cfg.wrap_bursts);
+        let max_grant = if self.cfg.max_beats_per_grant == 0 {
+            beats
+        } else {
+            self.cfg.max_beats_per_grant
+        };
 
-        // --- Arbitration ----------------------------------------------------
+        // --- First grant ----------------------------------------------------
         let (granted_at, back_to_back, queue_depth) = self.gate.acquire(ctx, master);
+        t.granted = granted_at;
+        t.queue_depth = queue_depth;
+        let mut held = true;
+        let mut seg_start = granted_at;
+        let (mut splits, mut regrants, mut retries) = (0u64, 0u64, 0u64);
         let result = (|| {
             ctx.wait_for(self.cycles(self.cfg.arb_cycles));
 
@@ -333,95 +418,95 @@ impl OcpTarget for CcatbBus {
                 ctx.wait_for(self.cycles(self.cfg.addr_cycles));
             }
 
-            // --- Data phase + slave access -----------------------------------
-            let beats = req.beats(self.cfg.width_bytes);
-            let data_time = self.cycles(beats * self.cfg.cycles_per_beat);
-            let t_data = ctx.now();
-            let resp = self.router.transact(ctx, master, req)?;
-            let slave_time = ctx.now().since(t_data);
-            if slave_time < data_time {
-                ctx.wait_for(data_time - slave_time);
+            let mut remaining = beats;
+            let resp = if self.cfg.split_slaves {
+                // --- SPLIT: slave parks the master, bus goes free ----------
+                // The slave cannot serve immediately; it answers SPLIT after
+                // a fixed response latency, the master releases the bus and
+                // the slave access proceeds off-bus while other masters
+                // transfer. The arbiter re-grants the split master for the
+                // data phase.
+                ctx.wait_for(self.cycles(self.cfg.split_response_cycles));
+                t.busy += ctx.now().since(seg_start);
+                self.gate.release(ctx.now());
+                held = false;
+                splits += 1;
+                let resp = self.router.transact(ctx, master, req)?;
+                let (regrant, _, _) = self.gate.acquire(ctx, master);
+                seg_start = regrant;
+                held = true;
+                regrants += 1;
+                ctx.wait_for(self.cycles(self.cfg.arb_cycles));
+                let n = remaining.min(max_grant);
+                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
+                remaining -= n;
+                resp
+            } else {
+                // --- Data phase + slave access, overlapped ------------------
+                let n = remaining.min(max_grant);
+                let data_time = self.cycles(n * self.cfg.cycles_per_beat);
+                let t_data = ctx.now();
+                let resp = self.router.transact(ctx, master, req)?;
+                let slave_time = ctx.now().since(t_data);
+                if slave_time < data_time {
+                    ctx.wait_for(data_time - slave_time);
+                }
+                remaining -= n;
+                resp
+            };
+
+            // --- RETRY: early burst termination ----------------------------
+            // Segments beyond the grant's beat budget are terminated and
+            // re-arbitrated, so competing masters can slip in between.
+            // (`held` stays true here: nothing between the release and the
+            // re-acquire can return early.)
+            while remaining > 0 {
+                t.busy += ctx.now().since(seg_start);
+                self.gate.release(ctx.now());
+                retries += 1;
+                let (regrant, _, _) = self.gate.acquire(ctx, master);
+                seg_start = regrant;
+                ctx.wait_for(self.cycles(self.cfg.arb_cycles + self.cfg.addr_cycles));
+                let n = remaining.min(max_grant);
+                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
+                remaining -= n;
             }
             Ok(resp)
         })();
-        let end = ctx.now();
-        self.gate.release(end);
+        if held {
+            let end = ctx.now();
+            t.busy += end.since(seg_start);
+            self.gate.release(end);
+        }
 
-        // --- Accounting -----------------------------------------------------
-        let wait_cycles = granted_at.since(t_req) / self.cfg.clock;
-        let total_cycles = end.since(t_req) / self.cfg.clock;
-        {
-            let mut s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            match &result {
-                Ok(_) => {
-                    s.transactions += 1;
-                    if is_read {
-                        s.reads += 1;
-                    }
-                    s.bytes += len as u64;
-                    s.latency_cycles.record(total_cycles as f64);
-                    s.wait_cycles.record(wait_cycles);
-                    s.busy += end.since(granted_at);
-                    let m = s.per_master.entry(master.0).or_default();
-                    m.transactions += 1;
-                    m.bytes += len as u64;
-                    m.wait_cycles.record(wait_cycles as f64);
+        self.book.settle(
+            ctx,
+            t,
+            result,
+            |a, ok| {
+                a.splits += splits;
+                a.split_regrants += regrants;
+                a.retries += retries;
+                if ok {
+                    a.record_burst(burst);
                 }
-                Err(_) => s.errors += 1,
-            }
-        }
-
-        if ctx.metrics_enabled() {
-            let m = ctx.metrics();
-            m.counter_add("bus.txns", &self.label, 1, end);
-            m.counter_add("bus.bytes", &self.label, len as u64, end);
-            // Busy = granted occupancy; per-window busy/window is the
-            // utilization-over-time series the sweep ranks on.
-            m.span_record("bus.busy", &self.label, granted_at, end);
-            m.gauge_set("bus.queue_depth", &self.label, queue_depth as u64, t_req);
-            m.observe(
-                "bus.grant_wait_ns",
-                &self.label,
-                granted_at.since(t_req).as_ns(),
-            );
-        }
-
-        if ctx.txn_enabled() {
-            // Two spans per transaction: arbitration wait until grant, then
-            // the occupied transfer (address + data + slave access).
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: "grant",
-                resource: &self.label,
-                start: t_req,
-                end: granted_at,
-                bytes: 0,
-                ok: true,
-            });
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: if is_read { "read" } else { "write" },
-                resource: &self.label,
-                start: granted_at,
-                end,
-                bytes: len,
-                ok: result.is_ok(),
-            });
-        }
-
-        result.map(|mut resp| {
-            resp.timing = TxTiming {
-                start: t_req,
-                end,
-                total_cycles,
-                wait_cycles,
-            };
-            resp
-        })
+            },
+            &[("ahb.splits", splits), ("ahb.retries", retries)],
+        )
     }
 
     fn target_name(&self) -> String {
         self.cfg.name.clone()
+    }
+}
+
+impl Cam for CcatbBus {
+    fn stats(&self) -> BusStats {
+        self.book.stats()
+    }
+
+    fn clock(&self) -> SimDur {
+        self.cfg.clock
     }
 }
 
@@ -430,6 +515,7 @@ impl fmt::Debug for CcatbBus {
         f.debug_struct("CcatbBus")
             .field("name", &self.cfg.name)
             .field("arb", &self.cfg.arb)
+            .field("split_slaves", &self.cfg.split_slaves)
             .field("transactions", &self.stats().transactions)
             .finish()
     }

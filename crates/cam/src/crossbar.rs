@@ -3,15 +3,17 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
 use shiptlm_ocp::error::OcpError;
-use shiptlm_ocp::payload::{OcpRequest, OcpResponse, TxTiming};
+use shiptlm_ocp::memory::Router;
+use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
 use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
 
+use crate::account::{Book, Cam, Transfer};
 use crate::arb::ArbPolicy;
 use crate::bus::{ArbGate, BusStats};
 
@@ -46,22 +48,15 @@ impl CrossbarConfig {
     }
 }
 
-struct OutputPort {
-    range: Range<u64>,
-    target: Arc<dyn OcpTarget>,
-    relative: bool,
-    gate: ArbGate,
-}
-
 /// A crossbar switch: concurrent non-conflicting transfers, per-output
 /// arbitration on conflicts.
 pub struct Crossbar {
     cfg: CrossbarConfig,
     sim: SimHandle,
-    outputs: Vec<OutputPort>,
-    stats: Mutex<BusStats>,
-    /// Interned switch name for the metrics registry.
-    label: Arc<str>,
+    router: Router,
+    /// One gate per output port, in mapping order.
+    gates: Vec<ArbGate>,
+    book: Book<()>,
 }
 
 impl Crossbar {
@@ -71,9 +66,9 @@ impl Crossbar {
         assert!(cfg.width_bytes > 0, "crossbar width must be non-zero");
         Crossbar {
             sim: sim.clone(),
-            outputs: Vec::new(),
-            stats: Mutex::new(BusStats::default()),
-            label: Arc::from(cfg.name.as_str()),
+            router: Router::new(&format!("{}.decoder", cfg.name)),
+            gates: Vec::new(),
+            book: Book::new(&cfg.name, cfg.clock),
             cfg,
         }
     }
@@ -84,24 +79,12 @@ impl Crossbar {
     ///
     /// Panics on overlapping ranges.
     pub fn map_slave(&mut self, range: Range<u64>, target: Arc<dyn OcpTarget>, relative: bool) {
-        assert!(range.start < range.end, "empty address range");
-        for o in &self.outputs {
-            assert!(
-                range.end <= o.range.start || range.start >= o.range.end,
-                "crossbar range overlap"
-            );
-        }
-        let gate = ArbGate::new(
+        self.router.map(range, target, relative);
+        self.gates.push(ArbGate::new(
             &self.sim,
-            &format!("{}.out{}", self.cfg.name, self.outputs.len()),
+            &format!("{}.out{}", self.cfg.name, self.gates.len()),
             self.cfg.arb.clone(),
-        );
-        self.outputs.push(OutputPort {
-            range,
-            target,
-            relative,
-            gate,
-        });
+        ));
     }
 
     /// The crossbar configuration.
@@ -116,7 +99,7 @@ impl Crossbar {
 
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> BusStats {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.book.stats()
     }
 }
 
@@ -127,24 +110,11 @@ impl OcpTarget for Crossbar {
         master: MasterId,
         mut req: OcpRequest,
     ) -> Result<OcpResponse, OcpError> {
-        let t_req = ctx.now();
-        let len = req.cmd.len();
-        let out = self
-            .outputs
-            .iter()
-            .find(|o| o.range.contains(&req.addr))
-            .ok_or(OcpError::AddressDecode { addr: req.addr })?;
-        if req.addr + len as u64 > out.range.end {
-            return Err(OcpError::BadRequest(format!(
-                "burst at {:#x} crosses output boundary {:#x}",
-                req.addr, out.range.end
-            )));
-        }
-        if out.relative {
-            req.addr -= out.range.start;
-        }
+        let mut t = Transfer::begin(ctx, master, &req);
+        let (port, target) = self.router.decode(&mut req)?;
+        let gate = &self.gates[port];
 
-        let (granted_at, _b2b, queue_depth) = out.gate.acquire(ctx, master);
+        let (granted_at, _b2b, queue_depth) = gate.acquire(ctx, master);
         let result = (|| {
             ctx.wait_for(self.cfg.clock.saturating_mul(self.cfg.setup_cycles));
             let beats = req.beats(self.cfg.width_bytes);
@@ -153,7 +123,7 @@ impl OcpTarget for Crossbar {
                 .clock
                 .saturating_mul(beats * self.cfg.cycles_per_beat);
             let t_data = ctx.now();
-            let resp = out.target.transact(ctx, master, req)?;
+            let resp = target.transact(ctx, master, req)?;
             let slave_time = ctx.now().since(t_data);
             if slave_time < data_time {
                 ctx.wait_for(data_time - slave_time);
@@ -161,49 +131,12 @@ impl OcpTarget for Crossbar {
             Ok(resp)
         })();
         let end = ctx.now();
-        out.gate.release(end);
+        gate.release(end);
 
-        let wait_cycles = granted_at.since(t_req) / self.cfg.clock;
-        let total_cycles = end.since(t_req) / self.cfg.clock;
-        {
-            let mut s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            match &result {
-                Ok(_) => {
-                    s.transactions += 1;
-                    s.bytes += len as u64;
-                    s.latency_cycles.record(total_cycles as f64);
-                    s.wait_cycles.record(wait_cycles);
-                    s.busy += end.since(granted_at);
-                    let m = s.per_master.entry(master.0).or_default();
-                    m.transactions += 1;
-                    m.bytes += len as u64;
-                    m.wait_cycles.record(wait_cycles as f64);
-                }
-                Err(_) => s.errors += 1,
-            }
-        }
-        if ctx.metrics_enabled() {
-            let m = ctx.metrics();
-            m.counter_add("bus.txns", &self.label, 1, end);
-            m.counter_add("bus.bytes", &self.label, len as u64, end);
-            m.span_record("bus.busy", &self.label, granted_at, end);
-            m.gauge_set("bus.queue_depth", &self.label, queue_depth as u64, t_req);
-            m.observe(
-                "bus.grant_wait_ns",
-                &self.label,
-                granted_at.since(t_req).as_ns(),
-            );
-        }
-
-        result.map(|mut resp| {
-            resp.timing = TxTiming {
-                start: t_req,
-                end,
-                total_cycles,
-                wait_cycles,
-            };
-            resp
-        })
+        t.granted = granted_at;
+        t.queue_depth = queue_depth;
+        t.busy = end.since(granted_at);
+        self.book.settle(ctx, t, result, |_, _| {}, &[])
     }
 
     fn target_name(&self) -> String {
@@ -211,11 +144,21 @@ impl OcpTarget for Crossbar {
     }
 }
 
+impl Cam for Crossbar {
+    fn stats(&self) -> BusStats {
+        self.book.stats()
+    }
+
+    fn clock(&self) -> SimDur {
+        self.cfg.clock
+    }
+}
+
 impl fmt::Debug for Crossbar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Crossbar")
             .field("name", &self.cfg.name)
-            .field("outputs", &self.outputs.len())
+            .field("outputs", &self.gates.len())
             .finish()
     }
 }

@@ -1,17 +1,22 @@
 //! # shiptlm-cam
 //!
 //! Communication architecture models (CAMs) for the `shiptlm` design flow
-//! (Klingauf, DATE 2005, §3): CCATB bus models, a crossbar, a bus bridge,
-//! arbitration policies, SHIP↔OCP wrappers and pin-level accessors.
+//! (Klingauf, DATE 2005, §3): CCATB bus models, a crossbar, a mesh NoC, a
+//! bus bridge, arbitration policies, SHIP↔OCP wrappers and pin-level
+//! accessors.
 //!
-//! * [`bus::CcatbBus`] — a shared bus with cycle-count-accurate boundary
-//!   timing; [`bus::BusConfig::plb`] and [`bus::BusConfig::opb`] provide
-//!   CoreConnect-style presets.
-//! * [`ahb::AhbBus`] — an AMBA AHB-style bus with SPLIT/RETRY arbitration,
-//!   pipelined address/data phases and SINGLE/INCR/WRAP burst accounting.
+//! * [`bus::CcatbBus`] — the one shared bus, with cycle-count-accurate
+//!   boundary timing; [`bus::BusConfig::plb`], [`bus::BusConfig::opb`] and
+//!   [`bus::BusConfig::ahb`] are its CoreConnect- and AMBA-style presets.
+//!   AHB adds SPLIT/RETRY arbitration and SINGLE/INCR/WRAP burst accounting
+//!   ([`ahb`]).
 //! * [`noc::MeshNoc`] — a 2D-mesh NoC with XY routing and per-link
 //!   arbitration, scaling to 16×16 (256 PEs) and beyond.
 //! * [`crossbar::Crossbar`] — parallel transfers, per-output arbitration.
+//! * [`account::Cam`] — what every interconnect reports: each family settles
+//!   a finished transaction through one accounting step (statistics,
+//!   `bus.*` metrics, `Bus` txn spans, response timing) and decodes
+//!   addresses through the shared OCP [`Router`](shiptlm_ocp::memory::Router).
 //! * [`bridge::Bridge`] — PLB↔OPB-style bus coupling.
 //! * [`arb::ArbPolicy`] — fixed priority, round-robin, TDMA.
 //! * [`wrapper`] — maps a SHIP channel onto a bus without touching PE code.
@@ -45,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod accessor;
+pub mod account;
 pub mod ahb;
 pub mod arb;
 pub mod bridge;
@@ -57,7 +63,8 @@ pub mod wrapper;
 /// Commonly used CAM items.
 pub mod prelude {
     pub use crate::accessor::Accessor;
-    pub use crate::ahb::{burst_kind, wrap_addresses, AhbBurst, AhbBus, AhbConfig, AhbStats};
+    pub use crate::account::Cam;
+    pub use crate::ahb::{burst_kind, wrap_addresses, AhbBurst, AhbStats};
     pub use crate::arb::{ArbPolicy, Ticket};
     pub use crate::bridge::Bridge;
     pub use crate::bus::{BusConfig, BusStats, CcatbBus, MasterStats};

@@ -25,17 +25,18 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::stats::RunningStats;
 use shiptlm_kernel::time::{SimDur, SimTime};
-use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 use shiptlm_ocp::error::OcpError;
-use shiptlm_ocp::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
+use shiptlm_ocp::memory::Router;
+use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
 use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
 
+use crate::account::{Book, Cam, Transfer};
 use crate::arb::ArbPolicy;
 use crate::bus::{ArbGate, BusStats};
 
@@ -105,13 +106,6 @@ pub struct NocStats {
     pub hops: RunningStats,
 }
 
-struct NocOutput {
-    range: Range<u64>,
-    target: Arc<dyn OcpTarget>,
-    relative: bool,
-    node: usize,
-}
-
 /// A 2D-mesh NoC CAM: XY routing, per-link arbitration, store-and-forward
 /// flit accounting.
 ///
@@ -134,15 +128,14 @@ struct NocOutput {
 /// ```
 pub struct MeshNoc {
     cfg: NocConfig,
-    outputs: Vec<NocOutput>,
+    router: Router,
+    /// The ejection node of each slave, in mapping order.
+    nodes: Vec<usize>,
     /// Directed link gates: key `(a, b)` is the link from node `a` to its
     /// mesh neighbour `b`; key `(n, n)` is node `n`'s ejection port.
     links: Vec<ArbGate>,
     link_of: BTreeMap<(usize, usize), usize>,
-    stats: Mutex<BusStats>,
-    noc: Mutex<NocStats>,
-    /// Interned NoC name for the metrics registry.
-    label: Arc<str>,
+    book: Book<NocStats>,
 }
 
 impl MeshNoc {
@@ -182,12 +175,11 @@ impl MeshNoc {
             }
         }
         MeshNoc {
-            outputs: Vec::new(),
+            router: Router::new(&format!("{}.decoder", cfg.name)),
+            nodes: Vec::new(),
             links,
             link_of,
-            stats: Mutex::new(BusStats::default()),
-            noc: Mutex::new(NocStats::default()),
-            label: Arc::from(cfg.name.as_str()),
+            book: Book::new(&cfg.name, cfg.clock),
             cfg,
         }
     }
@@ -199,7 +191,7 @@ impl MeshNoc {
     ///
     /// Panics on overlapping ranges.
     pub fn map_slave(&mut self, range: Range<u64>, target: Arc<dyn OcpTarget>, relative: bool) {
-        let node = self.outputs.len() % self.cfg.nodes();
+        let node = self.nodes.len() % self.cfg.nodes();
         self.map_slave_at(range, target, relative, node);
     }
 
@@ -215,20 +207,9 @@ impl MeshNoc {
         relative: bool,
         node: usize,
     ) {
-        assert!(range.start < range.end, "empty address range");
         assert!(node < self.cfg.nodes(), "node {node} outside the mesh");
-        for o in &self.outputs {
-            assert!(
-                range.end <= o.range.start || range.start >= o.range.end,
-                "NoC range overlap"
-            );
-        }
-        self.outputs.push(NocOutput {
-            range,
-            target,
-            relative,
-            node,
-        });
+        self.router.map(range, target, relative);
+        self.nodes.push(node);
     }
 
     /// The NoC configuration.
@@ -244,12 +225,12 @@ impl MeshNoc {
 
     /// A snapshot of the common interconnect statistics.
     pub fn stats(&self) -> BusStats {
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.book.stats()
     }
 
     /// A snapshot of the NoC-specific statistics (flits, hop counts).
     pub fn noc_stats(&self) -> NocStats {
-        self.noc.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.book.family()
     }
 
     /// The XY route from `src` to `dst` as an inclusive node sequence:
@@ -307,41 +288,23 @@ impl OcpTarget for MeshNoc {
         master: MasterId,
         mut req: OcpRequest,
     ) -> Result<OcpResponse, OcpError> {
-        let t_req = ctx.now();
-        let is_read = matches!(req.cmd, OcpCommand::Read { .. });
-        let len = req.cmd.len();
-        let out = self
-            .outputs
-            .iter()
-            .find(|o| o.range.contains(&req.addr))
-            .ok_or(OcpError::AddressDecode { addr: req.addr })?;
-        if req.addr + len as u64 > out.range.end {
-            return Err(OcpError::BadRequest(format!(
-                "burst at {:#x} crosses output boundary {:#x}",
-                req.addr, out.range.end
-            )));
-        }
-        if out.relative {
-            req.addr -= out.range.start;
-        }
+        let mut t = Transfer::begin(ctx, master, &req);
+        let (slave, target) = self.router.decode(&mut req)?;
 
-        let nodes = self.cfg.nodes();
-        let src = master.0 % nodes;
-        let dst = out.node;
-        let payload_flits = len.div_ceil(self.cfg.flit_bytes) as u64;
+        let src = master.0 % self.cfg.nodes();
+        let dst = self.nodes[slave];
+        let payload_flits = t.len.div_ceil(self.cfg.flit_bytes) as u64;
         // Writes carry their payload out; reads carry it back. The reverse
         // direction is a single head/ack flit.
-        let req_flits = 1 + if is_read { 0 } else { payload_flits };
-        let resp_flits = 1 + if is_read { payload_flits } else { 0 };
+        let req_flits = 1 + if t.is_read { 0 } else { payload_flits };
+        let resp_flits = 1 + if t.is_read { payload_flits } else { 0 };
 
         let mut first_grant: Option<SimTime> = None;
-        let mut busy = SimDur::ZERO;
         let mut hops = 0u64;
-        let path = self.route(src, dst);
-        for w in path.windows(2) {
+        for w in self.route(src, dst).windows(2) {
             let (granted, held) = self.hop(ctx, master, w[0], w[1], req_flits);
             first_grant.get_or_insert(granted);
-            busy += held;
+            t.busy += held;
             hops += 1;
         }
 
@@ -349,14 +312,15 @@ impl OcpTarget for MeshNoc {
         // access: competing masters aimed at a hot node serialize here.
         let eject = self.gate(dst, dst);
         let (granted, _b2b, queue_depth) = eject.acquire(ctx, master);
-        first_grant.get_or_insert(granted);
+        t.granted = first_grant.unwrap_or(granted);
+        t.queue_depth = queue_depth;
         hops += 1;
         ctx.wait_for(self.cycles(
             self.cfg.router_cycles + req_flits * self.cfg.cycles_per_flit,
         ));
-        let result = out.target.transact(ctx, master, req);
+        let result = target.transact(ctx, master, req);
         let now = ctx.now();
-        busy += now.since(granted);
+        t.busy += now.since(granted);
         eject.release(now);
 
         // Response path back to the source (only a completed access
@@ -364,93 +328,34 @@ impl OcpTarget for MeshNoc {
         if result.is_ok() {
             for w in self.route(dst, src).windows(2) {
                 let (_granted, held) = self.hop(ctx, master, w[0], w[1], resp_flits);
-                busy += held;
+                t.busy += held;
             }
         }
-        let end = ctx.now();
-        let granted_at = first_grant.unwrap_or(t_req);
 
-        let wait_cycles = granted_at.since(t_req) / self.cfg.clock;
-        let total_cycles = end.since(t_req) / self.cfg.clock;
-        {
-            let mut s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            match &result {
-                Ok(_) => {
-                    s.transactions += 1;
-                    if is_read {
-                        s.reads += 1;
-                    }
-                    s.bytes += len as u64;
-                    s.latency_cycles.record(total_cycles as f64);
-                    s.wait_cycles.record(wait_cycles);
-                    s.busy += busy;
-                    let m = s.per_master.entry(master.0).or_default();
-                    m.transactions += 1;
-                    m.bytes += len as u64;
-                    m.wait_cycles.record(wait_cycles as f64);
-                }
-                Err(_) => s.errors += 1,
-            }
-        }
-        {
-            let mut n = self.noc.lock().unwrap_or_else(|e| e.into_inner());
-            n.flits += req_flits * hops
-                + if result.is_ok() {
-                    resp_flits * (hops - 1)
-                } else {
-                    0
-                };
-            n.hops.record(hops as f64);
-        }
-
-        if ctx.metrics_enabled() {
-            let m = ctx.metrics();
-            m.counter_add("bus.txns", &self.label, 1, end);
-            m.counter_add("bus.bytes", &self.label, len as u64, end);
-            m.span_record("bus.busy", &self.label, granted_at, end);
-            m.gauge_set("bus.queue_depth", &self.label, queue_depth as u64, t_req);
-            m.observe(
-                "bus.grant_wait_ns",
-                &self.label,
-                granted_at.since(t_req).as_ns(),
-            );
-            m.counter_add("noc.flits", &self.label, req_flits + resp_flits, end);
-        }
-
-        if ctx.txn_enabled() {
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: "grant",
-                resource: &self.label,
-                start: t_req,
-                end: granted_at,
-                bytes: 0,
-                ok: true,
-            });
-            ctx.txn_record(TxnSpan {
-                level: TxnLevel::Bus,
-                op: if is_read { "read" } else { "write" },
-                resource: &self.label,
-                start: granted_at,
-                end,
-                bytes: len,
-                ok: result.is_ok(),
-            });
-        }
-
-        result.map(|mut resp| {
-            resp.timing = TxTiming {
-                start: t_req,
-                end,
-                total_cycles,
-                wait_cycles,
-            };
-            resp
-        })
+        self.book.settle(
+            ctx,
+            t,
+            result,
+            |n, ok| {
+                n.flits += req_flits * hops + if ok { resp_flits * (hops - 1) } else { 0 };
+                n.hops.record(hops as f64);
+            },
+            &[("noc.flits", req_flits + resp_flits)],
+        )
     }
 
     fn target_name(&self) -> String {
         self.cfg.name.clone()
+    }
+}
+
+impl Cam for MeshNoc {
+    fn stats(&self) -> BusStats {
+        self.book.stats()
+    }
+
+    fn clock(&self) -> SimDur {
+        self.cfg.clock
     }
 }
 
@@ -459,7 +364,7 @@ impl fmt::Debug for MeshNoc {
         f.debug_struct("MeshNoc")
             .field("name", &self.cfg.name)
             .field("mesh", &format_args!("{}x{}", self.cfg.cols, self.cfg.rows))
-            .field("outputs", &self.outputs.len())
+            .field("outputs", &self.nodes.len())
             .field("links", &self.links.len())
             .finish()
     }

@@ -318,6 +318,63 @@ fn decode_errors_are_reported_on_every_family() {
     }
 }
 
+/// Every family reports a transaction the same way: reads are counted, and
+/// the recorder sees a `grant` span and then a `read`/`write` span on the
+/// interconnect.
+#[test]
+fn every_family_counts_reads_and_records_bus_spans() {
+    type Build = fn(&SimHandle, Arc<Memory>) -> (Arc<dyn OcpTarget>, Box<dyn Fn() -> BusStats>);
+    let families: [(&str, Build); 4] = [
+        ("plb", |h, ram| {
+            let mut bus = CcatbBus::new(h, BusConfig::plb("plb"));
+            bus.map_slave(0..0x1000, ram, true);
+            let bus = Arc::new(bus);
+            (bus.clone(), Box::new(move || bus.stats()))
+        }),
+        ("ahb", |h, ram| {
+            let mut bus = CcatbBus::new(h, BusConfig::ahb("ahb").with_split(true));
+            bus.map_slave(0..0x1000, ram, true);
+            let bus = Arc::new(bus);
+            (bus.clone(), Box::new(move || bus.stats()))
+        }),
+        ("xbar", |h, ram| {
+            let mut xbar = Crossbar::new(h, CrossbarConfig::default_64bit("xbar"));
+            xbar.map_slave(0..0x1000, ram, true);
+            let xbar = Arc::new(xbar);
+            (xbar.clone(), Box::new(move || xbar.stats()))
+        }),
+        ("noc", |h, ram| {
+            let mut noc = MeshNoc::new(h, NocConfig::mesh("noc", 2, 2));
+            noc.map_slave(0..0x1000, ram, true);
+            let noc = Arc::new(noc);
+            (noc.clone(), Box::new(move || noc.stats()))
+        }),
+    ];
+    for (name, build) in families {
+        let sim = Simulation::new();
+        sim.record_transactions(1024);
+        let (target, stats) = build(&sim.handle(), Arc::new(Memory::new("ram", 0x1000)));
+        let port = OcpMasterPort::bind(MasterId(1), target);
+        sim.spawn_thread("m", move |ctx| {
+            port.write(ctx, 0, vec![7; 16]).unwrap();
+            port.read(ctx, 0, 16).unwrap();
+            port.read(ctx, 8, 8).unwrap();
+        });
+        sim.run();
+        let stats = stats();
+        assert_eq!((stats.transactions, stats.reads), (3, 2), "{name}");
+        let trace = sim.txn_trace();
+        let spans: Vec<(&str, &str)> = trace
+            .events()
+            .iter()
+            .filter(|e| e.level == TxnLevel::Bus)
+            .map(|e| (&*e.resource, e.op))
+            .collect();
+        let ops = ["grant", "write", "grant", "read", "grant", "read"];
+        assert_eq!(spans, ops.map(|op| (name, op)), "{name}");
+    }
+}
+
 #[test]
 fn bridge_adds_latency_and_routes_downstream() {
     let sim = Simulation::new();

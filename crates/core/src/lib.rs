@@ -14,7 +14,7 @@
 //! | design flow | [`flow`] | the three-model refinement with equivalence checking |
 //! | exploration | [`explore`] | app netlists, automatic mapping, sweeps, reports |
 //! | HW/SW | [`hwsw`] | RTOS, CPU model, device driver, eSW synthesis |
-//! | CAMs | [`cam`] | PLB/OPB/crossbar models, wrappers, accessors |
+//! | CAMs | [`cam`] | shared bus (PLB/OPB/AHB presets), crossbar, mesh NoC, wrappers, accessors |
 //! | OCP | [`ocp`] | TL payloads/transport, memory, pin-level FSMs |
 //! | SHIP | [`ship`] | the four-call channel, serialization, roles, recording |
 //! | kernel | [`kernel`] | discrete-event simulation with SystemC semantics |

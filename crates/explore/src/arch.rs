@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use shiptlm_cam::ahb::{AhbBus, AhbConfig};
+use shiptlm_cam::account::Cam;
 use shiptlm_cam::arb::ArbPolicy;
 use shiptlm_cam::bus::{BusConfig, BusStats, CcatbBus};
 use shiptlm_cam::crossbar::{Crossbar, CrossbarConfig};
@@ -184,7 +184,8 @@ impl ArchSpec {
 
     /// The interconnect clock period this spec elaborates to: the explicit
     /// [`clock`](Self::clock) override, or the topology preset
-    /// ([`BusConfig::plb`]/[`BusConfig::opb`]/[`CrossbarConfig::default_64bit`]).
+    /// ([`BusConfig::plb`]/[`BusConfig::opb`]/[`BusConfig::ahb`]/
+    /// [`CrossbarConfig::default_64bit`]/[`NocConfig::mesh`]).
     pub fn effective_clock(&self) -> SimDur {
         if let Some(clock) = self.clock {
             return clock;
@@ -193,7 +194,7 @@ impl ArchSpec {
             BusKind::Plb => BusConfig::plb("probe").clock,
             BusKind::Opb => BusConfig::opb("probe").clock,
             BusKind::Crossbar => CrossbarConfig::default_64bit("probe").clock,
-            BusKind::Ahb => AhbConfig::ahb("probe").clock,
+            BusKind::Ahb => BusConfig::ahb("probe").clock,
             BusKind::Noc { .. } => NocConfig::mesh("probe", 1, 1).clock,
         }
     }
@@ -205,7 +206,7 @@ impl ArchSpec {
             BusKind::Plb => BusConfig::plb("probe").width_bytes,
             BusKind::Opb => BusConfig::opb("probe").width_bytes,
             BusKind::Crossbar => CrossbarConfig::default_64bit("probe").width_bytes,
-            BusKind::Ahb => AhbConfig::ahb("probe").width_bytes,
+            BusKind::Ahb => BusConfig::ahb("probe").width_bytes,
             BusKind::Noc { .. } => NocConfig::mesh("probe", 1, 1).flit_bytes,
         }
     }
@@ -371,69 +372,33 @@ impl ArchGrid {
 
 /// A built interconnect, uniform over topology.
 #[derive(Clone)]
-pub enum Interconnect {
-    /// A shared CCATB bus.
-    Bus(Arc<CcatbBus>),
-    /// A crossbar switch.
-    Crossbar(Arc<Crossbar>),
-    /// An AHB-style SPLIT/RETRY bus.
-    Ahb(Arc<AhbBus>),
-    /// A 2D-mesh NoC.
-    Noc(Arc<MeshNoc>),
-}
+pub struct Interconnect(Arc<dyn Cam>);
 
 impl Interconnect {
     /// A bus-master port for `id`.
     pub fn master_port(&self, id: MasterId) -> OcpMasterPort {
-        match self {
-            Interconnect::Bus(b) => b.master_port(id),
-            Interconnect::Crossbar(x) => x.master_port(id),
-            Interconnect::Ahb(a) => a.master_port(id),
-            Interconnect::Noc(n) => n.master_port(id),
-        }
+        OcpMasterPort::bind(id, self.as_target())
     }
 
     /// Accumulated interconnect statistics.
     pub fn stats(&self) -> BusStats {
-        match self {
-            Interconnect::Bus(b) => b.stats(),
-            Interconnect::Crossbar(x) => x.stats(),
-            Interconnect::Ahb(a) => a.stats(),
-            Interconnect::Noc(n) => n.stats(),
-        }
+        self.0.stats()
     }
 
     /// The interconnect as a transaction target (for accessors/bridges).
     pub fn as_target(&self) -> Arc<dyn OcpTarget> {
-        match self {
-            Interconnect::Bus(b) => Arc::clone(b) as Arc<dyn OcpTarget>,
-            Interconnect::Crossbar(x) => Arc::clone(x) as Arc<dyn OcpTarget>,
-            Interconnect::Ahb(a) => Arc::clone(a) as Arc<dyn OcpTarget>,
-            Interconnect::Noc(n) => Arc::clone(n) as Arc<dyn OcpTarget>,
-        }
+        Arc::clone(&self.0) as Arc<dyn OcpTarget>
     }
 
     /// The interconnect clock period (for pin-level accessors).
     pub fn clock_period(&self) -> SimDur {
-        match self {
-            Interconnect::Bus(b) => b.config().clock,
-            Interconnect::Crossbar(x) => x.config().clock,
-            Interconnect::Ahb(a) => a.config().clock,
-            Interconnect::Noc(n) => n.config().clock,
-        }
+        self.0.clock()
     }
 }
 
 impl fmt::Debug for Interconnect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Interconnect::Bus(b) => write!(f, "Interconnect::Bus({})", b.config().name),
-            Interconnect::Crossbar(x) => {
-                write!(f, "Interconnect::Crossbar({})", x.config().name)
-            }
-            Interconnect::Ahb(a) => write!(f, "Interconnect::Ahb({})", a.config().name),
-            Interconnect::Noc(n) => write!(f, "Interconnect::Noc({})", n.config().name),
-        }
+        write!(f, "Interconnect({})", self.0.target_name())
     }
 }
 
@@ -449,14 +414,16 @@ pub fn build_interconnect(
     spec: &ArchSpec,
     slaves: Vec<(Range<u64>, Arc<dyn OcpTarget>)>,
 ) -> Result<Interconnect, MapError> {
-    Ok(match spec.bus {
-        BusKind::Plb | BusKind::Opb => {
-            let mut cfg = if spec.bus == BusKind::Plb {
-                BusConfig::plb("plb")
-            } else {
-                BusConfig::opb("opb")
+    let cam: Arc<dyn Cam> = match spec.bus {
+        BusKind::Plb | BusKind::Opb | BusKind::Ahb => {
+            let preset = match spec.bus {
+                BusKind::Plb => BusConfig::plb,
+                BusKind::Opb => BusConfig::opb,
+                _ => BusConfig::ahb,
             };
-            cfg = cfg.with_arb(spec.arb.clone());
+            let mut cfg = preset(&spec.bus.to_string())
+                .with_arb(spec.arb.clone())
+                .with_split(spec.split_slaves && spec.bus.supports_split());
             if let Some(c) = spec.clock {
                 cfg = cfg.with_clock(c);
             }
@@ -464,7 +431,7 @@ pub fn build_interconnect(
             for (range, target) in slaves {
                 bus.map_slave(range, target, true);
             }
-            Interconnect::Bus(Arc::new(bus))
+            Arc::new(bus)
         }
         BusKind::Crossbar => {
             let mut cfg = CrossbarConfig::default_64bit("xbar");
@@ -476,20 +443,7 @@ pub fn build_interconnect(
             for (range, target) in slaves {
                 xbar.map_slave(range, target, true);
             }
-            Interconnect::Crossbar(Arc::new(xbar))
-        }
-        BusKind::Ahb => {
-            let mut cfg = AhbConfig::ahb("ahb")
-                .with_arb(spec.arb.clone())
-                .with_split(spec.split_slaves);
-            if let Some(c) = spec.clock {
-                cfg = cfg.with_clock(c);
-            }
-            let mut bus = AhbBus::new(sim, cfg);
-            for (range, target) in slaves {
-                bus.map_slave(range, target, true);
-            }
-            Interconnect::Ahb(Arc::new(bus))
+            Arc::new(xbar)
         }
         BusKind::Noc { cols, rows } => {
             if cols == 0 || rows == 0 {
@@ -515,7 +469,8 @@ pub fn build_interconnect(
             for (range, target) in slaves {
                 noc.map_slave(range, target, true);
             }
-            Interconnect::Noc(Arc::new(noc))
+            Arc::new(noc)
         }
-    })
+    };
+    Ok(Interconnect(cam))
 }

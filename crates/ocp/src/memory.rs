@@ -190,18 +190,36 @@ impl Router {
             .map(|e| e.target.target_name())
     }
 
-    fn route(&self, addr: u64) -> Result<(&MapEntry, u64), OcpError> {
-        let entry = self
+    /// Decodes `req` against the map: finds the entry containing
+    /// `req.addr`, checks that the whole burst fits in it and, for a
+    /// relative entry, rewrites `req.addr` to the slave-local address.
+    /// Returns the entry's index in mapping order and its target, so an
+    /// interconnect can keep per-slave state (an output gate, a mesh node)
+    /// beside the map.
+    ///
+    /// # Errors
+    ///
+    /// [`OcpError::AddressDecode`] when no entry contains the address,
+    /// [`OcpError::BadRequest`] when the burst crosses the end of its entry.
+    pub fn decode(&self, req: &mut OcpRequest) -> Result<(usize, &Arc<dyn OcpTarget>), OcpError> {
+        let addr = req.addr;
+        let (index, entry) = self
             .map
             .iter()
-            .find(|e| e.range.contains(&addr))
+            .enumerate()
+            .find(|(_, e)| e.range.contains(&addr))
             .ok_or(OcpError::AddressDecode { addr })?;
-        let fwd = if entry.relative {
-            addr - entry.range.start
-        } else {
-            addr
-        };
-        Ok((entry, fwd))
+        let end = addr + req.cmd.len() as u64;
+        if end > entry.range.end {
+            return Err(OcpError::BadRequest(format!(
+                "burst {addr:#x}..{end:#x} crosses mapping boundary {:#x}",
+                entry.range.end
+            )));
+        }
+        if entry.relative {
+            req.addr -= entry.range.start;
+        }
+        Ok((index, &entry.target))
     }
 }
 
@@ -212,17 +230,8 @@ impl OcpTarget for Router {
         master: MasterId,
         mut req: OcpRequest,
     ) -> Result<OcpResponse, OcpError> {
-        let (entry, fwd) = self.route(req.addr)?;
-        // The whole burst must fit in the mapped range.
-        let end = req.addr + req.cmd.len() as u64;
-        if end > entry.range.end {
-            return Err(OcpError::BadRequest(format!(
-                "burst {:#x}..{:#x} crosses mapping boundary {:#x}",
-                req.addr, end, entry.range.end
-            )));
-        }
-        req.addr = fwd;
-        entry.target.transact(ctx, master, req)
+        let (_, target) = self.decode(&mut req)?;
+        target.transact(ctx, master, req)
     }
 
     fn target_name(&self) -> String {

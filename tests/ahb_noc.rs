@@ -19,7 +19,7 @@ fn split_storm_all_masters_complete() {
     const BYTES: usize = 64; // 16 beats on the 4-byte AHB data path
 
     let sim = Simulation::new();
-    let mut bus = AhbBus::new(&sim.handle(), AhbConfig::ahb("ahb").with_split(true));
+    let mut bus = CcatbBus::new(&sim.handle(), BusConfig::ahb("ahb").with_split(true));
     let mem = Arc::new(Memory::new("ram", MASTERS * TXNS as usize * BYTES));
     bus.map_slave(0..(MASTERS * TXNS as usize * BYTES) as u64, mem.clone(), true);
     let bus = Arc::new(bus);
@@ -107,7 +107,7 @@ fn wrap_burst_address_math_at_boundaries() {
 #[test]
 fn long_bursts_are_retried_at_the_grant_boundary() {
     let sim = Simulation::new();
-    let mut bus = AhbBus::new(&sim.handle(), AhbConfig::ahb("ahb"));
+    let mut bus = CcatbBus::new(&sim.handle(), BusConfig::ahb("ahb"));
     bus.map_slave(0..0x1000, Arc::new(Memory::new("ram", 0x1000)), true);
     let bus = Arc::new(bus);
 
