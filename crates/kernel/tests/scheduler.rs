@@ -708,3 +708,208 @@ fn process_panic_message_reaches_the_driving_thread() {
         "driving-thread panic must carry the original message, got: {msg}"
     );
 }
+
+/// Simulated time in whole nanoseconds, for compact activation logs.
+fn ns(t: SimTime) -> u64 {
+    t.as_ps() / 1_000
+}
+
+#[test]
+fn dispatch_order_is_pinned() {
+    // Every thread and method activation, in order. Covers immediate,
+    // delta and timed notifications, a thread resuming itself after
+    // `wait_delta`, a dynamic spawn, and a `run_until` that pauses the run
+    // while processes are mid-flight and then resumes it.
+    let sim = Simulation::new();
+    let (log, push) = shared_log();
+    let imm = sim.event("imm");
+    let delta = sim.event("delta");
+    let timed = sim.event("timed");
+    {
+        let (imm, delta, timed, push) = (imm.clone(), delta.clone(), timed.clone(), push.clone());
+        sim.spawn_thread("a", move |ctx| {
+            for i in 0..3 {
+                push(&format!("a{i}@{}", ns(ctx.now())));
+                imm.notify();
+                ctx.wait_delta();
+                push(&format!("a{i}.delta@{}", ns(ctx.now())));
+                delta.notify_delta();
+                timed.notify_after(SimDur::ns(5));
+                ctx.wait_for(SimDur::ns(10));
+            }
+            push(&format!("a.end@{}", ns(ctx.now())));
+        });
+    }
+    {
+        let (imm, delta, push) = (imm.clone(), delta.clone(), push.clone());
+        sim.spawn_thread("b", move |ctx| loop {
+            let which = ctx.wait_any(&[&imm, &delta]);
+            push(&format!("b.{}@{}", ["imm", "delta"][which], ns(ctx.now())));
+        });
+    }
+    {
+        let (delta_id, push) = (delta.id(), push.clone());
+        sim.spawn_method("m", &[&delta, &timed], move |api| {
+            let cause = match api.cause() {
+                None => "init",
+                Some(c) if c == delta_id => "delta",
+                Some(_) => "timed",
+            };
+            push(&format!("m.{cause}@{}", ns(api.now())));
+        });
+    }
+    {
+        let (imm, push) = (imm.clone(), push.clone());
+        sim.spawn_thread("spawner", move |ctx| {
+            ctx.wait_for(SimDur::ns(12));
+            push(&format!("spawner@{}", ns(ctx.now())));
+            let child_push = push.clone();
+            ctx.sim().spawn_thread("child", move |cctx| {
+                child_push(&format!("child@{}", ns(cctx.now())));
+                cctx.wait_delta();
+                child_push(&format!("child.delta@{}", ns(cctx.now())));
+                cctx.wait_for(SimDur::ns(3));
+                child_push(&format!("child.end@{}", ns(cctx.now())));
+            });
+            imm.notify();
+            ctx.wait_delta();
+            push(&format!("spawner.end@{}", ns(ctx.now())));
+        });
+    }
+    let r = sim.run_until(SimTime::ZERO + SimDur::ns(15));
+    push(&format!(
+        "pause.{:?}@{} deltas={}",
+        r.reason,
+        ns(r.time),
+        sim.delta_count()
+    ));
+    let r = sim.run();
+    push(&format!(
+        "end.{:?}@{} deltas={}",
+        r.reason,
+        ns(r.time),
+        sim.delta_count()
+    ));
+    assert_eq!(
+        *log.lock().unwrap(),
+        vec![
+            "a0@0",
+            "m.init@0",
+            "a0.delta@0",
+            "b.delta@0",
+            "m.delta@0",
+            "m.timed@5",
+            "a1@10",
+            "b.imm@10",
+            "a1.delta@10",
+            "b.delta@10",
+            "m.delta@10",
+            "spawner@12",
+            "child@12",
+            "b.imm@12",
+            "spawner.end@12",
+            "child.delta@12",
+            "m.timed@15",
+            "child.end@15",
+            "pause.TimeLimit@15 deltas=9",
+            "a2@20",
+            "b.imm@20",
+            "a2.delta@20",
+            "b.delta@20",
+            "m.delta@20",
+            "m.timed@25",
+            "a.end@30",
+            "end.Starved@30 deltas=14",
+        ]
+    );
+}
+
+/// The message a panic payload carries (`panic!` with a literal yields a
+/// `&str`, a formatted one a `String`).
+fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("panic payload is a string"),
+    }
+}
+
+/// Runs `sim` expecting a panic, and returns its message.
+fn run_expecting_panic(sim: &Simulation) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("the panic must surface from Simulation::run");
+    payload_text(&*payload)
+}
+
+/// A thread that wakes at 1 ns, calls `act`, then finishes at 2 ns; `done`
+/// counts the finishes.
+fn spawn_two_step(sim: &Simulation, done: &Arc<AtomicU64>, act: impl FnOnce() + Send + 'static) {
+    let done = Arc::clone(done);
+    sim.spawn_thread("stepper", move |ctx| {
+        ctx.wait_for(SimDur::ns(1));
+        act();
+        ctx.wait_for(SimDur::ns(1));
+        done.fetch_add(1, Ordering::SeqCst);
+    });
+}
+
+/// After a panicked run the simulation resumes where it stopped: the
+/// stepper finishes at 2 ns. A stale end-of-run message would end this run
+/// early instead.
+fn assert_resumes_to_completion(sim: &Simulation, done: &AtomicU64) {
+    let r = sim.run();
+    assert_eq!(r.reason, StopReason::Starved);
+    assert_eq!(r.time, SimTime::ZERO + SimDur::ns(2));
+    assert_eq!(done.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn method_panic_after_a_thread_yield_surfaces_with_its_payload() {
+    let sim = Simulation::new();
+    let kick = sim.event("kick");
+    let done = Arc::new(AtomicU64::new(0));
+    {
+        let kick = kick.clone();
+        spawn_two_step(&sim, &done, move || kick.notify_delta());
+    }
+    sim.spawn_method_no_init("m", &[&kick], |_| panic!("method boom"));
+    assert_eq!(run_expecting_panic(&sim), "method boom");
+    assert_resumes_to_completion(&sim, &done);
+}
+
+/// A signal value whose comparison panics on 13: the update phase compares
+/// the written value with the current one.
+#[derive(Clone, Debug)]
+struct Touchy(u32);
+
+impl PartialEq for Touchy {
+    fn eq(&self, other: &Self) -> bool {
+        assert!(self.0 != 13 && other.0 != 13, "update boom");
+        self.0 == other.0
+    }
+}
+
+#[test]
+fn update_panic_after_a_thread_yield_surfaces_with_its_payload() {
+    let sim = Simulation::new();
+    let sig = sim.signal("touchy", Touchy(0));
+    let done = Arc::new(AtomicU64::new(0));
+    spawn_two_step(&sim, &done, move || sig.write(Touchy(13)));
+    assert_eq!(run_expecting_panic(&sim), "update boom");
+    assert_resumes_to_completion(&sim, &done);
+}
+
+#[test]
+fn process_panic_resumed_by_another_process_names_the_process() {
+    let sim = Simulation::new();
+    let done = Arc::new(AtomicU64::new(0));
+    spawn_two_step(&sim, &done, || {});
+    sim.spawn_thread("boom", |ctx| {
+        ctx.wait_for(SimDur::ns(1));
+        panic!("kaboom");
+    });
+    assert_eq!(run_expecting_panic(&sim), "process 'boom' panicked: kaboom");
+    assert_resumes_to_completion(&sim, &done);
+}
