@@ -11,10 +11,17 @@
 //! 4. **Time advance** — otherwise pop the earliest timed notifications and
 //!    advance [`SimTime`].
 //!
-//! Thread processes are real OS threads, but exactly one process runs at any
-//! instant: the kernel resumes a process and blocks until it yields, so the
-//! simulation is fully deterministic.
+//! Thread processes are real OS threads, but exactly one thread holds
+//! control at any instant, so the simulation is fully deterministic. The
+//! scheduler loop runs on whichever thread holds control: the caller of
+//! `run` until the first thread process is due, then each process as it
+//! yields or terminates. The holder runs method processes and update
+//! callbacks inline and resumes the next due thread process directly, so an
+//! activation costs one OS handoff, and none when the yielding process is
+//! itself the next one due. The holder at the end of a run reports how it
+//! ended on a one-slot channel that `run` blocks on.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -84,10 +91,35 @@ pub(crate) enum Resume {
     Kill,
 }
 
-pub(crate) enum YieldMsg {
-    Yielded,
-    Terminated,
-    Panicked(String),
+/// How a run ended, sent to `run` by the process thread that held control
+/// at the end.
+enum RunEnd {
+    Done(RunResult),
+    /// A thread process panicked; the message `run` re-raises.
+    ProcessPanicked(String),
+    /// A method process or update callback panicked on a process thread;
+    /// `run` re-raises its payload as if it had run there.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// What the thread holding control does next.
+enum Next {
+    /// Hand control to this thread process.
+    Resume {
+        pid: ProcessId,
+        cause: Option<EventId>,
+        tx: SyncSender<Resume>,
+    },
+    /// The run is over.
+    End(RunResult),
+}
+
+/// Where control went when a process thread ran the scheduler.
+enum Control {
+    /// The process is itself next; it continues with this wake cause.
+    Kept(Option<EventId>),
+    /// Another process or `run` holds control now.
+    Passed,
 }
 
 /// Marker panic payload used to unwind a process thread when the simulation
@@ -118,9 +150,6 @@ struct ThreadLink {
     /// `None` after teardown dropped it to force a blocked `recv` to error
     /// out (the `KillToken` unwind path).
     resume_tx: Option<SyncSender<Resume>>,
-    /// Wrapped in its own mutex so the kernel can block on a yield without
-    /// holding the main kernel lock.
-    yield_rx: Arc<Mutex<Receiver<YieldMsg>>>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -151,6 +180,16 @@ type TimedEntry = Reverse<(SimTime, u64, EventId)>;
 /// `request_update` / `update` pattern).
 pub(crate) type UpdateFn = Box<dyn FnOnce(&KernelShared) + Send>;
 
+/// The state of the current run, kept here because the threads that drive
+/// the run take turns.
+#[derive(Default)]
+struct RunState {
+    limit: Option<SimTime>,
+    deadline: Option<Instant>,
+    /// Profiler probe of the evaluate phase in progress.
+    evaluate_probe: Option<Instant>,
+}
+
 pub(crate) struct Inner {
     now: SimTime,
     delta_count: u64,
@@ -164,6 +203,10 @@ pub(crate) struct Inner {
     timed: BinaryHeap<TimedEntry>,
     timed_seq: u64,
     update_requests: Vec<UpdateFn>,
+    run: RunState,
+    /// Swapped with `delta_queue` each delta cycle so the queue's
+    /// allocation is reused instead of dropped per cycle.
+    delta_scratch: Vec<EventId>,
 }
 
 /// Kernel state shared between the scheduler, process contexts and channels.
@@ -185,10 +228,15 @@ pub(crate) struct KernelShared {
     /// notifications, signal updates, dynamic processes) disqualify the
     /// run instead of silently queueing into a kernel that never runs.
     pub(crate) direct_guard: OnceLock<std::sync::Weak<crate::direct::DirectCore>>,
+    /// End-of-run channel. One slot: a run ends once, and `run` takes the
+    /// message before the next run can end.
+    run_end_tx: SyncSender<RunEnd>,
+    run_end_rx: Mutex<Receiver<RunEnd>>,
 }
 
 impl KernelShared {
     pub(crate) fn new() -> Arc<Self> {
+        let (run_end_tx, run_end_rx) = sync_channel(1);
         Arc::new(KernelShared {
             inner: Mutex::new(Inner {
                 now: SimTime::ZERO,
@@ -202,6 +250,8 @@ impl KernelShared {
                 timed: BinaryHeap::new(),
                 timed_seq: 0,
                 update_requests: Vec::new(),
+                run: RunState::default(),
+                delta_scratch: Vec::new(),
             }),
             tracer: Mutex::new(None),
             liveness: Mutex::new(Registry::default()),
@@ -210,6 +260,8 @@ impl KernelShared {
             metrics: MetricsShared::new(),
             profiler: HostProfiler::new(),
             direct_guard: OnceLock::new(),
+            run_end_tx,
+            run_end_rx: Mutex::new(run_end_rx),
         })
     }
 
@@ -385,7 +437,6 @@ impl KernelShared {
     ) -> ProcessId {
         self.disqualify_if_direct(crate::direct::Construct::DynamicProcess);
         let (resume_tx, resume_rx) = sync_channel::<Resume>(1);
-        let (yield_tx, yield_rx) = sync_channel::<YieldMsg>(1);
         let timer = self.new_event(&format!("{name}.timer"));
         let pid = {
             let mut g = self.lock();
@@ -394,7 +445,6 @@ impl KernelShared {
                 name: Arc::from(name),
                 kind: ProcKind::Thread(ThreadLink {
                     resume_tx: Some(resume_tx),
-                    yield_rx: Arc::new(Mutex::new(yield_rx)),
                     join: None,
                 }),
                 // Newly spawned processes start runnable (SystemC default
@@ -417,22 +467,20 @@ impl KernelShared {
                     Ok(Resume::Go(_)) => {}
                     Ok(Resume::Kill) | Err(_) => return,
                 }
-                let mut ctx =
-                    crate::process::ThreadCtx::new(kernel, pid, resume_rx, yield_tx.clone());
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                match result {
-                    Ok(()) => {
-                        let _ = yield_tx.send(YieldMsg::Terminated);
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<KillToken>().is_none() {
-                            // `&payload` would coerce the Box itself to
-                            // `&dyn Any` and never downcast; deref first.
-                            let msg = panic_message(&*payload);
-                            let _ = yield_tx.send(YieldMsg::Panicked(msg));
-                        }
-                        // On KillToken the simulation is tearing down and
-                        // nobody is listening: exit quietly.
+                let mut ctx = crate::process::ThreadCtx::new(Arc::clone(&kernel), pid, resume_rx);
+                // The body holds control whenever it runs, and so does its
+                // end: `terminate` passes control on for the last time.
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    body(&mut ctx);
+                    ctx.terminate();
+                }));
+                if let Err(payload) = result {
+                    // On KillToken the simulation is tearing down and
+                    // nobody is listening: exit quietly.
+                    if payload.downcast_ref::<KillToken>().is_none() {
+                        // `&payload` would coerce the Box itself to
+                        // `&dyn Any` and never downcast; deref first.
+                        kernel.process_panicked(pid, &*payload);
                     }
                 }
             })
@@ -485,40 +533,87 @@ impl KernelShared {
 
     /// Runs the scheduler until `limit`, stop, starvation or watchdog
     /// expiry.
+    ///
+    /// The calling thread holds control until the first thread process is
+    /// due; from then on it waits for the end-of-run message.
     pub(crate) fn run(self: &Arc<Self>, limit: Option<SimTime>) -> RunResult {
-        {
-            let mut g = self.lock();
-            g.started = true;
-            g.stop_requested = false;
-        }
         let deadline = self
             .watchdog
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map(|budget| Instant::now() + budget);
-        // Swapped with `delta_queue` each delta cycle so the queue's
-        // allocation is reused for the whole run instead of dropped per
-        // cycle.
-        let mut delta_scratch: Vec<EventId> = Vec::new();
+        {
+            let mut g = self.lock();
+            g.started = true;
+            g.stop_requested = false;
+            g.run = RunState {
+                limit,
+                deadline,
+                evaluate_probe: self.profiler.start(),
+            };
+        }
+        let (cause, tx) = match self.schedule() {
+            Next::End(result) => return result,
+            Next::Resume { cause, tx, .. } => (cause, tx),
+        };
+        tx.send(Resume::Go(cause)).expect("process thread vanished");
+        let end = self
+            .run_end_rx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .recv()
+            .expect("the kernel owns both ends of its end-of-run channel");
+        match end {
+            RunEnd::Done(result) => result,
+            RunEnd::ProcessPanicked(msg) => panic!("{msg}"),
+            RunEnd::Panicked(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// The scheduler loop, run by the thread holding control. Runs methods
+    /// and update callbacks inline and returns when a thread process is due
+    /// or the run ends. It always resumes inside the evaluate phase, the
+    /// only place it leaves before the run ends.
+    fn schedule(self: &Arc<Self>) -> Next {
         loop {
             // --- Phase 1: evaluate ----------------------------------------
-            let probe = self.profiler.start();
-            loop {
-                if let Some(dl) = deadline {
+            let probe = loop {
+                let mut g = self.lock();
+                if let Some(dl) = g.run.deadline {
                     if Instant::now() >= dl {
-                        return RunResult {
-                            time: self.now(),
+                        return Next::End(RunResult {
+                            time: g.now,
                             reason: StopReason::Watchdog,
-                        };
+                        });
                     }
                 }
-                let next = {
-                    let mut g = self.lock();
-                    g.runnable.pop_front()
+                let Some(pid) = g.runnable.pop_front() else {
+                    break g.run.evaluate_probe.take();
                 };
-                let Some(pid) = next else { break };
-                self.dispatch(pid);
-            }
+                let p = &mut g.processes[pid.0];
+                if p.state == PState::Terminated {
+                    continue;
+                }
+                let cause = p.wake_cause.take();
+                // The process is "waiting" unless it re-registers; a thread
+                // always registers a new wait before yielding.
+                p.state = PState::Waiting;
+                match &mut p.kind {
+                    ProcKind::Thread(link) => {
+                        // `None`: torn down mid-flight, nothing to resume.
+                        if let Some(tx) = &link.resume_tx {
+                            let tx = tx.clone();
+                            return Next::Resume { pid, cause, tx };
+                        }
+                    }
+                    ProcKind::Method(slot) => {
+                        if let Some(f) = slot.take() {
+                            drop(g);
+                            self.run_method(pid, f, cause);
+                        }
+                    }
+                }
+            };
             self.profiler.record_phase(PHASE_EVALUATE, probe);
 
             // --- Phase 2: update ------------------------------------------
@@ -536,17 +631,20 @@ impl KernelShared {
             let probe = self.profiler.start();
             let woke = {
                 let mut g = self.lock();
-                std::mem::swap(&mut g.delta_queue, &mut delta_scratch);
-                for id in delta_scratch.drain(..) {
+                let mut promoted = std::mem::take(&mut g.delta_scratch);
+                std::mem::swap(&mut g.delta_queue, &mut promoted);
+                for id in promoted.drain(..) {
                     if g.events[id.0].delta_pending {
                         g.events[id.0].delta_pending = false;
                         Self::fire(&mut g, id);
                     }
                 }
+                g.delta_scratch = promoted;
                 if g.runnable.is_empty() {
                     false
                 } else {
                     g.delta_count += 1;
+                    g.run.evaluate_probe = self.profiler.start();
                     true
                 }
             };
@@ -556,10 +654,10 @@ impl KernelShared {
             }
 
             if self.lock().stop_requested {
-                return RunResult {
+                return Next::End(RunResult {
                     time: self.now(),
                     reason: StopReason::Stopped,
-                };
+                });
             }
 
             // --- Phase 4: time advance ------------------------------------
@@ -570,10 +668,10 @@ impl KernelShared {
             let target = loop {
                 match g.timed.peek() {
                     None => {
-                        return RunResult {
+                        return Next::End(RunResult {
                             time: g.now,
                             reason: StopReason::Starved,
-                        }
+                        })
                     }
                     Some(Reverse((t, _, id))) => {
                         // Skip entries whose notification was cancelled or
@@ -585,13 +683,13 @@ impl KernelShared {
                     }
                 }
             };
-            if let Some(lim) = limit {
+            if let Some(lim) = g.run.limit {
                 if target > lim {
                     g.now = lim;
-                    return RunResult {
+                    return Next::End(RunResult {
                         time: lim,
                         reason: StopReason::TimeLimit,
-                    };
+                    });
                 }
             }
             g.now = target;
@@ -606,118 +704,136 @@ impl KernelShared {
                     Self::fire(&mut g, id);
                 }
             }
+            g.run.evaluate_probe = self.profiler.start();
             drop(g);
             self.profiler.record_phase(PHASE_ADVANCE, probe);
         }
     }
 
-    fn dispatch(self: &Arc<Self>, pid: ProcessId) {
-        enum Action {
-            Thread {
-                cause: Option<EventId>,
-                resume_tx: SyncSender<Resume>,
-                yield_rx: Arc<Mutex<Receiver<YieldMsg>>>,
-            },
-            Method {
-                f: MethodFn,
-                cause: Option<EventId>,
-            },
-            Skip,
-        }
-        let action = {
-            let mut g = self.lock();
-            let p = &mut g.processes[pid.0];
-            if p.state == PState::Terminated {
-                Action::Skip
-            } else {
-                let cause = p.wake_cause.take();
-                // The process is "waiting" unless it re-registers; a thread
-                // always registers a new wait before yielding.
-                p.state = PState::Waiting;
-                match &mut p.kind {
-                    ProcKind::Thread(link) => match &link.resume_tx {
-                        Some(tx) => Action::Thread {
-                            cause,
-                            resume_tx: tx.clone(),
-                            yield_rx: Arc::clone(&link.yield_rx),
-                        },
-                        // Torn down mid-flight: nothing left to resume.
-                        None => Action::Skip,
-                    },
-                    ProcKind::Method(slot) => match slot.take() {
-                        Some(f) => Action::Method { f, cause },
-                        None => Action::Skip,
-                    },
-                }
-            }
-        };
+    /// Runs one activation of a method process on the thread holding
+    /// control.
+    fn run_method(self: &Arc<Self>, pid: ProcessId, mut f: MethodFn, cause: Option<EventId>) {
         let probe = self.profiler.start();
-        match action {
-            Action::Skip => {}
-            Action::Thread {
-                cause,
-                resume_tx,
-                yield_rx,
-            } => {
-                resume_tx
-                    .send(Resume::Go(cause))
-                    .expect("process thread vanished");
-                let msg = {
-                    let rx = yield_rx.lock().unwrap_or_else(|e| e.into_inner());
-                    rx.recv()
-                        .expect("process thread disconnected without yielding")
-                };
-                match msg {
-                    YieldMsg::Yielded => {}
-                    YieldMsg::Terminated => {
-                        self.lock().processes[pid.0].state = PState::Terminated;
-                    }
-                    YieldMsg::Panicked(m) => {
-                        let name = self.process_name(pid);
-                        panic!("process '{name}' panicked: {m}");
-                    }
-                }
-            }
-            Action::Method { mut f, cause } => {
-                let mut api = MethodApi {
-                    kernel: Arc::clone(self),
-                    cause,
-                };
-                f(&mut api);
-                let mut g = self.lock();
-                if let ProcKind::Method(slot) = &mut g.processes[pid.0].kind {
-                    *slot = Some(f);
-                }
-            }
+        let mut api = MethodApi {
+            kernel: Arc::clone(self),
+            cause,
+        };
+        f(&mut api);
+        if let ProcKind::Method(slot) = &mut self.lock().processes[pid.0].kind {
+            *slot = Some(f);
         }
+        self.record_activation(pid, probe);
+    }
+
+    /// Attributes one process activation to the profiler.
+    pub(crate) fn record_activation(&self, pid: ProcessId, probe: Option<Instant>) {
         if let Some(t0) = probe {
             self.profiler
                 .record_process(self.process_name(pid), t0.elapsed());
         }
     }
 
-    /// Kills and joins every live process thread. Called on simulation drop.
+    /// Runs the scheduler on the thread of process `me`, which holds
+    /// control because it has just registered a wait or terminated, and
+    /// passes control to the next due process, or to `run` when the run
+    /// ends.
+    fn pass_control(self: &Arc<Self>, me: ProcessId) -> Control {
+        let end = match panic::catch_unwind(AssertUnwindSafe(|| self.schedule())) {
+            Ok(Next::Resume { pid, cause, .. }) if pid == me => return Control::Kept(cause),
+            Ok(Next::Resume { cause, tx, .. }) => {
+                tx.send(Resume::Go(cause)).expect("process thread vanished");
+                return Control::Passed;
+            }
+            Ok(Next::End(result)) => RunEnd::Done(result),
+            Err(payload) => RunEnd::Panicked(payload),
+        };
+        self.end_run(end);
+        Control::Passed
+    }
+
+    fn end_run(&self, end: RunEnd) {
+        self.run_end_tx
+            .send(end)
+            .expect("the kernel owns both ends of its end-of-run channel");
+    }
+
+    /// Suspends process `me` after it registered a wait: passes control on
+    /// and blocks until the process is resumed. Returns the wake cause.
+    pub(crate) fn yield_process(
+        self: &Arc<Self>,
+        me: ProcessId,
+        resume_rx: &Receiver<Resume>,
+    ) -> Option<EventId> {
+        if let Control::Kept(cause) = self.pass_control(me) {
+            return cause;
+        }
+        match resume_rx.recv() {
+            Ok(Resume::Go(cause)) => cause,
+            Ok(Resume::Kill) | Err(_) => {
+                // Unwind through the process body; caught by the wrapper.
+                // `resume_unwind` skips the panic hook, so teardown is quiet.
+                panic::resume_unwind(Box::new(KillToken));
+            }
+        }
+    }
+
+    /// Ends process `me`, whose body has returned, and passes control on
+    /// for the last time.
+    pub(crate) fn exit_process(self: &Arc<Self>, me: ProcessId) {
+        self.lock().processes[me.0].state = PState::Terminated;
+        // A terminated process is never due, so control always leaves.
+        self.pass_control(me);
+    }
+
+    /// Ends the run with the panic of process `me`, which held control.
+    fn process_panicked(&self, me: ProcessId, payload: &(dyn Any + Send)) {
+        let name = {
+            let mut g = self.lock();
+            g.processes[me.0].state = PState::Terminated;
+            Arc::clone(&g.processes[me.0].name)
+        };
+        let msg = panic_message(payload);
+        self.end_run(RunEnd::ProcessPanicked(format!(
+            "process '{name}' panicked: {msg}"
+        )));
+    }
+
+    /// Kills and joins every live process thread, and drops every method
+    /// closure and pending update callback. Called on simulation drop.
     ///
     /// Each thread is parked either in its initial `recv` (never dispatched)
     /// or inside `yield_now` waiting for a resume. `Resume::Kill` unwinds it
     /// via the `KillToken` panic payload. Dropping the kernel-side sender as
     /// well guarantees the `recv` errors out even if the kill message could
     /// not be buffered, so teardown can never hang on a live thread.
+    ///
+    /// Closures that capture an `Event` or `Signal` (every `Clock`'s does)
+    /// hold this kernel through them, a reference cycle that only dropping
+    /// the closures breaks.
     pub(crate) fn teardown(&self) {
         type LinkParts = (Option<SyncSender<Resume>>, Option<JoinHandle<()>>);
-        let links: Vec<LinkParts> = {
+        let mut methods: Vec<MethodFn> = Vec::new();
+        let (links, updates): (Vec<LinkParts>, Vec<UpdateFn>) = {
             let mut g = self.lock();
-            g.processes
+            let links = g
+                .processes
                 .iter_mut()
                 .map(|p| {
                     p.state = PState::Terminated;
                     match &mut p.kind {
                         ProcKind::Thread(link) => (link.resume_tx.take(), link.join.take()),
-                        ProcKind::Method(_) => (None, None),
+                        ProcKind::Method(slot) => {
+                            methods.extend(slot.take());
+                            (None, None)
+                        }
                     }
                 })
-                .collect()
+                .collect();
+            (links, std::mem::take(&mut g.update_requests))
         };
+        // Dropped outside the kernel lock, which their captures may take.
+        drop(methods);
+        drop(updates);
         // First wave: send kills / drop senders without joining, so sibling
         // processes are all unblocked before we wait on any of them.
         let joins: Vec<JoinHandle<()>> = links

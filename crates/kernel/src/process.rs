@@ -2,25 +2,27 @@
 //! waits, observes time and interacts with the kernel.
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
-use crate::kernel::{EventId, KernelShared, KillToken, ProcessId, Resume, YieldMsg};
+use crate::kernel::{EventId, KernelShared, ProcessId, Resume};
 use crate::metrics::MetricsShared;
 use crate::time::{SimDur, SimTime};
 use crate::txn::{TxnEvent, TxnOutcome, TxnSpan};
 
 /// Which execution backend is driving this process.
 enum CtxInner {
-    /// The delta-cycle kernel: blocking calls rendezvous with the
-    /// scheduler.
+    /// The delta-cycle kernel: a blocking call runs the scheduler on this
+    /// thread and passes control to the next due process.
     Kernel {
         kernel: Arc<KernelShared>,
         pid: ProcessId,
         resume_rx: Receiver<Resume>,
-        yield_tx: SyncSender<YieldMsg>,
+        /// Profiler probe of the activation in progress.
+        activation: Option<Instant>,
     },
     /// The direct backend (see [`crate::direct`]): the thread runs free,
     /// time stands still at zero, and any construct needing the event
@@ -42,32 +44,33 @@ enum CtxInner {
 /// A `ThreadCtx` is handed to the process body and is the only way for the
 /// process to block: [`wait`](ThreadCtx::wait), [`wait_for`](ThreadCtx::wait_for),
 /// [`wait_any`](ThreadCtx::wait_any) and [`wait_delta`](ThreadCtx::wait_delta)
-/// suspend the process and hand control back to the scheduler. Channel
+/// suspend the process and pass control to the scheduler. Channel
 /// blocking operations (FIFO reads, SHIP calls, bus transactions) all take
 /// `&mut ThreadCtx` for the same reason.
 ///
 /// The same type serves both backends: under the delta-cycle kernel the
-/// blocking calls rendezvous with the scheduler; under the direct backend
-/// ([`DirectSim`](crate::direct::DirectSim)) the process is a free-running
-/// OS thread and kernel-only constructs abort the run with a
+/// blocking calls run the scheduler on the process's own thread; under the
+/// direct backend ([`DirectSim`](crate::direct::DirectSim)) the process is a
+/// free-running OS thread and kernel-only constructs abort the run with a
 /// [`Disqualified`](crate::direct::Disqualified) verdict instead.
 pub struct ThreadCtx {
     inner: CtxInner,
 }
 
 impl ThreadCtx {
+    /// The context of kernel process `pid`, created when it first runs.
     pub(crate) fn new(
         kernel: Arc<KernelShared>,
         pid: ProcessId,
         resume_rx: Receiver<Resume>,
-        yield_tx: SyncSender<YieldMsg>,
     ) -> Self {
+        let activation = kernel.profiler.start();
         ThreadCtx {
             inner: CtxInner::Kernel {
                 kernel,
                 pid,
                 resume_rx,
-                yield_tx,
+                activation,
             },
         }
     }
@@ -322,31 +325,43 @@ impl ThreadCtx {
         }
     }
 
-    /// Hands control to the scheduler and blocks until resumed.
+    /// Runs the scheduler on this thread, passes control to the next due
+    /// process and blocks until resumed; returns the wake cause. When this
+    /// process is itself next, it continues without blocking.
     ///
     /// The caller must have registered a wait beforehand, otherwise the
     /// process never wakes. Kernel backend only; direct-backend blocking is
     /// handled in the channels via [`DirectCore::park`](crate::direct::DirectCore::park).
     fn yield_now(&mut self) -> Option<EventId> {
         let CtxInner::Kernel {
+            kernel,
+            pid,
             resume_rx,
-            yield_tx,
-            ..
+            activation,
         } = &mut self.inner
         else {
             unreachable!("yield_now is only reachable from the kernel backend")
         };
-        yield_tx
-            .send(YieldMsg::Yielded)
-            .expect("kernel disappeared while yielding");
-        match resume_rx.recv() {
-            Ok(Resume::Go(cause)) => cause,
-            Ok(Resume::Kill) | Err(_) => {
-                // Unwind through the process body; caught by the wrapper.
-                // `resume_unwind` skips the panic hook, so teardown is quiet.
-                std::panic::resume_unwind(Box::new(KillToken));
-            }
-        }
+        kernel.record_activation(*pid, activation.take());
+        let cause = kernel.yield_process(*pid, resume_rx);
+        *activation = kernel.profiler.start();
+        cause
+    }
+
+    /// Ends the last activation of a kernel process whose body has
+    /// returned, passing control on for good.
+    pub(crate) fn terminate(&mut self) {
+        let CtxInner::Kernel {
+            kernel,
+            pid,
+            activation,
+            ..
+        } = &mut self.inner
+        else {
+            unreachable!("terminate is only reachable from the kernel backend")
+        };
+        kernel.record_activation(*pid, activation.take());
+        kernel.exit_process(*pid);
     }
 }
 

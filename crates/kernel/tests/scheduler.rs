@@ -913,3 +913,41 @@ fn process_panic_resumed_by_another_process_names_the_process() {
     assert_eq!(run_expecting_panic(&sim), "process 'boom' panicked: kaboom");
     assert_resumes_to_completion(&sim, &done);
 }
+
+#[test]
+fn drop_releases_the_methods_of_a_clocked_model() {
+    // A method closure that captures an event refers back to the kernel
+    // through it (every clock's generator does); dropping the simulation
+    // must still drop the closure.
+    let sim = Simulation::new();
+    let clk = sim.clock("clk", SimDur::ns(10));
+    let marker = Arc::new(());
+    let released = Arc::downgrade(&marker);
+    let posedge = clk.posedge().clone();
+    sim.spawn_method_no_init("edges", &[clk.posedge()], move |_| {
+        let _ = (&marker, &posedge);
+    });
+    sim.run_until(SimTime::ZERO + SimDur::ns(50));
+    drop(clk);
+    drop(sim);
+    assert!(
+        released.upgrade().is_none(),
+        "the method closure outlived its simulation"
+    );
+}
+
+#[test]
+fn drop_releases_pending_signal_updates() {
+    // An update callback holds its signal, and through it the kernel.
+    let sim = Simulation::new();
+    let marker = Arc::new(0u8);
+    let released = Arc::downgrade(&marker);
+    let sig = sim.signal("s", Arc::new(1u8));
+    sig.write(marker);
+    drop(sig);
+    drop(sim);
+    assert!(
+        released.upgrade().is_none(),
+        "the pending update outlived its simulation"
+    );
+}
