@@ -86,8 +86,23 @@ pub mod minibench {
         out
     }
 
+    /// The commit checked out where the bench runs (`git rev-parse HEAD`),
+    /// or `unknown` outside a git checkout.
+    fn git_rev() -> String {
+        std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_string())
+            .filter(|rev| !rev.is_empty())
+            .unwrap_or_else(|| "unknown".into())
+    }
+
     /// Writes every recorded result as a small self-describing JSON document
-    /// (no external serializer — the format is flat enough to hand-roll).
+    /// (no external serializer — the format is flat enough to hand-roll),
+    /// headed by the host it ran on: `host_cores`, `quick` and `git_rev`.
     ///
     /// # Errors
     ///
@@ -97,7 +112,10 @@ pub mod minibench {
         let mut f = std::fs::File::create(path)?;
         writeln!(f, "{{")?;
         writeln!(f, "  \"bench\": \"{}\",", json_escape(bench))?;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        writeln!(f, "  \"host_cores\": {cores},")?;
         writeln!(f, "  \"quick\": {},", quick_mode())?;
+        writeln!(f, "  \"git_rev\": \"{}\",", json_escape(&git_rev()))?;
         writeln!(f, "  \"results\": [")?;
         let rows = results();
         for (i, r) in rows.iter().enumerate() {
@@ -415,6 +433,8 @@ mod tests {
         write_json("unit-test", &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"bench\": \"unit-test\""));
+        assert!(text.contains("\"host_cores\": "));
+        assert!(text.contains("\"git_rev\": \""));
         assert!(text.contains("\"group\": \"json\""));
         assert!(text.contains("\"id\": \"noop\""));
         // Flat sanity checks on JSON shape: balanced braces/brackets, no

@@ -6,7 +6,16 @@
 //! cost (each delta is a scheduler round trip); a very generous wall-clock
 //! assertion backs it up without inviting flakes on loaded CI runners.
 
+use std::time::{Duration, Instant};
+
 use shiptlm::prelude::*;
+
+/// The median of interleaved timings: a burst of host load lands on both
+/// sides of a comparison instead of skewing one of them.
+fn median(times: &mut [Duration]) -> Duration {
+    times.sort_unstable();
+    times[times.len() / 2]
+}
 
 fn the_app() -> AppSpec {
     workload::pipeline(6, 16, 256, SimDur::ZERO)
@@ -122,8 +131,7 @@ fn direct_backend_beats_de_kernel_on_untimed_pipeline() {
     // throughput.
     //
     // The two backends run interleaved and are compared by their median
-    // run, so a burst of host load lands on both sides instead of skewing
-    // one of them.
+    // run.
     let app = || workload::pipeline(6, 64, 256, SimDur::ZERO);
     let run = |backend: Backend| {
         let opts = RunOptions::default().with_backend(backend);
@@ -149,10 +157,6 @@ fn direct_backend_beats_de_kernel_on_untimed_pipeline() {
         de_times.push(run(Backend::De).0);
         direct_times.push(run(Backend::Direct).0);
     }
-    let median = |times: &mut Vec<std::time::Duration>| {
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
     let (de_time, direct_time) = (median(&mut de_times), median(&mut direct_times));
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -178,6 +182,9 @@ fn large_sweep_parallel_beats_serial() {
     // CI runners does not flake the build; what they pin down is the *bug*
     // this guard was written against — a parallel sweep that is SLOWER than
     // serial because per-sweep thread churn dominates cheap candidates.
+    //
+    // Like the direct-vs-DE guard, three serial/parallel pairs run
+    // interleaved and are compared by their median run.
     let archs = ArchGrid::exploration_default().generate_n(1024);
     let app = || workload::parallel_streams(2, 4, 64);
 
@@ -188,27 +195,30 @@ fn large_sweep_parallel_beats_serial() {
         .run_parallel(8)
         .expect("warm-up sweep");
 
-    let t0 = std::time::Instant::now();
-    let serial = Sweep::new(app())
-        .archs(archs.clone())
-        .run()
-        .expect("serial");
-    let serial_time = t0.elapsed();
-
-    let t0 = std::time::Instant::now();
-    let parallel = Sweep::new(app())
-        .archs(archs)
-        .run_parallel(8)
-        .expect("parallel");
-    let parallel_time = t0.elapsed();
-
-    assert_eq!(serial.rows().len(), 1024);
-    assert_eq!(parallel.rows().len(), 1024);
-    assert_eq!(
-        serial.to_string(),
-        parallel.to_string(),
-        "parallel report must stay byte-identical to serial"
-    );
+    let run = |threads: usize| {
+        let sweep = Sweep::new(app()).archs(archs.clone());
+        let t0 = Instant::now();
+        let report = if threads == 1 {
+            sweep.run()
+        } else {
+            sweep.run_parallel(threads)
+        };
+        (t0.elapsed(), report.expect("sweep"))
+    };
+    let (mut serial_times, mut parallel_times) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        let (serial_time, serial) = run(1);
+        let (parallel_time, parallel) = run(8);
+        serial_times.push(serial_time);
+        parallel_times.push(parallel_time);
+        assert_eq!(serial.rows().len(), 1024);
+        assert_eq!(
+            serial.to_string(),
+            parallel.to_string(),
+            "parallel report must stay byte-identical to serial"
+        );
+    }
+    let (serial_time, parallel_time) = (median(&mut serial_times), median(&mut parallel_times));
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Required speedup (serial_time / parallel_time), scaled to the host:
@@ -223,7 +233,7 @@ fn large_sweep_parallel_beats_serial() {
     let speedup = serial_time.as_secs_f64() / parallel_time.as_secs_f64();
     assert!(
         speedup >= min_speedup,
-        "1024-candidate sweep: serial {serial_time:?}, 8 threads {parallel_time:?} \
-         (speedup {speedup:.2}x, required {min_speedup:.2}x on {cores} cores)"
+        "1024-candidate sweep: serial {serial_time:?}/run, 8 threads {parallel_time:?}/run \
+         (median speedup {speedup:.2}x, required {min_speedup:.2}x on {cores} cores)"
     );
 }
