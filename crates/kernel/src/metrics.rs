@@ -15,7 +15,7 @@
 //!   recorded series are bit-identical between serial and parallel sweeps.
 //! * [`HostProfiler`] — wall-clock attribution of kernel phases
 //!   (evaluate / update / delta-notify / time-advance) and per-process
-//!   dispatch time, exported as folded stacks for flamegraph rendering.
+//!   activation time, exported as folded stacks for flamegraph rendering.
 //!
 //! Both follow the [`TxnShared`](crate::txn::TxnShared) discipline: when
 //! disabled (the default) every instrumented operation costs exactly one
@@ -505,7 +505,7 @@ struct ProfInner {
     processes: BTreeMap<Arc<str>, FrameStat>,
 }
 
-/// Kernel phase names used by the profiler; process dispatch time nests
+/// Kernel phase names used by the profiler; process activation time nests
 /// under [`PHASE_EVALUATE`] in the folded output.
 pub const PHASE_EVALUATE: &str = "evaluate";
 /// Update phase (channel `request_update` callbacks).
@@ -516,7 +516,7 @@ pub const PHASE_DELTA: &str = "delta_notify";
 pub const PHASE_ADVANCE: &str = "time_advance";
 
 /// Atomically-gated wall-clock profiler attributing host time to kernel
-/// phases and process dispatches. Disabled: one relaxed load per probe.
+/// phases and process activations. Disabled: one relaxed load per probe.
 #[derive(Debug, Default)]
 pub struct HostProfiler {
     enabled: AtomicBool,
@@ -575,7 +575,8 @@ impl HostProfiler {
         }
     }
 
-    /// Attributes one process dispatch (nested inside the evaluate phase).
+    /// Attributes one process activation (nested inside the evaluate
+    /// phase).
     pub(crate) fn record_process(&self, name: Arc<str>, d: Duration) {
         let mut g = self.lock();
         let s = g.processes.entry(name).or_default();
@@ -602,7 +603,8 @@ impl HostProfiler {
 pub struct HostProfile {
     /// Wall-clock time per kernel phase, sorted by phase name.
     pub phases: Vec<(&'static str, FrameStat)>,
-    /// Wall-clock time per dispatched process, sorted by process name.
+    /// Wall-clock time per process, its activations alone, sorted by
+    /// process name.
     pub processes: Vec<(Arc<str>, FrameStat)>,
 }
 
@@ -619,8 +621,9 @@ impl HostProfile {
 
     /// Renders the profile as folded stacks (`frame;frame value` lines,
     /// values in microseconds) for `flamegraph.pl` / speedscope. Process
-    /// dispatch time nests under `kernel;evaluate`; the evaluate line
-    /// itself carries only scheduler self-time.
+    /// activation time nests under `kernel;evaluate`; the evaluate line
+    /// itself carries the scheduler's self time, which includes the OS
+    /// handoffs that pass control between process threads.
     pub fn to_folded(&self) -> String {
         let proc_nanos: u64 = self.processes.iter().map(|(_, s)| s.nanos).sum();
         let us = |nanos: u64| (nanos / 1_000).max(u64::from(nanos > 0));

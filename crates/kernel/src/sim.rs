@@ -220,7 +220,7 @@ impl Simulation {
     }
 
     /// Enables the host-time profiler: wall-clock time is attributed to
-    /// kernel phases and process dispatches. Calling again resets it.
+    /// kernel phases and process activations. Calling again resets it.
     pub fn enable_profiler(&self) {
         self.kernel.profiler.enable();
     }
