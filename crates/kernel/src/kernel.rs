@@ -124,7 +124,7 @@ enum Control {
 
 /// Marker panic payload used to unwind a process thread when the simulation
 /// is dropped. Caught by the process wrapper, never observed by user code.
-pub(crate) struct KillToken;
+struct KillToken;
 
 struct EventRec {
     /// Interned: handed out as `Arc` clones, never re-allocated per query.
