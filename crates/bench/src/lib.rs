@@ -26,6 +26,8 @@ pub mod minibench {
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
+    use shiptlm_kernel::json::Quoted;
+
     /// Opaque value barrier preventing the optimizer from deleting the
     /// benchmarked computation.
     pub fn black_box<T>(v: T) -> T {
@@ -70,22 +72,6 @@ pub mod minibench {
         RESULTS.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    fn json_escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
     /// The commit checked out where the bench runs (`git rev-parse HEAD`),
     /// or `unknown` outside a git checkout.
     fn git_rev() -> String {
@@ -111,11 +97,11 @@ pub mod minibench {
         let path = path.as_ref();
         let mut f = std::fs::File::create(path)?;
         writeln!(f, "{{")?;
-        writeln!(f, "  \"bench\": \"{}\",", json_escape(bench))?;
+        writeln!(f, "  \"bench\": {},", Quoted(bench))?;
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         writeln!(f, "  \"host_cores\": {cores},")?;
         writeln!(f, "  \"quick\": {},", quick_mode())?;
-        writeln!(f, "  \"git_rev\": \"{}\",", json_escape(&git_rev()))?;
+        writeln!(f, "  \"git_rev\": {},", Quoted(&git_rev()))?;
         writeln!(f, "  \"results\": [")?;
         let rows = results();
         for (i, r) in rows.iter().enumerate() {
@@ -126,9 +112,9 @@ pub mod minibench {
             let comma = if i + 1 == rows.len() { "" } else { "," };
             writeln!(
                 f,
-                "    {{\"group\": \"{}\", \"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}, \"throughput\": {}}}{}",
-                json_escape(&r.group),
-                json_escape(&r.id),
+                "    {{\"group\": {}, \"id\": {}, \"mean_ns\": {:.1}, \"iters\": {}, \"throughput\": {}}}{}",
+                Quoted(&r.group),
+                Quoted(&r.id),
                 r.mean_ns,
                 r.iters,
                 tp,

@@ -1,4 +1,8 @@
 //! Target communication-architecture specifications.
+//!
+//! An [`ArchSpec`] is half of a gateway job, so it has the job schema's two
+//! forms (see [`crate::model`]): a binary [`ShipSerialize`] encoding and a
+//! JSON object, both decoded through one range check ([`ArchSpec::check`]).
 
 use std::fmt;
 use std::ops::Range;
@@ -9,11 +13,15 @@ use shiptlm_cam::arb::ArbPolicy;
 use shiptlm_cam::bus::{BusConfig, BusStats, CcatbBus};
 use shiptlm_cam::crossbar::{Crossbar, CrossbarConfig};
 use shiptlm_cam::noc::{MeshNoc, NocConfig};
+use shiptlm_kernel::json::Json;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
 use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
+use shiptlm_ship::serialize::ShipSerialize;
+use shiptlm_ship::wire::{ByteReader, ByteWriter, WireError};
 
 use crate::mapper::MapError;
+use crate::model::int_field;
 
 /// Which interconnect topology to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +231,190 @@ impl ArchSpec {
         let width = self.link_width_bytes().max(1) as u64;
         let beats = bytes.div_ceil(width);
         self.effective_clock().saturating_mul(beats)
+    }
+}
+
+impl ArchSpec {
+    /// The range check both decoders run: rejects values that would wedge
+    /// or crash an executor. A zero mailbox depth waits forever for space;
+    /// a zero burst, a zero clock period and a zero TDMA slot or slot count
+    /// divide by zero inside the run.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first out-of-range field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.burst_bytes == 0 {
+            return Err("burst_bytes must be non-zero".into());
+        }
+        if self.rx_capacity == 0 {
+            return Err("rx_capacity must be non-zero".into());
+        }
+        if self.clock == Some(SimDur::ZERO) {
+            return Err("clock period must be non-zero".into());
+        }
+        if let ArbPolicy::Tdma { slot, slots } = &self.arb {
+            if *slot == SimDur::ZERO || *slots == 0 {
+                return Err(format!(
+                    "TDMA needs a non-zero slot and slot count, got {slots} slots of {slot}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The JSON object of gateway job documents and corpus cases. Optional
+    /// fields (`split`, `clock_ps`) appear only when set, so documents
+    /// written before they existed stay byte-stable.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            (
+                "bus",
+                Json::str(match self.bus {
+                    BusKind::Plb => "plb",
+                    BusKind::Opb => "opb",
+                    BusKind::Crossbar => "crossbar",
+                    BusKind::Ahb => "ahb",
+                    BusKind::Noc { .. } => "noc",
+                }),
+            ),
+            ("burst_bytes", Json::num(self.burst_bytes as f64)),
+            ("rx_capacity", Json::num(self.rx_capacity as f64)),
+            (
+                "poll_interval_ps",
+                Json::u64_str(self.poll_interval.as_ps()),
+            ),
+        ];
+        if let BusKind::Noc { cols, rows } = self.bus {
+            fields.push(("cols", Json::num(cols)));
+            fields.push(("rows", Json::num(rows)));
+        }
+        if self.split_slaves {
+            fields.push(("split", Json::Bool(true)));
+        }
+        if let Some(c) = self.clock {
+            fields.push(("clock_ps", Json::u64_str(c.as_ps())));
+        }
+        match &self.arb {
+            ArbPolicy::FixedPriority => fields.push(("arb", Json::str("priority"))),
+            ArbPolicy::RoundRobin => fields.push(("arb", Json::str("round-robin"))),
+            ArbPolicy::Tdma { slot, slots } => {
+                fields.push(("arb", Json::str("tdma")));
+                fields.push(("tdma_slot_ps", Json::u64_str(slot.as_ps())));
+                fields.push(("tdma_slots", Json::num(*slots as f64)));
+            }
+        }
+        Json::obj(fields)
+    }
+
+    /// Parses the [`to_json`](Self::to_json) object; absent wrapper knobs
+    /// keep the topology preset's defaults.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first missing, malformed or out-of-range field.
+    pub fn from_json(v: &Json) -> Result<ArchSpec, String> {
+        let mut arch = match v.get("bus").and_then(Json::as_str) {
+            Some("plb") => ArchSpec::plb(),
+            Some("opb") => ArchSpec::opb(),
+            Some("crossbar") => ArchSpec::crossbar(),
+            Some("ahb") => ArchSpec::ahb(),
+            Some("noc") => ArchSpec::noc(int_field(v, "cols")?, int_field(v, "rows")?),
+            other => return Err(format!("unknown bus kind {other:?}")),
+        };
+        let ps = |key: &str| -> Result<Option<SimDur>, String> {
+            v.get(key)
+                .map(|p| {
+                    p.as_u64_str()
+                        .map(SimDur::ps)
+                        .ok_or_else(|| format!("malformed '{key}'"))
+                })
+                .transpose()
+        };
+        arch.arb = match v.get("arb").and_then(Json::as_str) {
+            Some("priority") => ArbPolicy::FixedPriority,
+            Some("round-robin") => ArbPolicy::RoundRobin,
+            Some("tdma") => ArbPolicy::Tdma {
+                slot: ps("tdma_slot_ps")?.ok_or("tdma arch missing 'tdma_slot_ps'")?,
+                slots: int_field(v, "tdma_slots")?,
+            },
+            other => return Err(format!("unknown arbitration {other:?}")),
+        };
+        if let Some(s) = v.get("split") {
+            arch.split_slaves = s.as_bool().ok_or("malformed 'split'")?;
+        }
+        if v.get("burst_bytes").is_some() {
+            arch.burst_bytes = int_field(v, "burst_bytes")?;
+        }
+        if v.get("rx_capacity").is_some() {
+            arch.rx_capacity = int_field(v, "rx_capacity")?;
+        }
+        if let Some(p) = ps("poll_interval_ps")? {
+            arch.poll_interval = p;
+        }
+        arch.clock = ps("clock_ps")?;
+        arch.check()?;
+        Ok(arch)
+    }
+}
+
+impl ShipSerialize for ArchSpec {
+    fn serialize(&self, w: &mut ByteWriter) {
+        match self.bus {
+            BusKind::Plb => w.put_u8(0),
+            BusKind::Opb => w.put_u8(1),
+            BusKind::Crossbar => w.put_u8(2),
+            BusKind::Ahb => w.put_u8(3),
+            BusKind::Noc { cols, rows } => {
+                w.put_u8(4);
+                w.put_u8(cols);
+                w.put_u8(rows);
+            }
+        }
+        match &self.arb {
+            ArbPolicy::FixedPriority => w.put_u8(0),
+            ArbPolicy::RoundRobin => w.put_u8(1),
+            ArbPolicy::Tdma { slot, slots } => {
+                w.put_u8(2);
+                w.put_u64(slot.as_ps());
+                slots.serialize(w);
+            }
+        }
+        self.clock.map(|c| c.as_ps()).serialize(w);
+        self.burst_bytes.serialize(w);
+        self.rx_capacity.serialize(w);
+        w.put_u64(self.poll_interval.as_ps());
+        self.split_slaves.serialize(w);
+    }
+
+    fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let mut arch = match r.get_u8()? {
+            0 => ArchSpec::plb(),
+            1 => ArchSpec::opb(),
+            2 => ArchSpec::crossbar(),
+            3 => ArchSpec::ahb(),
+            4 => {
+                let cols = r.get_u8()?;
+                ArchSpec::noc(cols, r.get_u8()?)
+            }
+            t => return Err(WireError::InvalidValue(format!("bus tag {t:#x}"))),
+        };
+        arch.arb = match r.get_u8()? {
+            0 => ArbPolicy::FixedPriority,
+            1 => ArbPolicy::RoundRobin,
+            2 => ArbPolicy::Tdma {
+                slot: SimDur::ps(r.get_u64()?),
+                slots: usize::deserialize(r)?,
+            },
+            t => return Err(WireError::InvalidValue(format!("arb tag {t:#x}"))),
+        };
+        arch.clock = Option::<u64>::deserialize(r)?.map(SimDur::ps);
+        arch.burst_bytes = usize::deserialize(r)?;
+        arch.rx_capacity = usize::deserialize(r)?;
+        arch.poll_interval = SimDur::ps(r.get_u64()?);
+        arch.split_slaves = bool::deserialize(r)?;
+        arch.check().map_err(WireError::InvalidValue)?;
+        Ok(arch)
     }
 }
 

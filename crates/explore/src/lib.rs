@@ -9,6 +9,8 @@
 //! * [`app::AppSpec`] — the platform-independent application netlist;
 //! * [`mapper`] — role detection + automatic channel-to-bus mapping;
 //! * [`arch::ArchSpec`] — candidate architecture configurations;
+//! * [`model`] — the gateway job schema: seeded [`model::ModelSpec`]s with
+//!   their binary and JSON forms (and [`arch::ArchSpec`]'s);
 //! * [`workload`] — deterministic synthetic applications;
 //! * [`sweep::Sweep`] — one-call exploration producing a [`metrics::Report`].
 //!
@@ -34,6 +36,7 @@ pub mod app;
 pub mod arch;
 pub mod mapper;
 pub mod metrics;
+pub mod model;
 pub mod pareto;
 pub mod pool;
 pub mod sweep;

@@ -1,4 +1,4 @@
-//! Seeded random system-model generation.
+//! The gateway job schema: seeded system models.
 //!
 //! A [`ModelSpec`] is a declarative, serializable description of a system:
 //! a bag of communication *motifs* (pipelines, streams, RPC pairs, fan-out /
@@ -11,15 +11,38 @@
 //! Motifs own disjoint PEs and channels, which makes generated models
 //! deadlock-free by construction: every motif is a DAG of blocking
 //! producer/consumer loops with matched send/recv counts.
+//!
+//! A job (a spec plus candidate [`ArchSpec`](crate::arch::ArchSpec)s)
+//! travels in exactly two forms: the binary [`ShipSerialize`] encoding that
+//! content-addresses gateway results, and the JSON objects of gateway job
+//! documents and replayable corpus cases. Both decoders run the same range
+//! check ([`Motif::check`], [`ModelSpec::check`]), so a value that would
+//! wedge or crash an executor is a classified decode error, never a job.
 
-use shiptlm_cam::arb::ArbPolicy;
-use shiptlm_explore::app::AppSpec;
-use shiptlm_explore::arch::ArchSpec;
+use shiptlm_cam::wrapper::{regs, ADAPTER_SIZE};
+use shiptlm_kernel::json::Json;
 use shiptlm_kernel::rng::Rng;
 use shiptlm_kernel::time::SimDur;
 use shiptlm_ship::channel::ShipPort;
+use shiptlm_ship::serialize::ShipSerialize;
+use shiptlm_ship::wire::{ByteReader, ByteWriter, WireError};
 
-use crate::json::Json;
+use crate::app::AppSpec;
+
+/// Most PEs one model may elaborate to. Every PE is a kernel thread; the
+/// bound matches the 1024-node cap the NoC elaborator puts on meshes.
+pub const MAX_PES: usize = 1024;
+
+/// Payloads travel as `Vec<u8>`, which SHIP prefixes with a `u64` length.
+const LEN_PREFIX: usize = 8;
+
+/// Largest payload one mapped message carries: the adapter's transmit
+/// window minus the length prefix.
+pub const MAX_MESSAGE_BYTES: usize = (ADAPTER_SIZE - regs::TX_WIN) as usize - LEN_PREFIX;
+
+/// Largest RPC payload: the request and its same-sized reply must both fit,
+/// and the reply window is the smaller of the two.
+pub const MAX_RPC_BYTES: usize = (regs::REPLY_WIN_END - regs::REPLY_WIN) as usize - LEN_PREFIX;
 
 /// One communication motif; PEs and channels are namespaced per motif.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +131,49 @@ impl Motif {
         }
     }
 
+    /// The range check both decoders run: rejects values that would wedge
+    /// or crash an executor (a pipeline shorter than source plus sink, a
+    /// payload above its mailbox window, more than [`MAX_PES`] PEs).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first out-of-range field.
+    pub fn check(&self) -> Result<(), String> {
+        let (pes, bytes, max_bytes) = match self {
+            Motif::Pipeline { stages, bytes, .. } => {
+                if *stages < 2 {
+                    return Err(format!("pipeline needs at least 2 stages, got {stages}"));
+                }
+                (*stages, *bytes, MAX_MESSAGE_BYTES)
+            }
+            Motif::Stream { sizes } => (
+                2,
+                sizes.iter().copied().max().unwrap_or(0),
+                MAX_MESSAGE_BYTES,
+            ),
+            Motif::Rpc { bytes, .. } => (2, *bytes, MAX_RPC_BYTES),
+            Motif::FanOut {
+                sinks: n, bytes, ..
+            }
+            | Motif::FanIn {
+                sources: n, bytes, ..
+            } => (n.saturating_add(1), *bytes, MAX_MESSAGE_BYTES),
+        };
+        if pes > MAX_PES {
+            return Err(format!(
+                "{} motif of {pes} PEs exceeds {MAX_PES}",
+                self.kind()
+            ));
+        }
+        if bytes > max_bytes {
+            return Err(format!(
+                "{} payload of {bytes} bytes exceeds the {max_bytes}-byte mailbox window",
+                self.kind()
+            ));
+        }
+        Ok(())
+    }
+
     fn kind(&self) -> &'static str {
         match self {
             Motif::Pipeline { .. } => "pipeline",
@@ -174,58 +240,59 @@ impl Motif {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or("motif missing 'kind'")?;
-        let usize_field = |k: &str| -> Result<usize, String> {
-            v.get(k)
-                .and_then(Json::as_num)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("motif missing '{k}'"))
-        };
-        let u32_field = |k: &str| -> Result<u32, String> {
-            v.get(k)
-                .and_then(Json::as_num)
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("motif missing '{k}'"))
-        };
         let ns_field = |k: &str| -> Result<u64, String> {
             v.get(k)
                 .and_then(Json::as_u64_str)
                 .ok_or_else(|| format!("motif missing '{k}'"))
         };
-        match kind {
-            "pipeline" => Ok(Motif::Pipeline {
-                stages: usize_field("stages")?,
-                blocks: u32_field("blocks")?,
-                bytes: usize_field("bytes")?,
+        let motif = match kind {
+            "pipeline" => Motif::Pipeline {
+                stages: int_field(v, "stages")?,
+                blocks: int_field(v, "blocks")?,
+                bytes: int_field(v, "bytes")?,
                 compute_ns: ns_field("compute_ns")?,
-            }),
-            "stream" => {
-                let sizes = v
+            },
+            "stream" => Motif::Stream {
+                sizes: v
                     .get("sizes")
                     .and_then(Json::as_arr)
                     .ok_or("stream motif missing 'sizes'")?
                     .iter()
-                    .map(|s| s.as_num().map(|n| n as usize).ok_or("bad size entry"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Motif::Stream { sizes })
-            }
-            "rpc" => Ok(Motif::Rpc {
-                requests: u32_field("requests")?,
-                bytes: usize_field("bytes")?,
+                    .map(|s| int(s).ok_or("bad size entry"))
+                    .collect::<Result<Vec<_>, _>>()?,
+            },
+            "rpc" => Motif::Rpc {
+                requests: int_field(v, "requests")?,
+                bytes: int_field(v, "bytes")?,
                 compute_ns: ns_field("compute_ns")?,
-            }),
-            "fan_out" => Ok(Motif::FanOut {
-                sinks: usize_field("sinks")?,
-                blocks: u32_field("blocks")?,
-                bytes: usize_field("bytes")?,
-            }),
-            "fan_in" => Ok(Motif::FanIn {
-                sources: usize_field("sources")?,
-                blocks: u32_field("blocks")?,
-                bytes: usize_field("bytes")?,
-            }),
-            other => Err(format!("unknown motif kind '{other}'")),
-        }
+            },
+            "fan_out" => Motif::FanOut {
+                sinks: int_field(v, "sinks")?,
+                blocks: int_field(v, "blocks")?,
+                bytes: int_field(v, "bytes")?,
+            },
+            "fan_in" => Motif::FanIn {
+                sources: int_field(v, "sources")?,
+                blocks: int_field(v, "blocks")?,
+                bytes: int_field(v, "bytes")?,
+            },
+            other => return Err(format!("unknown motif kind '{other}'")),
+        };
+        motif.check()?;
+        Ok(motif)
     }
+}
+
+/// A JSON number as an exact integer of type `T`.
+fn int<T: TryFrom<u64>>(v: &Json) -> Option<T> {
+    v.as_u64().and_then(|n| T::try_from(n).ok())
+}
+
+/// The integer field `key` of object `v`.
+pub(crate) fn int_field<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    v.get(key)
+        .and_then(int)
+        .ok_or_else(|| format!("missing or out-of-range '{key}'"))
 }
 
 /// A complete generated system model, replayable from its JSON form.
@@ -344,54 +411,18 @@ impl ModelSpec {
         }
     }
 
-    /// Draws a random candidate architecture for this model (separate
-    /// stream from the model itself so shrinking a model never changes its
-    /// architecture).
-    pub fn random_arch(seed: u64) -> ArchSpec {
-        let mut rng = Rng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-        let mut arch = match rng.gen_range_usize(0, 5) {
-            0 => ArchSpec::plb(),
-            1 => ArchSpec::opb(),
-            2 => ArchSpec::crossbar(),
-            // SPLIT on half the AHB draws, so both the parked-master path
-            // and the plain pipelined path see random models.
-            3 => ArchSpec::ahb().with_split(rng.gen_range_usize(0, 2) == 1),
-            // Meshes stay small (2..=4 per side) to keep the 50-case
-            // harness interactive; the dedicated stress suite covers 16×16.
-            _ => ArchSpec::noc(
-                rng.gen_range_usize(2, 5) as u8,
-                rng.gen_range_usize(2, 5) as u8,
-            ),
-        };
-        arch.arb = match rng.gen_range_usize(0, 3) {
-            0 => ArbPolicy::FixedPriority,
-            1 => ArbPolicy::RoundRobin,
-            _ => ArbPolicy::Tdma {
-                slot: SimDur::ns(rng.gen_range_u64(50, 400)),
-                slots: rng.gen_range_usize(2, 5),
-            },
-        };
-        arch.burst_bytes = [16, 32, 64, 128][rng.gen_range_usize(0, 4)];
-        arch.rx_capacity = [1, 2, 4, 8][rng.gen_range_usize(0, 4)];
-        arch
-    }
-
-    /// The same model with every compute delay stripped. Compute delays
-    /// are timing-only — per-(channel, port) content streams at the
-    /// untimed level do not depend on them — so the stripped model is the
-    /// natural input for the direct-execution differential target, which
-    /// rejects timed waits.
-    pub fn untimed(&self) -> ModelSpec {
-        let mut spec = self.clone();
-        for motif in &mut spec.motifs {
-            match motif {
-                Motif::Pipeline { compute_ns, .. } | Motif::Rpc { compute_ns, .. } => {
-                    *compute_ns = 0;
-                }
-                Motif::Stream { .. } | Motif::FanOut { .. } | Motif::FanIn { .. } => {}
-            }
+    /// The range check both decoders run on a whole model: at most
+    /// [`MAX_PES`] PEs in total (each motif is checked as it decodes).
+    ///
+    /// # Errors
+    ///
+    /// Describes the violation.
+    pub fn check(&self) -> Result<(), String> {
+        let pes = self.pe_count();
+        if pes > MAX_PES {
+            return Err(format!("model of {pes} PEs exceeds {MAX_PES}"));
         }
-        spec
+        Ok(())
     }
 
     /// Total PE count of the elaborated model.
@@ -453,22 +484,6 @@ impl ModelSpec {
             }
         }
         names
-    }
-
-    /// The SW-partition candidates for HW/SW conformance runs: one
-    /// master-side PE per motif (masters map onto the CPU's polling driver).
-    pub fn sw_candidates(&self) -> Vec<String> {
-        self.motifs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| match m {
-                Motif::Pipeline { .. } => format!("m{i}.p0"),
-                Motif::Stream { .. } => format!("m{i}.prod"),
-                Motif::Rpc { .. } => format!("m{i}.client"),
-                Motif::FanOut { .. } => format!("m{i}.src"),
-                Motif::FanIn { .. } => format!("m{i}.src0"),
-            })
-            .collect()
     }
 
     /// Elaborates the spec into a runnable [`AppSpec`]. Every payload is a
@@ -708,7 +723,7 @@ impl ModelSpec {
     ///
     /// Returns a description of the first missing or malformed field.
     pub fn from_json(v: &Json) -> Result<ModelSpec, String> {
-        Ok(ModelSpec {
+        let spec = ModelSpec {
             name: v
                 .get("name")
                 .and_then(Json::as_str)
@@ -726,13 +741,126 @@ impl ModelSpec {
                 .map(Motif::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
             app_checks: v.get("app_checks").and_then(Json::as_bool).unwrap_or(true),
-        })
+        };
+        spec.check()?;
+        Ok(spec)
+    }
+}
+
+// The binary form: every variant-bearing type leads with a `u8` tag. These
+// bytes are the gateway's cache keys, so they never change.
+
+impl ShipSerialize for Motif {
+    fn serialize(&self, w: &mut ByteWriter) {
+        match self {
+            Motif::Pipeline {
+                stages,
+                blocks,
+                bytes,
+                compute_ns,
+            } => {
+                w.put_u8(0);
+                stages.serialize(w);
+                blocks.serialize(w);
+                bytes.serialize(w);
+                compute_ns.serialize(w);
+            }
+            Motif::Stream { sizes } => {
+                w.put_u8(1);
+                sizes.serialize(w);
+            }
+            Motif::Rpc {
+                requests,
+                bytes,
+                compute_ns,
+            } => {
+                w.put_u8(2);
+                requests.serialize(w);
+                bytes.serialize(w);
+                compute_ns.serialize(w);
+            }
+            Motif::FanOut {
+                sinks,
+                blocks,
+                bytes,
+            } => {
+                w.put_u8(3);
+                sinks.serialize(w);
+                blocks.serialize(w);
+                bytes.serialize(w);
+            }
+            Motif::FanIn {
+                sources,
+                blocks,
+                bytes,
+            } => {
+                w.put_u8(4);
+                sources.serialize(w);
+                blocks.serialize(w);
+                bytes.serialize(w);
+            }
+        }
+    }
+
+    fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let motif = match r.get_u8()? {
+            0 => Motif::Pipeline {
+                stages: usize::deserialize(r)?,
+                blocks: u32::deserialize(r)?,
+                bytes: usize::deserialize(r)?,
+                compute_ns: u64::deserialize(r)?,
+            },
+            1 => Motif::Stream {
+                sizes: Vec::deserialize(r)?,
+            },
+            2 => Motif::Rpc {
+                requests: u32::deserialize(r)?,
+                bytes: usize::deserialize(r)?,
+                compute_ns: u64::deserialize(r)?,
+            },
+            3 => Motif::FanOut {
+                sinks: usize::deserialize(r)?,
+                blocks: u32::deserialize(r)?,
+                bytes: usize::deserialize(r)?,
+            },
+            4 => Motif::FanIn {
+                sources: usize::deserialize(r)?,
+                blocks: u32::deserialize(r)?,
+                bytes: usize::deserialize(r)?,
+            },
+            t => return Err(WireError::InvalidValue(format!("motif tag {t:#x}"))),
+        };
+        motif.check().map_err(WireError::InvalidValue)?;
+        Ok(motif)
+    }
+}
+
+impl ShipSerialize for ModelSpec {
+    fn serialize(&self, w: &mut ByteWriter) {
+        self.name.serialize(w);
+        self.seed.serialize(w);
+        self.motifs.serialize(w);
+        self.app_checks.serialize(w);
+    }
+
+    fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let spec = ModelSpec {
+            name: String::deserialize(r)?,
+            seed: u64::deserialize(r)?,
+            motifs: Vec::deserialize(r)?,
+            app_checks: bool::deserialize(r)?,
+        };
+        spec.check().map_err(WireError::InvalidValue)?;
+        Ok(spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchSpec;
+    use shiptlm_cam::arb::ArbPolicy;
+    use shiptlm_ship::serialize::{from_wire, to_wire};
 
     #[test]
     fn generation_is_deterministic() {
@@ -745,14 +873,180 @@ mod tests {
         assert!(a.pe_count() >= 2);
     }
 
+    /// Every family; priority, round-robin and TDMA; explicit clocks;
+    /// SPLIT; non-default wrapper knobs; the 16×16 mesh.
+    fn arch_table() -> Vec<ArchSpec> {
+        vec![
+            ArchSpec::plb(),
+            ArchSpec::opb()
+                .with_burst(16)
+                .with_clock(SimDur::ns(7))
+                .with_rx_capacity(3)
+                .with_poll(SimDur::ns(250)),
+            ArchSpec::crossbar().with_arb(ArbPolicy::Tdma {
+                slot: SimDur::us(1),
+                slots: 4,
+            }),
+            ArchSpec::ahb(),
+            ArchSpec::ahb().with_split(true),
+            ArchSpec::ahb().with_split(true).with_burst(128),
+            ArchSpec::noc(4, 4),
+            ArchSpec::noc(16, 16)
+                .with_arb(ArbPolicy::FixedPriority)
+                .with_clock(SimDur::ns(2)),
+        ]
+    }
+
+    type Job = (ModelSpec, Vec<ArchSpec>);
+    type Decode = fn(&[u8]) -> Result<Job, String>;
+
+    fn job_json(job: &Job) -> String {
+        let archs = job.1.iter().map(ArchSpec::to_json).collect();
+        Json::obj([("model", job.0.to_json()), ("archs", Json::Arr(archs))]).to_string()
+    }
+
+    fn job_from_json(bytes: &[u8]) -> Result<Job, String> {
+        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+        let v = Json::parse(text)?;
+        let spec = ModelSpec::from_json(v.get("model").ok_or("no model")?)?;
+        let archs = v.get("archs").and_then(Json::as_arr).ok_or("no archs")?;
+        let archs = archs
+            .iter()
+            .map(ArchSpec::from_json)
+            .collect::<Result<_, _>>()?;
+        Ok((spec, archs))
+    }
+
     #[test]
-    fn json_roundtrip_preserves_spec() {
-        let cfg = GenConfig::default();
+    fn schema_roundtrips_through_both_forms_and_rejects_corruption() {
+        let archs = arch_table();
         for seed in 0..32 {
-            let spec = ModelSpec::random(seed, &cfg);
-            let text = spec.to_json().to_string();
-            let back = ModelSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, spec, "roundtrip changed spec for seed {seed}");
+            let job = (
+                ModelSpec::random(seed, &GenConfig::default()),
+                archs.clone(),
+            );
+            assert_eq!(
+                from_wire::<Job>(&to_wire(&job)).unwrap(),
+                job,
+                "seed {seed}"
+            );
+            let text = job_json(&job);
+            assert_eq!(job_from_json(text.as_bytes()).unwrap(), job, "{text}");
+        }
+        // A noc object without mesh dimensions is malformed, not a panic.
+        let dimless = Json::parse(r#"{"bus":"noc","arb":"round-robin"}"#).unwrap();
+        assert!(ArchSpec::from_json(&dimless).is_err());
+
+        // Every strict prefix is a classified error, and flipping any byte
+        // decodes or fails cleanly: never a panic.
+        let job = (ModelSpec::random(99, &GenConfig::default()), archs);
+        let forms: [(Vec<u8>, Decode); 2] = [
+            (to_wire(&job), |b| {
+                from_wire::<Job>(b).map_err(|e| e.to_string())
+            }),
+            (job_json(&job).into_bytes(), job_from_json),
+        ];
+        for (clean, decode) in forms {
+            for cut in 0..clean.len() {
+                assert!(decode(&clean[..cut]).is_err(), "prefix of {cut} bytes");
+            }
+            for i in 0..clean.len() {
+                let mut bad = clean.clone();
+                bad[i] ^= 0xFF;
+                let _ = decode(&bad);
+            }
+        }
+    }
+
+    #[test]
+    fn both_decoders_reject_values_that_wedge_or_crash_an_executor() {
+        let model = |motifs: Vec<Motif>| ModelSpec {
+            name: "hostile".into(),
+            seed: 1,
+            motifs,
+            app_checks: true,
+        };
+        let bad_models = [
+            Motif::Pipeline {
+                stages: 0,
+                blocks: 1,
+                bytes: 8,
+                compute_ns: 0,
+            },
+            Motif::Pipeline {
+                stages: 1,
+                blocks: 1,
+                bytes: 8,
+                compute_ns: 0,
+            },
+            Motif::Stream {
+                sizes: vec![16, MAX_MESSAGE_BYTES + 1],
+            },
+            Motif::Rpc {
+                requests: 1,
+                bytes: MAX_RPC_BYTES + 1,
+                compute_ns: 0,
+            },
+            Motif::FanOut {
+                sinks: MAX_PES,
+                blocks: 1,
+                bytes: 8,
+            },
+        ]
+        .into_iter()
+        .map(|m| model(vec![m]))
+        .chain([model(vec![
+            Motif::FanIn {
+                sources: MAX_PES / 2,
+                blocks: 1,
+                bytes: 8,
+            };
+            2
+        ])]);
+        for spec in bad_models {
+            assert!(from_wire::<ModelSpec>(&to_wire(&spec)).is_err(), "{spec:?}");
+            assert!(ModelSpec::from_json(&spec.to_json()).is_err(), "{spec:?}");
+        }
+        let tdma = |slot, slots| ArchSpec::plb().with_arb(ArbPolicy::Tdma { slot, slots });
+        let bad_archs = [
+            ArchSpec::plb().with_rx_capacity(0),
+            ArchSpec::ahb().with_burst(0),
+            ArchSpec::plb().with_clock(SimDur::ZERO),
+            ArchSpec::crossbar().with_clock(SimDur::ZERO),
+            ArchSpec::noc(2, 2).with_clock(SimDur::ZERO),
+            tdma(SimDur::ZERO, 2),
+            tdma(SimDur::ns(100), 0),
+        ];
+        for arch in bad_archs {
+            assert!(from_wire::<ArchSpec>(&to_wire(&arch)).is_err(), "{arch:?}");
+            assert!(ArchSpec::from_json(&arch.to_json()).is_err(), "{arch:?}");
+        }
+        // The limits themselves are valid.
+        let edge = model(vec![
+            Motif::Stream {
+                sizes: vec![MAX_MESSAGE_BYTES],
+            },
+            Motif::Rpc {
+                requests: 1,
+                bytes: MAX_RPC_BYTES,
+                compute_ns: 0,
+            },
+            Motif::FanOut {
+                sinks: MAX_PES - 5,
+                blocks: 1,
+                bytes: 1,
+            },
+        ]);
+        assert_eq!(from_wire::<ModelSpec>(&to_wire(&edge)).unwrap(), edge);
+        assert_eq!(ModelSpec::from_json(&edge.to_json()).unwrap(), edge);
+        // JSON integers are exact: fractions, negatives and overflow are
+        // errors, not rounded or saturated values.
+        for n in ["1.5", "-1", "1e300", "\"8\""] {
+            let text = format!(r#"{{"bus":"plb","arb":"priority","burst_bytes":{n}}}"#);
+            assert!(
+                ArchSpec::from_json(&Json::parse(&text).unwrap()).is_err(),
+                "{text}"
+            );
         }
     }
 

@@ -7,9 +7,9 @@
 
 use std::time::Instant;
 
+use shiptlm_explore::model::{GenConfig, ModelSpec};
 use shiptlm_explore::prelude::ArchSpec;
 use shiptlm_gateway::prelude::*;
-use shiptlm_testkit::model::{GenConfig, ModelSpec};
 use shiptlm_testkit::prom::PromText;
 
 fn main() {

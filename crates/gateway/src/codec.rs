@@ -5,20 +5,21 @@
 //!
 //! * [`BinCodec`] (tag 0) — the compact canonical binary encoding on
 //!   `ship::wire`, shared with [`JobRequest::cache_key`];
-//! * [`JsonCodec`] (tag 1) — self-describing text reusing the testkit
-//!   corpus format for models and architectures, for hand-written clients
-//!   and debugging with standard tools.
+//! * [`JsonCodec`] (tag 1) — self-describing text whose models and
+//!   architectures are the JSON forms of the job schema
+//!   (`shiptlm_explore::model`), shared with the conformance corpus, for
+//!   hand-written clients and debugging with standard tools.
 //!
 //! Both sides of a connection must agree on the codec; the server echoes
 //! the client's handshake so a mismatch is caught before any frame flows.
 
 use std::fmt;
 
+use shiptlm_explore::arch::ArchSpec;
+use shiptlm_explore::model::ModelSpec;
 use shiptlm_kernel::causal::{CausalSpan, TraceCtx};
+use shiptlm_kernel::json::Json;
 use shiptlm_ship::prelude::{from_wire, to_wire};
-use shiptlm_testkit::corpus::{arch_from_json, arch_to_json};
-use shiptlm_testkit::json::Json;
-use shiptlm_testkit::model::ModelSpec;
 
 use crate::proto::{BackendChoice, GatewayError, JobRequest, Reply, ReportRow};
 
@@ -214,7 +215,7 @@ impl WireCodec for JsonCodec {
     }
 
     fn encode_request(&self, req: &JobRequest) -> Result<Vec<u8>, GatewayError> {
-        let archs: Vec<Json> = req.archs.iter().map(arch_to_json).collect();
+        let archs: Vec<Json> = req.archs.iter().map(ArchSpec::to_json).collect();
         let mut fields = vec![
             ("kind", Json::str("job")),
             ("id", Json::u64_str(req.id)),
@@ -254,7 +255,7 @@ impl WireCodec for JsonCodec {
             .and_then(Json::as_arr)
             .ok_or_else(|| GatewayError::Codec("missing or non-array 'archs'".into()))?
             .iter()
-            .map(|a| arch_from_json(a).map_err(GatewayError::Codec))
+            .map(|a| ArchSpec::from_json(a).map_err(GatewayError::Codec))
             .collect::<Result<Vec<_>, _>>()?;
         let backend =
             BackendChoice::from_name(&get_str(&v, "backend")?).map_err(GatewayError::Codec)?;
@@ -300,9 +301,8 @@ impl WireCodec for JsonCodec {
                 ("row", row_to_json(row)),
             ]),
             Reply::TraceChunk { id, data } => {
-                let text = std::str::from_utf8(data).map_err(|e| {
-                    GatewayError::Codec(format!("trace chunk is not UTF-8: {e}"))
-                })?;
+                let text = std::str::from_utf8(data)
+                    .map_err(|e| GatewayError::Codec(format!("trace chunk is not UTF-8: {e}")))?;
                 Json::obj(vec![
                     ("kind", Json::str("trace")),
                     ("id", Json::u64_str(*id)),
@@ -399,8 +399,7 @@ impl WireCodec for JsonCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shiptlm_explore::prelude::ArchSpec;
-    use shiptlm_testkit::model::GenConfig;
+    use shiptlm_explore::model::GenConfig;
 
     fn a_request() -> JobRequest {
         JobRequest {

@@ -9,13 +9,16 @@
 //! The wire protocol is built on `ship::wire` — the same hardened
 //! [`ByteReader`]/[`ByteWriter`] layer the SHIP channels use for payload
 //! serialization — with a pluggable body codec negotiated per connection:
-//! compact binary ([`codec::BinCodec`]) or self-describing JSON reusing
-//! the testkit corpus format ([`codec::JsonCodec`]).
+//! compact binary ([`codec::BinCodec`]) or self-describing JSON
+//! ([`codec::JsonCodec`]). Both carry the job schema of
+//! [`shiptlm_explore::model`]: a [`ModelSpec`] and its candidate
+//! [`ArchSpec`]s, each with one binary and one JSON form, decoded through
+//! one range check per type.
 //!
 //! ```no_run
 //! use shiptlm_gateway::prelude::*;
+//! use shiptlm_explore::model::{GenConfig, ModelSpec};
 //! use shiptlm_explore::prelude::ArchSpec;
-//! use shiptlm_testkit::model::{GenConfig, ModelSpec};
 //!
 //! let gateway = Gateway::start(GatewayConfig::default()).unwrap();
 //! let mut client = GatewayClient::connect(gateway.addr(), &BIN).unwrap();
@@ -35,6 +38,8 @@
 //! ```
 //!
 //! [`WorkerPool`]: shiptlm_explore::pool::WorkerPool
+//! [`ModelSpec`]: shiptlm_explore::model::ModelSpec
+//! [`ArchSpec`]: shiptlm_explore::arch::ArchSpec
 //! [`ByteReader`]: shiptlm_ship::wire::ByteReader
 //! [`ByteWriter`]: shiptlm_ship::wire::ByteWriter
 

@@ -11,11 +11,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use shiptlm_explore::model::ModelSpec;
 use shiptlm_explore::prelude::{ArchSpec, Backend, RunMetrics};
 use shiptlm_kernel::causal::{CausalSpan, TraceCtx};
 use shiptlm_ship::prelude::*;
-use shiptlm_testkit::model::ModelSpec;
-use shiptlm_testkit::wirecase::{get_archs, put_archs};
 
 /// Handshake magic: the first four bytes of every gateway connection.
 pub const MAGIC: [u8; 4] = *b"SHTG";
@@ -157,7 +156,7 @@ impl BackendChoice {
 pub struct JobRequest {
     /// Client-chosen correlation id, echoed on every reply.
     pub id: u64,
-    /// The model to elaborate (testkit corpus format).
+    /// The model to elaborate (the job schema of `shiptlm_explore::model`).
     pub spec: ModelSpec,
     /// Candidate architectures to sweep.
     pub archs: Vec<ArchSpec>,
@@ -189,7 +188,7 @@ impl JobRequest {
     pub fn cache_key(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.spec.serialize(&mut w);
-        put_archs(&mut w, &self.archs);
+        self.archs.serialize(&mut w);
         w.put_u8(self.backend.tag());
         w.put_bool(self.want_trace);
         if self.trace.is_some() {
@@ -408,7 +407,7 @@ impl ShipSerialize for JobRequest {
     fn serialize(&self, w: &mut ByteWriter) {
         w.put_u64(self.id);
         self.spec.serialize(w);
-        put_archs(w, &self.archs);
+        self.archs.serialize(w);
         w.put_u8(self.backend.tag());
         w.put_bool(self.want_trace);
         // Version-2 extension, *always* appended by this encoder. The
@@ -428,7 +427,7 @@ impl ShipSerialize for JobRequest {
     fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let id = r.get_u64()?;
         let spec = ModelSpec::deserialize(r)?;
-        let archs = get_archs(r)?;
+        let archs = Vec::deserialize(r)?;
         let backend = BackendChoice::from_tag(r.get_u8()?)?;
         let want_trace = r.get_bool()?;
         // Trailing-optional extension: absent on version-1 bodies.
@@ -662,8 +661,7 @@ pub fn read_handshake(r: &mut impl Read) -> Result<(u8, u8), GatewayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shiptlm_explore::prelude::ArchSpec;
-    use shiptlm_testkit::model::GenConfig;
+    use shiptlm_explore::model::GenConfig;
 
     fn a_request() -> JobRequest {
         JobRequest {
@@ -703,7 +701,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u64(req.id);
         req.spec.serialize(&mut w);
-        put_archs(&mut w, &req.archs);
+        req.archs.serialize(&mut w);
         w.put_u8(req.backend.tag());
         w.put_bool(req.want_trace);
         let back: JobRequest = from_wire(&w.into_bytes()).unwrap();

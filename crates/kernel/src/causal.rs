@@ -29,12 +29,13 @@
 //! what the testkit causal parser validates.
 
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Quoted;
 use crate::txn::TxnTrace;
 
 /// Process-global span-id allocator. Span id 0 is reserved to mean "no
@@ -377,13 +378,13 @@ impl CausalTrace {
             };
             events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{t},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-                json_string(&name)
+                Quoted(&name)
             ));
         }
         for ((t, tid), name) in &lanes {
             events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{t},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json_string(name)
+                Quoted(name)
             ));
         }
         for s in &self.spans {
@@ -400,16 +401,13 @@ impl CausalTrace {
                 s.trace_id, s.span_id, s.parent_id
             );
             for (k, v) in &s.args {
-                args.push(',');
-                args.push_str(&json_string(k));
-                args.push(':');
-                args.push_str(&json_string(v));
+                let _ = write!(args, ",{}:{}", Quoted(k), Quoted(v));
             }
             events.push(format!(
                 "{{\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"cat\":{},\"name\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}",
                 s.track,
-                json_string(&s.stage),
-                json_string(&s.name),
+                Quoted(&s.stage),
+                Quoted(&s.name),
             ));
         }
         // Chrome's "JSON Object Format" metadata member: tools that know
@@ -445,25 +443,6 @@ impl fmt::Display for CausalTrace {
         }
         Ok(())
     }
-}
-
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -637,7 +616,29 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        // Stage, name and args are escaped by the shared JSON escaper, so
+        // the export parses back to the exact strings.
+        let hostile = "a\"b\\c\n\u{1}";
+        let ctx = TraceCtx {
+            trace_id: 1,
+            parent_span: 0,
+        };
+        let span = CausalSpan::new(ctx, hostile, hostile, TRACK_HOST).arg(hostile, hostile);
+        let json = CausalTrace::new(vec![span]).to_chrome_json();
+        assert!(
+            json.contains("\"name\":\"a\\\"b\\\\c\\n\\u0001\""),
+            "{json}"
+        );
+        let doc = crate::json::Json::parse(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let ev = events
+            .iter()
+            .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .unwrap();
+        for key in ["cat", "name"] {
+            assert_eq!(ev.get(key).and_then(|v| v.as_str()), Some(hostile));
+        }
+        let arg = ev.get("args").and_then(|a| a.get(hostile));
+        assert_eq!(arg.and_then(|v| v.as_str()), Some(hostile));
     }
 }

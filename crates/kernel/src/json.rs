@@ -1,15 +1,16 @@
 //! A minimal, dependency-free JSON value type with a recursive-descent
-//! parser and a writer.
+//! parser and a writer, and the workspace's one JSON string escaper
+//! ([`Quoted`]).
 //!
 //! The workspace builds without network access to a package registry, so
-//! trace exports and conformance corpus files are parsed with this module
-//! instead of an external crate. It covers the JSON actually produced by the
-//! stack (Chrome traces, JSONL, corpus cases): objects, arrays, strings with
-//! the standard escapes, `f64` numbers, booleans and `null`.
+//! trace exports, gateway job documents and conformance corpus files are
+//! written and parsed with this module instead of an external crate. It
+//! covers the JSON the stack produces: objects, arrays, strings with the
+//! standard escapes, `f64` numbers, booleans and `null`.
 //!
 //! Note that numbers are carried as `f64`, which cannot represent every
 //! `u64` losslessly — seeds and other 64-bit values are therefore stored as
-//! decimal *strings* in corpus files (see [`Json::as_u64_str`]).
+//! decimal *strings* (see [`Json::as_u64_str`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -73,6 +74,15 @@ impl Json {
         }
     }
 
+    /// The value as a `u64`, when this is a non-negative integral number
+    /// that `f64` represents exactly (at most 2^53); fractions, negatives
+    /// and larger magnitudes are `None`, never rounded or saturated.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_num()
+            .filter(|n| n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(n))
+            .map(|n| n as u64)
+    }
+
     /// The boolean value, when this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -130,7 +140,7 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => write_json_string(f, s),
+            Json::Str(s) => Quoted(s).fmt(f),
             Json::Arr(v) => {
                 f.write_str("[")?;
                 for (i, item) in v.iter().enumerate() {
@@ -147,9 +157,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_json_string(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    write!(f, "{}:{v}", Quoted(k))?;
                 }
                 f.write_str("}")
             }
@@ -157,22 +165,39 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            '\u{8}' => f.write_str("\\b")?,
-            '\u{c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Displays a string as a JSON string literal, quotes included. Every JSON
+/// writer in the workspace escapes through this one type: `"` and `\`,
+/// the short forms `\n \t \r \b \f`, and `\u00XX` for the other
+/// control characters.
+#[derive(Debug, Clone, Copy)]
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        f.write_str("\"")?;
+        let mut start = 0;
+        for (i, c) in s.char_indices() {
+            if c != '"' && c != '\\' && c >= ' ' {
+                continue;
+            }
+            f.write_str(&s[start..i])?;
+            // Every escaped character is ASCII, one byte wide.
+            start = i + 1;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                '\u{8}' => f.write_str("\\b")?,
+                '\u{c}' => f.write_str("\\f")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
         }
+        f.write_str(&s[start..])?;
+        f.write_str("\"")
     }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -380,6 +405,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn quoted_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(Quoted("a\"b\\c\n").to_string(), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(Quoted("\u{1}\t\r").to_string(), "\"\\u0001\\t\\r\"");
+        // The short forms, which keep gateway JSON bytes stable.
+        assert_eq!(Quoted("\u{8}\u{c}").to_string(), "\"\\b\\f\"");
+        assert_eq!(Quoted("ü→").to_string(), "\"ü→\"");
+        let hostile = "x\u{0}\u{1f}\"\\\u{8}\u{c}\n\r\té";
+        let back = Json::parse(&Json::str(hostile).to_string()).unwrap();
+        assert_eq!(back.as_str(), Some(hostile));
     }
 
     #[test]

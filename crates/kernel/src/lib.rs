@@ -15,6 +15,9 @@
 //!   [`Clock`](clock::Clock), [`SimMutex`](sync::SimMutex) and
 //!   [`SimSemaphore`](sync::SimSemaphore);
 //! * VCD [tracing](trace) and [statistics](stats) helpers;
+//! * a dependency-free [`Json`](json::Json) value type, parser and writer,
+//!   whose [`Quoted`](json::Quoted) is the workspace's one JSON string
+//!   escaper;
 //! * [liveness] diagnosis — wait-for graphs, cycle detection and
 //!   human-readable [`DeadlockReport`](liveness::DeadlockReport)s, plus a
 //!   wall-clock watchdog ([`StopReason::Watchdog`]).
@@ -48,6 +51,7 @@ pub mod clock;
 pub mod direct;
 pub mod event;
 pub mod fifo;
+pub mod json;
 mod kernel;
 pub mod liveness;
 pub mod metrics;

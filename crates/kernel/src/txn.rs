@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::causal::json_string;
+use crate::json::Quoted;
 use crate::stats::{Histogram, RunningStats};
 use crate::time::SimTime;
 
@@ -220,9 +220,9 @@ impl TxnTrace {
             out.push_str(&format!(
                 "{{\"level\":\"{}\",\"op\":{},\"resource\":{},\"process\":{},\"start_ps\":{},\"end_ps\":{},\"bytes\":{},\"outcome\":\"{}\"}}\n",
                 ev.level.as_str(),
-                json_string(ev.op),
-                json_string(&ev.resource),
-                json_string(&ev.process),
+                Quoted(ev.op),
+                Quoted(&ev.resource),
+                Quoted(&ev.process),
                 ev.start.as_ps(),
                 ev.end.as_ps(),
                 ev.bytes,

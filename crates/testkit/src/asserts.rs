@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use shiptlm_kernel::causal::CausalTrace;
 use shiptlm_kernel::txn::TxnTrace;
 
-use crate::json::Json;
+use shiptlm_kernel::json::Json;
 
 /// Asserts that every span in `trace` starts no later than it ends and
 /// that completion times are non-decreasing per process (events are

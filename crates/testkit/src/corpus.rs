@@ -8,14 +8,12 @@
 
 use std::path::Path;
 
-use shiptlm_cam::arb::ArbPolicy;
-use shiptlm_explore::arch::{ArchSpec, BusKind};
-use shiptlm_kernel::time::SimDur;
+use shiptlm_explore::arch::ArchSpec;
+use shiptlm_explore::model::ModelSpec;
+use shiptlm_kernel::json::Json;
 
 use crate::diff::FailureKind;
 use crate::faults::FaultPlan;
-use crate::json::Json;
-use crate::model::ModelSpec;
 
 /// What a corpus case is expected to do when replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,113 +60,12 @@ fn failure_kind_from_label(s: &str) -> Result<FailureKind, String> {
     })
 }
 
-/// Serializes an [`ArchSpec`] to the corpus JSON object — shared with the
-/// gateway's self-describing JSON codec so job documents and replayable
-/// corpus cases stay one format.
-pub fn arch_to_json(a: &ArchSpec) -> Json {
-    let mut fields = vec![
-        (
-            "bus",
-            Json::str(match a.bus {
-                BusKind::Plb => "plb",
-                BusKind::Opb => "opb",
-                BusKind::Crossbar => "crossbar",
-                BusKind::Ahb => "ahb",
-                BusKind::Noc { .. } => "noc",
-            }),
-        ),
-        ("burst_bytes", Json::num(a.burst_bytes as f64)),
-        ("rx_capacity", Json::num(a.rx_capacity as f64)),
-        ("poll_interval_ps", Json::u64_str(a.poll_interval.as_ps())),
-    ];
-    if let BusKind::Noc { cols, rows } = a.bus {
-        fields.push(("cols", Json::num(cols as f64)));
-        fields.push(("rows", Json::num(rows as f64)));
-    }
-    // Emitted only when set, so pre-AHB corpus documents stay byte-stable.
-    if a.split_slaves {
-        fields.push(("split", Json::Bool(true)));
-    }
-    if let Some(c) = a.clock {
-        fields.push(("clock_ps", Json::u64_str(c.as_ps())));
-    }
-    match a.arb {
-        ArbPolicy::FixedPriority => fields.push(("arb", Json::str("priority"))),
-        ArbPolicy::RoundRobin => fields.push(("arb", Json::str("round-robin"))),
-        ArbPolicy::Tdma { slot, slots } => {
-            fields.push(("arb", Json::str("tdma")));
-            fields.push(("tdma_slot_ps", Json::u64_str(slot.as_ps())));
-            fields.push(("tdma_slots", Json::num(slots as f64)));
-        }
-    }
-    Json::obj(fields)
-}
-
-/// Parses an [`ArchSpec`] from its corpus JSON object (see
-/// [`arch_to_json`]).
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub fn arch_from_json(v: &Json) -> Result<ArchSpec, String> {
-    let mut arch = match v.get("bus").and_then(Json::as_str) {
-        Some("plb") => ArchSpec::plb(),
-        Some("opb") => ArchSpec::opb(),
-        Some("crossbar") => ArchSpec::crossbar(),
-        Some("ahb") => ArchSpec::ahb(),
-        Some("noc") => {
-            let cols = v
-                .get("cols")
-                .and_then(Json::as_num)
-                .ok_or("noc arch missing 'cols'")? as u8;
-            let rows = v
-                .get("rows")
-                .and_then(Json::as_num)
-                .ok_or("noc arch missing 'rows'")? as u8;
-            ArchSpec::noc(cols, rows)
-        }
-        other => return Err(format!("unknown bus kind {other:?}")),
-    };
-    if let Some(s) = v.get("split").and_then(Json::as_bool) {
-        arch.split_slaves = s;
-    }
-    arch.arb = match v.get("arb").and_then(Json::as_str) {
-        Some("priority") => ArbPolicy::FixedPriority,
-        Some("round-robin") => ArbPolicy::RoundRobin,
-        Some("tdma") => ArbPolicy::Tdma {
-            slot: SimDur::ps(
-                v.get("tdma_slot_ps")
-                    .and_then(Json::as_u64_str)
-                    .ok_or("tdma arch missing 'tdma_slot_ps'")?,
-            ),
-            slots: v
-                .get("tdma_slots")
-                .and_then(Json::as_num)
-                .ok_or("tdma arch missing 'tdma_slots'")? as usize,
-        },
-        other => return Err(format!("unknown arbitration {other:?}")),
-    };
-    if let Some(b) = v.get("burst_bytes").and_then(Json::as_num) {
-        arch.burst_bytes = b as usize;
-    }
-    if let Some(c) = v.get("rx_capacity").and_then(Json::as_num) {
-        arch.rx_capacity = c as usize;
-    }
-    if let Some(p) = v.get("poll_interval_ps").and_then(Json::as_u64_str) {
-        arch.poll_interval = SimDur::ps(p);
-    }
-    if let Some(c) = v.get("clock_ps").and_then(Json::as_u64_str) {
-        arch.clock = Some(SimDur::ps(c));
-    }
-    Ok(arch)
-}
-
 impl CorpusCase {
     /// Serializes the case to its JSON document.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("model", self.spec.to_json()),
-            ("arch", arch_to_json(&self.arch)),
+            ("arch", self.arch.to_json()),
             (
                 "expect",
                 match self.expect {
@@ -191,7 +88,7 @@ impl CorpusCase {
     pub fn from_json(v: &Json) -> Result<CorpusCase, String> {
         Ok(CorpusCase {
             spec: ModelSpec::from_json(v.get("model").ok_or("case missing 'model'")?)?,
-            arch: arch_from_json(v.get("arch").ok_or("case missing 'arch'")?)?,
+            arch: ArchSpec::from_json(v.get("arch").ok_or("case missing 'arch'")?)?,
             fault: v.get("fault").map(FaultPlan::from_json).transpose()?,
             expect: match v.get("expect").and_then(Json::as_str) {
                 Some("pass") => Expectation::Pass,
@@ -246,13 +143,14 @@ impl CorpusCase {
 mod tests {
     use super::*;
     use crate::faults::{FaultKind, FaultSite};
-    use crate::model::GenConfig;
+    use crate::harness::random_arch;
+    use shiptlm_explore::model::GenConfig;
 
     #[test]
     fn corpus_case_roundtrip() {
         let case = CorpusCase {
             spec: ModelSpec::random(77, &GenConfig::default()),
-            arch: ModelSpec::random_arch(77),
+            arch: random_arch(77),
             fault: Some(FaultPlan {
                 channel: "m0.ch0".into(),
                 kind: FaultKind::CorruptSend { nth: 0 },
@@ -267,22 +165,5 @@ mod tests {
         assert_eq!(back.expect, case.expect);
         assert_eq!(back.arch.label(), case.arch.label());
         assert_eq!(back.arch.rx_capacity, case.arch.rx_capacity);
-    }
-
-    #[test]
-    fn new_family_archs_roundtrip_through_json() {
-        for arch in [
-            ArchSpec::ahb(),
-            ArchSpec::ahb().with_split(true),
-            ArchSpec::noc(4, 4),
-            ArchSpec::noc(16, 16),
-        ] {
-            let text = arch_to_json(&arch).to_string();
-            let back = arch_from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, arch, "{text}");
-        }
-        // A noc document without mesh dimensions is malformed, not a panic.
-        assert!(arch_from_json(&Json::parse(r#"{"bus":"noc","arb":"round-robin"}"#).unwrap())
-            .is_err());
     }
 }

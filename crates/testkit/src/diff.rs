@@ -32,12 +32,12 @@ use shiptlm_explore::mapper::{
     run_component_assembly_with, run_mapped_with, run_pin_accurate_with, Backend, RoleMap,
     RunOptions, RunOutput,
 };
+use shiptlm_explore::model::{ModelSpec, Motif};
 use shiptlm_kernel::time::SimDur;
 use shiptlm_kernel::StopReason;
 use shiptlm_ship::record::TransactionLog;
 
 use crate::faults::FaultPlan;
-use crate::model::ModelSpec;
 
 /// One execution target of the differential checker, in refinement order.
 /// [`Failure::level`] and [`PassReport::times`] use these targets' labels.
@@ -321,6 +321,39 @@ fn run_level<E: std::fmt::Display>(
     Ok(out)
 }
 
+/// `spec` with every compute delay stripped. Compute delays are
+/// timing-only — per-(channel, port) content streams at the untimed level
+/// do not depend on them — so the stripped model is the natural input for
+/// the direct-execution differential target, which rejects timed waits.
+pub fn untimed(spec: &ModelSpec) -> ModelSpec {
+    let mut spec = spec.clone();
+    for motif in &mut spec.motifs {
+        match motif {
+            Motif::Pipeline { compute_ns, .. } | Motif::Rpc { compute_ns, .. } => {
+                *compute_ns = 0;
+            }
+            Motif::Stream { .. } | Motif::FanOut { .. } | Motif::FanIn { .. } => {}
+        }
+    }
+    spec
+}
+
+/// The SW-partition candidates for HW/SW conformance runs: one master-side
+/// PE per motif of `spec` (masters map onto the CPU's polling driver).
+pub fn sw_candidates(spec: &ModelSpec) -> Vec<String> {
+    spec.motifs
+        .iter()
+        .enumerate()
+        .map(|(i, m)| match m {
+            Motif::Pipeline { .. } => format!("m{i}.p0"),
+            Motif::Stream { .. } => format!("m{i}.prod"),
+            Motif::Rpc { .. } => format!("m{i}.client"),
+            Motif::FanOut { .. } => format!("m{i}.src"),
+            Motif::FanIn { .. } => format!("m{i}.src0"),
+        })
+        .collect()
+}
+
 /// Runs `spec` through every configured target and checks conformance.
 ///
 /// # Errors
@@ -356,7 +389,7 @@ pub fn check_model(spec: &ModelSpec, cfg: &CheckConfig) -> Result<PassReport, Fa
     // deliver the exact same per-(channel, port) streams.
     let mut direct_used = false;
     if cfg.direct_ca {
-        let app = spec.untimed().to_app();
+        let app = untimed(spec).to_app();
         let opts = cfg.options().with_backend(Backend::Auto);
         run_level(
             Target::DirectCA.label(),
@@ -419,7 +452,7 @@ pub fn check_model(spec: &ModelSpec, cfg: &CheckConfig) -> Result<PassReport, Fa
     // HW/SW-partitioned target: same roles, one master PE per motif in SW.
     if cfg.partition {
         let (app, opts) = (spec.to_app(), cfg.options());
-        let partition = Partition::software(spec.sw_candidates());
+        let partition = Partition::software(sw_candidates(spec));
         run_level(
             Target::Partitioned.label(),
             reference,

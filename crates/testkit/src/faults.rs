@@ -29,7 +29,7 @@ use shiptlm_ship::bytes::ShipBytes;
 use shiptlm_ship::channel::{ShipEndpoint, ShipPort};
 use shiptlm_ship::error::ShipError;
 
-use crate::json::Json;
+use shiptlm_kernel::json::Json;
 
 /// What to do to the targeted `send`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

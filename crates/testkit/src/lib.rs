@@ -6,10 +6,9 @@
 //! through CCATB down to the pin-accurate prototype changes *timing only*,
 //! never communicated *content*. This crate tests that promise in bulk:
 //!
-//! * [`model`] — a seeded random generator of system models built from
-//!   communication motifs (pipelines, streams, RPC pairs, fan-out/fan-in
-//!   stars) with randomized payload sizes, burst patterns and compute
-//!   delays;
+//! * seeded random system models — [`ModelSpec::random`] from the job
+//!   schema in `shiptlm_explore::model`, and [`random_arch`] for a
+//!   per-case candidate architecture;
 //! * [`diff`] — the differential checker: one model is run at up to four
 //!   targets (component assembly, CCATB, pin-accurate, HW/SW-partitioned)
 //!   and every refined level must reproduce the reference's per-channel
@@ -24,9 +23,8 @@
 //! * [`corpus`] — the replayable JSON case format and directory loader;
 //! * [`harness`] — the generate → check → shrink → persist loop with
 //!   deterministic per-case seeds and env-var overrides;
-//! * [`json`] / [`asserts`] — the dependency-free JSON parser and the
-//!   trace/export assertion helpers shared with the workspace's
-//!   integration suites;
+//! * [`asserts`] — the trace/export assertion helpers shared with the
+//!   workspace's integration suites;
 //! * [`prom`] — parsers for the Prometheus text exposition and folded
 //!   flamegraph stacks emitted by the kernel's metrics registry and host
 //!   profiler.
@@ -37,7 +35,7 @@
 //! use shiptlm_testkit::prelude::*;
 //!
 //! let spec = ModelSpec::random(7, &GenConfig::default());
-//! let report = check_model(&spec, &CheckConfig::new(ModelSpec::random_arch(7)))
+//! let report = check_model(&spec, &CheckConfig::new(random_arch(7)))
 //!     .expect("generated models conform across levels");
 //! assert!(report.levels >= 3);
 //! ```
@@ -50,11 +48,14 @@ pub mod corpus;
 pub mod diff;
 pub mod faults;
 pub mod harness;
-pub mod json;
-pub mod model;
 pub mod prom;
 pub mod shrink;
-pub mod wirecase;
+
+// The job schema and the JSON type moved to `shiptlm_explore::model` and
+// `shiptlm_kernel::json`; these re-exports keep the `shiptlm_testkit::model`
+// and `shiptlm_testkit::json` paths the layer ledger still imports.
+pub use shiptlm_explore::model;
+pub use shiptlm_kernel::json;
 
 /// One-stop imports for conformance tests.
 pub mod prelude {
@@ -63,13 +64,15 @@ pub mod prelude {
         CausalShape,
     };
     pub use crate::corpus::{CorpusCase, Expectation};
-    pub use crate::diff::{check_model, CheckConfig, Failure, FailureKind, PassReport, Target};
+    pub use crate::diff::{
+        check_model, sw_candidates, untimed, CheckConfig, Failure, FailureKind, PassReport, Target,
+    };
     pub use crate::faults::{FaultKind, FaultPlan, FaultSite};
     pub use crate::harness::{
-        run_conformance, shrink_failure, CaseFailure, HarnessConfig, HarnessReport,
+        random_arch, run_conformance, shrink_failure, CaseFailure, HarnessConfig, HarnessReport,
     };
-    pub use crate::json::Json;
-    pub use crate::model::{GenConfig, ModelSpec, Motif};
     pub use crate::prom::{parse_folded, FoldedStack, PromKind, PromSample, PromText};
     pub use crate::shrink::{candidates, shrink, ShrinkConfig, ShrinkResult};
+    pub use shiptlm_explore::model::{GenConfig, ModelSpec, Motif};
+    pub use shiptlm_kernel::json::Json;
 }

@@ -1,7 +1,7 @@
 //! Parsers for the observability export formats: Prometheus text
 //! exposition (version 0.0.4) and folded flamegraph stacks.
 //!
-//! Both are hand-rolled and dependency-free, mirroring [`crate::json`]:
+//! Both are hand-rolled and dependency-free, mirroring [`shiptlm_kernel::json`]:
 //! they exist so CI and integration tests can validate that the kernel's
 //! exporters ([`MetricsSnapshot::to_prometheus`] and
 //! [`HostProfile::to_folded`]) emit well-formed output, without trusting

@@ -13,7 +13,7 @@
 //! disappear (e.g. removing the motif that owns a fault's target channel)
 //! are simply rejected.
 
-use crate::model::{ModelSpec, Motif};
+use shiptlm_explore::model::{ModelSpec, Motif};
 
 /// Bounds for one shrink session.
 #[derive(Debug, Clone)]
@@ -268,7 +268,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::GenConfig;
+    use shiptlm_explore::model::GenConfig;
 
     #[test]
     fn shrinks_block_count_to_one() {

@@ -8,9 +8,9 @@
 //! architecture gets its own simulated-time track with the kernel's
 //! transaction spans stitched underneath its `candidate` span.
 
+use shiptlm::explore::model::{GenConfig, ModelSpec};
 use shiptlm::explore::prelude::*;
 use shiptlm_gateway::prelude::*;
-use shiptlm_testkit::model::{GenConfig, ModelSpec};
 
 fn main() {
     let out =

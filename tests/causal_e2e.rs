@@ -6,11 +6,11 @@
 
 use std::collections::BTreeMap;
 
+use shiptlm::explore::model::{GenConfig, ModelSpec};
 use shiptlm::explore::prelude::*;
 use shiptlm::kernel::causal::{SpanSink, TraceCtx};
 use shiptlm_gateway::prelude::*;
 use shiptlm_testkit::asserts::check_causal_trace;
-use shiptlm_testkit::model::{GenConfig, ModelSpec};
 
 fn the_archs() -> Vec<ArchSpec> {
     vec![

@@ -3,16 +3,21 @@
 //! N clients × M jobs over both codecs against one gateway: results must
 //! be byte-identical to in-process sweeps, the content-addressed cache
 //! must collapse duplicate work exactly, admission control must shed load
-//! with a retry hint, corrupted frames must come back classified (not as
-//! a dead server), and a drain-based shutdown must finish every job it
+//! with a retry hint, corrupted frames and job values that would wedge or
+//! crash an executor must come back classified (not as a dead server or a
+//! lost executor), and a drain-based shutdown must finish every job it
 //! accepted.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::Duration;
 
+use shiptlm::cam::arb::ArbPolicy;
+use shiptlm::explore::model::{GenConfig, ModelSpec, Motif};
 use shiptlm::explore::prelude::*;
+use shiptlm::kernel::time::SimDur;
 use shiptlm_gateway::prelude::*;
-use shiptlm_testkit::model::{GenConfig, ModelSpec};
+use shiptlm_gateway::proto::{read_handshake, write_handshake};
 use shiptlm_testkit::prom::PromText;
 
 const CLIENTS: usize = 4;
@@ -218,7 +223,7 @@ fn corrupted_frames_are_classified_and_the_connection_survives_decode_errors() {
         let garbage = b"\xde\xad\xbe\xef";
         raw.write_all(&(garbage.len() as u64).to_le_bytes()).unwrap();
         raw.write_all(garbage).unwrap();
-        let reply = read_reply(&mut raw);
+        let reply = read_reply(&mut raw, &BIN);
         assert!(
             matches!(reply, Reply::Error { id: 0, .. }),
             "garbage must classify as Error{{id:0}}, got {reply:?}"
@@ -227,7 +232,7 @@ fn corrupted_frames_are_classified_and_the_connection_survives_decode_errors() {
         // An oversized length prefix is a frame-layer violation: the
         // server answers once and drops the connection.
         raw.write_all(&u64::MAX.to_le_bytes()).unwrap();
-        let reply = read_reply(&mut raw);
+        let reply = read_reply(&mut raw, &BIN);
         assert!(matches!(reply, Reply::Error { id: 0, .. }), "got {reply:?}");
     }
 
@@ -237,10 +242,108 @@ fn corrupted_frames_are_classified_and_the_connection_survives_decode_errors() {
     gateway.shutdown();
 }
 
-/// Reads one BIN-codec reply frame from a raw stream.
-fn read_reply(stream: &mut TcpStream) -> Reply {
+/// Reads one reply frame from a raw stream.
+fn read_reply(stream: &mut TcpStream, codec: &dyn WireCodec) -> Reply {
     let frame = read_frame(stream, 1 << 20).unwrap().expect("reply frame");
-    BIN.decode_reply(&frame).unwrap()
+    codec.decode_reply(&frame).unwrap()
+}
+
+/// Jobs whose values would wedge or crash an executor: a pipeline without
+/// a middle stage, payloads above the mailbox windows (64 KiB messages,
+/// 32 KiB RPC replies), a zero mailbox depth, burst, clock or TDMA slot.
+fn hostile_jobs() -> Vec<(&'static str, JobRequest)> {
+    let base = request(0, &unique_specs()[0]);
+    let with_motif = |what, motif| {
+        let mut req = base.clone();
+        req.spec.motifs = vec![motif];
+        (what, req)
+    };
+    let with_arch = |what, arch| {
+        let mut req = base.clone();
+        req.archs.push(arch);
+        (what, req)
+    };
+    let pipeline = |stages| Motif::Pipeline {
+        stages,
+        blocks: 1,
+        bytes: 8,
+        compute_ns: 0,
+    };
+    let tdma = |slot, slots| ArchSpec::plb().with_arb(ArbPolicy::Tdma { slot, slots });
+    vec![
+        with_motif("1-stage pipeline", pipeline(1)),
+        with_motif("0-stage pipeline", pipeline(0)),
+        with_motif(
+            "70 000-byte stream message",
+            Motif::Stream {
+                sizes: vec![70_000],
+            },
+        ),
+        with_motif(
+            "40 000-byte RPC",
+            Motif::Rpc {
+                requests: 1,
+                bytes: 40_000,
+                compute_ns: 0,
+            },
+        ),
+        with_arch("zero mailbox depth", ArchSpec::plb().with_rx_capacity(0)),
+        with_arch("zero burst", ArchSpec::opb().with_burst(0)),
+        with_arch("zero bus clock", ArchSpec::ahb().with_clock(SimDur::ZERO)),
+        with_arch(
+            "zero crossbar clock",
+            ArchSpec::crossbar().with_clock(SimDur::ZERO),
+        ),
+        with_arch(
+            "zero NoC clock",
+            ArchSpec::noc(2, 2).with_clock(SimDur::ZERO),
+        ),
+        with_arch("zero TDMA slot", tdma(SimDur::ZERO, 2)),
+        with_arch("zero TDMA slot count", tdma(SimDur::ns(100), 0)),
+    ]
+}
+
+#[test]
+fn hostile_job_values_are_decode_errors_and_never_reach_an_executor() {
+    let gateway = Gateway::start(GatewayConfig::default()).unwrap();
+    for codec in [&BIN as &dyn WireCodec, &JSON] {
+        let mut raw = TcpStream::connect(gateway.addr()).unwrap();
+        // A wedged executor shows up as a read timeout, not a hung test.
+        raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        write_handshake(&mut raw, codec.tag()).unwrap();
+        read_handshake(&mut raw).unwrap();
+        for (what, req) in hostile_jobs() {
+            write_frame(&mut raw, &codec.encode_request(&req).unwrap()).unwrap();
+            let reply = read_reply(&mut raw, codec);
+            assert!(
+                matches!(reply, Reply::Error { id: 0, .. }),
+                "{} {what}: expected a decode error, got {reply:?}",
+                codec.name()
+            );
+        }
+        // The same connection still runs a valid job to completion.
+        let req = request(77, &unique_specs()[1]);
+        write_frame(&mut raw, &codec.encode_request(&req).unwrap()).unwrap();
+        assert_eq!(read_reply(&mut raw, codec), Reply::Accepted { id: 77 });
+        let mut rows = 0;
+        loop {
+            match read_reply(&mut raw, codec) {
+                Reply::Row { .. } => rows += 1,
+                Reply::TraceChunk { .. } => {}
+                Reply::Done { id, rows: n, .. } => {
+                    assert_eq!((id, n), (77, rows));
+                    break;
+                }
+                other => panic!("{}: unexpected {other:?}", codec.name()),
+            }
+        }
+        assert_eq!(rows, the_archs().len() as u64);
+    }
+    // Only the two valid jobs (one per codec, the second a cache hit)
+    // ever reached the result cache.
+    let metrics = gateway.metrics();
+    assert_eq!((metrics.cache_misses(), metrics.cache_hits()), (1, 1));
+    gateway.shutdown();
 }
 
 /// Wire-compat regression: a protocol-version-1 peer (pre-extension
@@ -330,7 +433,7 @@ fn jobs_that_fail_or_panic_leave_the_gateway_usable() {
     let quiet = ModelSpec {
         name: "quiet".into(),
         seed: 0,
-        motifs: vec![shiptlm_testkit::model::Motif::Stream { sizes: vec![] }],
+        motifs: vec![Motif::Stream { sizes: vec![] }],
         app_checks: false,
     };
     let failed = client.run_job(&request(1, &quiet)).unwrap();

@@ -47,7 +47,7 @@ fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
         &app,
         &ca.roles,
         arch,
-        &Partition::software(spec.sw_candidates()),
+        &Partition::software(sw_candidates(&spec)),
     )
     .expect("partitioned run");
     for log in [&ccatb.output.log, &pin.output.log, &sw.mapped.output.log] {

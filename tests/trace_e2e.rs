@@ -4,9 +4,9 @@
 //! covering every instrumented layer, event times must be consistent, and
 //! parallel sweeps must trace identically to serial ones.
 //!
-//! JSON parsing and the trace shape assertions live in `shiptlm-testkit`
-//! ([`shiptlm_testkit::json`] / [`shiptlm_testkit::asserts`]), shared with
-//! the conformance suites.
+//! JSON parsing lives in [`shiptlm::kernel::json`] and the trace shape
+//! assertions in [`shiptlm_testkit::asserts`], shared with the conformance
+//! suites.
 
 use shiptlm::prelude::*;
 use shiptlm_testkit::prelude::{
