@@ -57,7 +57,6 @@ pub mod bridge;
 pub mod bus;
 pub mod crossbar;
 pub mod noc;
-pub mod dma;
 pub mod wrapper;
 
 /// Commonly used CAM items.
@@ -70,10 +69,6 @@ pub mod prelude {
     pub use crate::bus::{BusConfig, BusStats, CcatbBus, MasterStats};
     pub use crate::crossbar::{Crossbar, CrossbarConfig};
     pub use crate::noc::{MeshNoc, NocConfig, NocStats};
-    pub use crate::dma::{
-        dma_regs, DmaEngine, DMA_CTRL_CLEAR, DMA_CTRL_START, DMA_STATUS_BUSY, DMA_STATUS_DONE,
-        DMA_STATUS_ERROR,
-    };
     pub use crate::wrapper::{
         map_channel, PendingMapping, ShipBusMasterEndpoint, ShipSlaveAdapter, WrapperConfig,
         ADAPTER_SIZE,

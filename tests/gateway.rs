@@ -1,7 +1,7 @@
 //! A two-bus "automotive gateway" scenario assembled by hand: fast PEs on a
-//! PLB, a slow peripheral behind a PLB→OPB bridge, SHIP channels mapped on
-//! both sides, a DMA engine moving bulk data, and a SW diagnostics task —
-//! the kind of heterogeneous platform the paper's flow targets.
+//! PLB, a slow peripheral behind a PLB→OPB bridge and SHIP channels mapped
+//! on both sides — the kind of heterogeneous platform the paper's flow
+//! targets.
 
 use std::sync::{Arc, Mutex};
 
@@ -109,87 +109,4 @@ fn bridged_two_bus_system_with_mapped_channels() {
     assert!(opb.stats().transactions > 20);
     // The bridged path shows up as OPB master 0 (the bridge's identity).
     assert!(opb.stats().per_master.contains_key(&0));
-}
-
-#[test]
-fn dma_offload_next_to_mapped_channels() {
-    // A DMA engine and a mapped SHIP channel share one PLB: the CPU task
-    // kicks a bulk copy while messaging a peer — no interference in content,
-    // visible interference in timing.
-    let sim = Simulation::new();
-    let h = sim.handle();
-
-    let mut plb = CcatbBus::new(&h, BusConfig::plb("plb"));
-    let ram = Arc::new(Memory::new("ram", 0x1_0000));
-    plb.map_slave(0..0x1_0000, ram.clone(), true);
-    let pending = map_channel(&h, "c", FAST_CH_BASE, WrapperConfig::default(), ("p", "q"));
-    plb.map_slave(
-        FAST_CH_BASE..FAST_CH_BASE + ADAPTER_SIZE,
-        pending.adapter.clone(),
-        true,
-    );
-    // Late-bind the DMA's slave window (it masters the same bus).
-    struct Slot(Mutex<Option<Arc<dyn OcpTarget>>>);
-    impl OcpTarget for Slot {
-        fn transact(
-            &self,
-            ctx: &mut ThreadCtx,
-            m: MasterId,
-            req: OcpRequest,
-        ) -> Result<OcpResponse, OcpError> {
-            let t = self.0.lock().unwrap().clone().expect("bound");
-            t.transact(ctx, m, req)
-        }
-    }
-    let slot = Arc::new(Slot(Mutex::new(None)));
-    plb.map_slave(0x5000_0000..0x5000_1000, slot.clone(), true);
-    let plb = Arc::new(plb);
-    let dma = DmaEngine::new(&h, "dma", plb.master_port(MasterId(5)), 64);
-    *slot.0.lock().unwrap() = Some(dma.clone() as Arc<dyn OcpTarget>);
-
-    ram.poke(0x100, &vec![0xCD; 1024]);
-
-    let cpu = plb.master_port(MasterId(0));
-    let tx = pending.bind(&plb.master_port(MasterId(1)));
-    let rx = pending.slave_port.clone();
-
-    sim.spawn_thread("cpu", move |ctx| {
-        // Kick the DMA.
-        cpu.write(
-            ctx,
-            0x5000_0000 + dma_regs::SRC,
-            0x100u64.to_le_bytes().to_vec(),
-        )
-        .unwrap();
-        cpu.write(
-            ctx,
-            0x5000_0000 + dma_regs::DST,
-            0x4000u64.to_le_bytes().to_vec(),
-        )
-        .unwrap();
-        cpu.write_u32(ctx, 0x5000_0000 + dma_regs::LEN, 1024)
-            .unwrap();
-        cpu.write_u32(ctx, 0x5000_0000 + dma_regs::CTRL, DMA_CTRL_START)
-            .unwrap();
-        // Message the peer while the DMA runs.
-        for i in 0..8u32 {
-            tx.send(ctx, &i).unwrap();
-        }
-        // Wait for the DMA.
-        loop {
-            let s = cpu.read_u32(ctx, 0x5000_0000 + dma_regs::STATUS).unwrap();
-            if s & DMA_STATUS_DONE != 0 {
-                break;
-            }
-            ctx.wait_for(SimDur::ns(100));
-        }
-    });
-    sim.spawn_thread("q", move |ctx| {
-        for i in 0..8u32 {
-            assert_eq!(rx.recv::<u32>(ctx).unwrap(), i);
-        }
-    });
-    sim.run();
-    assert_eq!(ram.peek(0x4000, 1024).unwrap(), vec![0xCD; 1024]);
-    assert_eq!(dma.transfers(), 1);
 }
