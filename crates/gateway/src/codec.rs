@@ -301,8 +301,9 @@ impl WireCodec for JsonCodec {
                 ("row", row_to_json(row)),
             ]),
             Reply::TraceChunk { id, data } => {
-                let text = std::str::from_utf8(data)
-                    .map_err(|e| GatewayError::Codec(format!("trace chunk is not UTF-8: {e}")))?;
+                let text = std::str::from_utf8(data).map_err(|e| {
+                    GatewayError::Codec(format!("trace chunk is not UTF-8: {e}"))
+                })?;
                 Json::obj(vec![
                     ("kind", Json::str("trace")),
                     ("id", Json::u64_str(*id)),

@@ -6,9 +6,10 @@
 //! through CCATB down to the pin-accurate prototype changes *timing only*,
 //! never communicated *content*. This crate tests that promise in bulk:
 //!
-//! * seeded random system models — [`ModelSpec::random`] from the job
-//!   schema in `shiptlm_explore::model`, and [`random_arch`] for a
-//!   per-case candidate architecture;
+//! * seeded random system models —
+//!   [`ModelSpec::random`](model::ModelSpec::random) from the job schema in
+//!   `shiptlm_explore::model`, and [`random_arch`](harness::random_arch)
+//!   for a per-case candidate architecture;
 //! * [`diff`] — the differential checker: one model is run at up to four
 //!   targets (component assembly, CCATB, pin-accurate, HW/SW-partitioned)
 //!   and every refined level must reproduce the reference's per-channel
@@ -28,6 +29,9 @@
 //! * [`prom`] — parsers for the Prometheus text exposition and folded
 //!   flamegraph stacks emitted by the kernel's metrics registry and host
 //!   profiler.
+//!
+//! The crate is test code: only tests, examples and benches depend on it,
+//! and CI fails if a production crate does.
 //!
 //! ## Example
 //!
@@ -51,9 +55,9 @@ pub mod harness;
 pub mod prom;
 pub mod shrink;
 
-// The job schema and the JSON type moved to `shiptlm_explore::model` and
-// `shiptlm_kernel::json`; these re-exports keep the `shiptlm_testkit::model`
-// and `shiptlm_testkit::json` paths the layer ledger still imports.
+// Kept only because the layer ledger imports `shiptlm_testkit::model` and
+// `shiptlm_testkit::json`; they go once it imports the crates that define
+// them.
 pub use shiptlm_explore::model;
 pub use shiptlm_kernel::json;
 
