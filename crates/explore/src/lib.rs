@@ -40,6 +40,8 @@ pub mod model;
 pub mod pareto;
 pub mod pool;
 pub mod sweep;
+#[cfg(test)]
+mod wirecase;
 pub mod workload;
 
 /// Commonly used exploration items.

@@ -166,4 +166,34 @@ mod tests {
         assert_eq!(back.arch.label(), case.arch.label());
         assert_eq!(back.arch.rx_capacity, case.arch.rx_capacity);
     }
+
+    #[test]
+    fn new_family_archs_roundtrip_through_json() {
+        let spec = ModelSpec::random(5, &GenConfig::default());
+        for arch in [
+            ArchSpec::ahb(),
+            ArchSpec::ahb().with_split(true),
+            ArchSpec::noc(4, 4),
+            ArchSpec::noc(16, 16),
+        ] {
+            let case = CorpusCase {
+                spec: spec.clone(),
+                arch,
+                fault: None,
+                expect: Expectation::Pass,
+            };
+            let text = case.to_json().to_string();
+            let back = CorpusCase::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.arch, case.arch, "{text}");
+        }
+        // A case whose noc arch has no mesh dimensions is malformed, not a
+        // panic.
+        let dimless = Json::parse(r#"{"bus":"noc","arb":"round-robin"}"#).unwrap();
+        let doc = Json::obj([
+            ("model", spec.to_json()),
+            ("arch", dimless),
+            ("expect", Json::str("pass")),
+        ]);
+        assert!(CorpusCase::from_json(&doc).is_err());
+    }
 }
