@@ -7,12 +7,47 @@
 //! one seeded generated model on every interconnect family: PLB, OPB, AHB
 //! (with SPLIT, and with 128-byte bursts that exceed its 16-beat grant
 //! budget and so take the RETRY path), the crossbar and the mesh NoC.
+//!
+//! Totals can hide two masters swapping grant order inside one delta, so
+//! each level also pins an FNV-1a digest of its whole transaction trace:
+//! every span's level, op, resource, process, start, end, bytes and outcome,
+//! in recording order.
 
 use shiptlm::prelude::*;
 use shiptlm_testkit::prelude::*;
 
-/// `(sim_time_ps, delta_cycles, messages, bytes, bus.transactions)`.
-type Figures = (u64, u64, u64, u64, u64);
+/// `(sim_time_ps, delta_cycles, messages, bytes, bus.transactions,
+/// txn_digest)`.
+type Figures = (u64, u64, u64, u64, u64, u64);
+
+/// Ring capacity of the recorder: large enough that no span is dropped.
+const TXN_RING: usize = 1 << 16;
+
+/// FNV-1a over every span of `trace`, in recording order.
+fn txn_digest(trace: &TxnTrace) -> u64 {
+    assert_eq!(trace.dropped(), 0, "the recorder ring overflowed");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // Field separator, so adjacent strings cannot trade bytes.
+        h ^= 0xff;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for e in trace.events() {
+        feed(format!("{:?}", e.level).as_bytes());
+        feed(e.op.as_bytes());
+        feed(e.resource.as_bytes());
+        feed(e.process.as_bytes());
+        feed(&e.start.as_ps().to_le_bytes());
+        feed(&e.end.as_ps().to_le_bytes());
+        feed(&(e.bytes as u64).to_le_bytes());
+        feed(format!("{:?}", e.outcome).as_bytes());
+    }
+    h
+}
 
 fn figures(out: &MappedRun) -> Figures {
     let m = RunMetrics::from_log(
@@ -29,6 +64,7 @@ fn figures(out: &MappedRun) -> Figures {
         m.messages,
         m.bytes,
         out.bus.transactions,
+        txn_digest(out.output.txn.as_ref().expect("the recorder was on")),
     )
 }
 
@@ -41,13 +77,15 @@ fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
     let spec = ModelSpec::random(13, &cfg);
     let app = spec.to_app();
     let ca = run_component_assembly(&app).expect("roles detected");
-    let ccatb = run_mapped(&app, &ca.roles, arch).expect("ccatb run");
-    let pin = run_pin_accurate(&app, &ca.roles, arch).expect("pin-accurate run");
-    let sw = run_partitioned(
+    let opts = RunOptions::with_recorder(TXN_RING);
+    let ccatb = run_mapped_with(&app, &ca.roles, arch, &opts).expect("ccatb run");
+    let pin = run_pin_accurate_with(&app, &ca.roles, arch, &opts).expect("pin-accurate run");
+    let sw = run_partitioned_with(
         &app,
         &ca.roles,
         arch,
         &Partition::software(sw_candidates(&spec)),
+        &opts,
     )
     .expect("partitioned run");
     for log in [&ccatb.output.log, &pin.output.log, &sw.mapped.output.log] {
@@ -64,9 +102,9 @@ fn plb_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::plb()),
         [
-            (5_973_000, 284, 13, 2980, 95),
-            (9_395_000, 3009, 13, 2980, 95),
-            (10_860_000, 344, 13, 2980, 96),
+            (5_973_000, 284, 13, 2980, 95, 0x18942bd3ed22081b),
+            (9_395_000, 3009, 13, 2980, 95, 0x70c8f870c2fc1d5c),
+            (10_860_000, 344, 13, 2980, 96, 0x7c85bdd3a7eccf57),
         ]
     );
 }
@@ -85,9 +123,9 @@ fn opb_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::opb()),
         [
-            (37_040_000, 384, 13, 2980, 95),
-            (43_250_000, 6678, 13, 2980, 95),
-            (40_880_000, 369, 13, 2980, 95),
+            (37_040_000, 384, 13, 2980, 95, 0x5146fc376513f5fa),
+            (43_250_000, 6678, 13, 2980, 95, 0xacc3f9c56bce8d28),
+            (40_880_000, 369, 13, 2980, 95, 0x79f0711949a031a3),
         ]
     );
 }
@@ -97,9 +135,9 @@ fn ahb_split_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::ahb().with_split(true)),
         [
-            (12_120_000, 552, 13, 2980, 95),
-            (15_345_000, 4794, 13, 2980, 95),
-            (16_830_000, 537, 13, 2980, 96),
+            (12_120_000, 552, 13, 2980, 95, 0xdc51e7d1c4188822),
+            (15_345_000, 4794, 13, 2980, 95, 0xd137bfc3e49ac6ff),
+            (16_830_000, 537, 13, 2980, 96, 0x996fc7806849549d),
         ]
     );
 }
@@ -111,9 +149,9 @@ fn ahb_retry_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::ahb().with_burst(128)),
         [
-            (9_773_000, 284, 13, 2980, 70),
-            (12_955_000, 4027, 13, 2980, 70),
-            (13_880_000, 297, 13, 2980, 71),
+            (9_773_000, 284, 13, 2980, 70, 0xc06ae0be6f2957b1),
+            (12_955_000, 4027, 13, 2980, 70, 0xf6538616ce4dc329),
+            (13_880_000, 297, 13, 2980, 71, 0x1036b4d2dd575b7d),
         ]
     );
 }
@@ -123,9 +161,9 @@ fn crossbar_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::crossbar()),
         [
-            (4_900_000, 179, 13, 2980, 95),
-            (9_095_000, 2901, 13, 2980, 95),
-            (10_120_000, 274, 13, 2980, 95),
+            (4_900_000, 179, 13, 2980, 95, 0x6afd798c09eb5f76),
+            (9_095_000, 2901, 13, 2980, 95, 0x2b3d785cc81bb229),
+            (10_120_000, 274, 13, 2980, 95, 0xb65609f4868d81ab),
         ]
     );
 }
@@ -135,9 +173,9 @@ fn noc_4x4_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::noc(4, 4)),
         [
-            (6_375_000, 270, 13, 2980, 95),
-            (8_472_500, 5266, 13, 2980, 95),
-            (27_285_000, 745, 13, 2980, 95),
+            (6_375_000, 270, 13, 2980, 95, 0x229784930eea073f),
+            (8_472_500, 5266, 13, 2980, 95, 0xe4c0d0b70b4e17ed),
+            (27_285_000, 745, 13, 2980, 95, 0x0a2a8fc01e242163),
         ]
     );
 }
