@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::{SimDur, SimTime};
 use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 use shiptlm_ocp::error::OcpError;
@@ -48,8 +48,8 @@ pub(crate) struct Transfer {
 
 impl Transfer {
     /// Opens the record of `req`, requested now by `master`.
-    pub(crate) fn begin(ctx: &ThreadCtx, master: MasterId, req: &OcpRequest) -> Self {
-        let now = ctx.now();
+    pub(crate) fn begin(sim: &SimHandle, master: MasterId, req: &OcpRequest) -> Self {
+        let now = sim.now();
         Transfer {
             master,
             is_read: matches!(req.cmd, OcpCommand::Read { .. }),
@@ -103,16 +103,17 @@ impl<X: Default + Clone> Book<X> {
     /// under the same lock, the family counters through `family` (told
     /// whether the transaction succeeded); records the `bus.*` metrics plus
     /// each non-zero family counter in `counters`, then the `grant` and
-    /// `read`/`write` spans; and stamps the response's [`TxTiming`].
+    /// `read`/`write` spans, stamped with the process running the
+    /// transaction; and stamps the response's [`TxTiming`].
     pub(crate) fn settle(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         t: Transfer,
         result: Result<OcpResponse, OcpError>,
         family: impl FnOnce(&mut X, bool),
         counters: &[(&'static str, u64)],
     ) -> Result<OcpResponse, OcpError> {
-        let end = ctx.now();
+        let end = sim.now();
         let wait_cycles = t.granted.since(t.requested) / self.clock;
         let total_cycles = end.since(t.requested) / self.clock;
         {
@@ -138,8 +139,8 @@ impl<X: Default + Clone> Book<X> {
             family(x, result.is_ok());
         }
 
-        if ctx.metrics_enabled() {
-            let m = ctx.metrics();
+        if sim.metrics_enabled() {
+            let m = sim.metrics();
             m.counter_add("bus.txns", &self.label, 1, end);
             m.counter_add("bus.bytes", &self.label, t.len as u64, end);
             // Busy = granted occupancy; per-window busy/window is the
@@ -163,10 +164,10 @@ impl<X: Default + Clone> Book<X> {
             }
         }
 
-        if ctx.txn_enabled() {
+        if sim.txn_enabled() {
             // Two spans per transaction: arbitration wait until the first
             // grant, then everything up to completion.
-            ctx.txn_record(TxnSpan {
+            sim.txn_record(TxnSpan {
                 level: TxnLevel::Bus,
                 op: "grant",
                 resource: &self.label,
@@ -175,7 +176,7 @@ impl<X: Default + Clone> Book<X> {
                 bytes: 0,
                 ok: true,
             });
-            ctx.txn_record(TxnSpan {
+            sim.txn_record(TxnSpan {
                 level: TxnLevel::Bus,
                 op: if t.is_read { "read" } else { "write" },
                 resource: &self.label,

@@ -3,11 +3,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
-use shiptlm_ocp::error::OcpError;
-use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
-use shiptlm_ocp::tl::{MasterId, OcpTarget};
+use shiptlm_ocp::payload::OcpRequest;
+use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpTarget};
 
 /// Forwards transactions from one bus onto another, adding a fixed crossing
 /// latency. Map the bridge as a slave range on the upstream bus (usually
@@ -41,16 +40,18 @@ impl Bridge {
 }
 
 impl OcpTarget for Bridge {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         _master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        if !self.latency.is_zero() {
-            ctx.wait_for(self.latency);
-        }
-        self.downstream.transact(ctx, self.downstream_id, req)
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            if !self.latency.is_zero() {
+                sim.wait_for(self.latency).await;
+            }
+            self.downstream.transact(sim, self.downstream_id, req).await
+        })
     }
 
     fn target_name(&self) -> String {

@@ -31,14 +31,12 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use shiptlm_kernel::event::Event;
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::stats::{Histogram, RunningStats};
 use shiptlm_kernel::time::{SimDur, SimTime};
-use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::memory::Router;
-use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
-use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
+use shiptlm_ocp::payload::OcpRequest;
+use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 
 use crate::account::{Book, Cam, Transfer};
 use crate::ahb::{burst_kind, AhbStats};
@@ -250,10 +248,15 @@ impl ArbGate {
         }
     }
 
-    /// Blocks until `master` is granted; returns the grant time, whether
-    /// the grant is back-to-back with the previous release, and the grant
-    /// queue depth observed at enqueue time (including this request).
-    pub(crate) fn acquire(&self, ctx: &mut ThreadCtx, master: MasterId) -> (SimTime, bool, usize) {
+    /// Suspends the polling process until `master` is granted; returns the
+    /// grant time, whether the grant is back-to-back with the previous
+    /// release, and the grant queue depth observed at enqueue time
+    /// (including this request).
+    pub(crate) async fn acquire(
+        &self,
+        sim: &SimHandle,
+        master: MasterId,
+    ) -> (SimTime, bool, usize) {
         let (ticket, depth) = {
             let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
             g.seq += 1;
@@ -265,24 +268,24 @@ impl ArbGate {
             {
                 let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
                 if g.owner.is_none() {
-                    if let Some(w) = self.policy.pick(&g.pending, g.last_granted, ctx.now()) {
+                    if let Some(w) = self.policy.pick(&g.pending, g.last_granted, sim.now()) {
                         if w == ticket {
                             g.owner = Some(master);
                             g.last_granted = Some(master);
                             g.pending.retain(|t| *t != ticket);
-                            let back_to_back = g.last_release == ctx.now();
-                            return (ctx.now(), back_to_back, depth);
+                            let back_to_back = g.last_release == sim.now();
+                            return (sim.now(), back_to_back, depth);
                         }
                     }
                 }
             }
             // TDMA waiters additionally wake at the next slot boundary, since
             // a grant opportunity can arise without any release happening.
-            match self.policy.recheck_delay(ctx.now()) {
+            match self.policy.recheck_delay(sim.now()) {
                 Some(d) => {
-                    let _ = ctx.wait_any_for(&[&self.granted], d);
+                    let _ = sim.wait_any_for(&[&self.granted], d).await;
                 }
-                None => ctx.wait(&self.granted),
+                None => sim.wait(&self.granted).await,
             }
         }
     }
@@ -388,111 +391,118 @@ impl CcatbBus {
 }
 
 impl OcpTarget for CcatbBus {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let mut t = Transfer::begin(ctx, master, &req);
-        let beats = req.beats(self.cfg.width_bytes);
-        let burst = burst_kind(beats, self.cfg.wrap_bursts);
-        let max_grant = if self.cfg.max_beats_per_grant == 0 {
-            beats
-        } else {
-            self.cfg.max_beats_per_grant
-        };
-
-        // --- First grant ----------------------------------------------------
-        let (granted_at, back_to_back, queue_depth) = self.gate.acquire(ctx, master);
-        t.granted = granted_at;
-        t.queue_depth = queue_depth;
-        let mut held = true;
-        let mut seg_start = granted_at;
-        let (mut splits, mut regrants, mut retries) = (0u64, 0u64, 0u64);
-        let result = (|| {
-            ctx.wait_for(self.cycles(self.cfg.arb_cycles));
-
-            // --- Address phase (overlapped when pipelined, back-to-back) ----
-            if !(self.cfg.pipelined && back_to_back) {
-                ctx.wait_for(self.cycles(self.cfg.addr_cycles));
-            }
-
-            let mut remaining = beats;
-            let resp = if self.cfg.split_slaves {
-                // --- SPLIT: slave parks the master, bus goes free ----------
-                // The slave cannot serve immediately; it answers SPLIT after
-                // a fixed response latency, the master releases the bus and
-                // the slave access proceeds off-bus while other masters
-                // transfer. The arbiter re-grants the split master for the
-                // data phase.
-                ctx.wait_for(self.cycles(self.cfg.split_response_cycles));
-                t.busy += ctx.now().since(seg_start);
-                self.gate.release(ctx.now());
-                held = false;
-                splits += 1;
-                let resp = self.router.transact(ctx, master, req)?;
-                let (regrant, _, _) = self.gate.acquire(ctx, master);
-                seg_start = regrant;
-                held = true;
-                regrants += 1;
-                ctx.wait_for(self.cycles(self.cfg.arb_cycles));
-                let n = remaining.min(max_grant);
-                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
-                remaining -= n;
-                resp
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            let mut t = Transfer::begin(sim, master, &req);
+            let beats = req.beats(self.cfg.width_bytes);
+            let burst = burst_kind(beats, self.cfg.wrap_bursts);
+            let max_grant = if self.cfg.max_beats_per_grant == 0 {
+                beats
             } else {
-                // --- Data phase + slave access, overlapped ------------------
-                let n = remaining.min(max_grant);
-                let data_time = self.cycles(n * self.cfg.cycles_per_beat);
-                let t_data = ctx.now();
-                let resp = self.router.transact(ctx, master, req)?;
-                let slave_time = ctx.now().since(t_data);
-                if slave_time < data_time {
-                    ctx.wait_for(data_time - slave_time);
-                }
-                remaining -= n;
-                resp
+                self.cfg.max_beats_per_grant
             };
 
-            // --- RETRY: early burst termination ----------------------------
-            // Segments beyond the grant's beat budget are terminated and
-            // re-arbitrated, so competing masters can slip in between.
-            // (`held` stays true here: nothing between the release and the
-            // re-acquire can return early.)
-            while remaining > 0 {
-                t.busy += ctx.now().since(seg_start);
-                self.gate.release(ctx.now());
-                retries += 1;
-                let (regrant, _, _) = self.gate.acquire(ctx, master);
-                seg_start = regrant;
-                ctx.wait_for(self.cycles(self.cfg.arb_cycles + self.cfg.addr_cycles));
-                let n = remaining.min(max_grant);
-                ctx.wait_for(self.cycles(n * self.cfg.cycles_per_beat));
-                remaining -= n;
-            }
-            Ok(resp)
-        })();
-        if held {
-            let end = ctx.now();
-            t.busy += end.since(seg_start);
-            self.gate.release(end);
-        }
+            // --- First grant ------------------------------------------------
+            let (granted_at, back_to_back, queue_depth) = self.gate.acquire(sim, master).await;
+            t.granted = granted_at;
+            t.queue_depth = queue_depth;
+            let mut held = true;
+            let mut seg_start = granted_at;
+            let (mut splits, mut regrants, mut retries) = (0u64, 0u64, 0u64);
+            let result = async {
+                sim.wait_for(self.cycles(self.cfg.arb_cycles)).await;
 
-        self.book.settle(
-            ctx,
-            t,
-            result,
-            |a, ok| {
-                a.splits += splits;
-                a.split_regrants += regrants;
-                a.retries += retries;
-                if ok {
-                    a.record_burst(burst);
+                // --- Address phase (overlapped when pipelined, back-to-back)
+                if !(self.cfg.pipelined && back_to_back) {
+                    sim.wait_for(self.cycles(self.cfg.addr_cycles)).await;
                 }
-            },
-            &[("ahb.splits", splits), ("ahb.retries", retries)],
-        )
+
+                let mut remaining = beats;
+                let resp = if self.cfg.split_slaves {
+                    // --- SPLIT: slave parks the master, bus goes free ------
+                    // The slave cannot serve immediately; it answers SPLIT
+                    // after a fixed response latency, the master releases
+                    // the bus and the slave access proceeds off-bus while
+                    // other masters transfer. The arbiter re-grants the
+                    // split master for the data phase.
+                    sim.wait_for(self.cycles(self.cfg.split_response_cycles))
+                        .await;
+                    t.busy += sim.now().since(seg_start);
+                    self.gate.release(sim.now());
+                    held = false;
+                    splits += 1;
+                    let resp = self.router.transact(sim, master, req).await?;
+                    let (regrant, _, _) = self.gate.acquire(sim, master).await;
+                    seg_start = regrant;
+                    held = true;
+                    regrants += 1;
+                    sim.wait_for(self.cycles(self.cfg.arb_cycles)).await;
+                    let n = remaining.min(max_grant);
+                    sim.wait_for(self.cycles(n * self.cfg.cycles_per_beat))
+                        .await;
+                    remaining -= n;
+                    resp
+                } else {
+                    // --- Data phase + slave access, overlapped --------------
+                    let n = remaining.min(max_grant);
+                    let data_time = self.cycles(n * self.cfg.cycles_per_beat);
+                    let t_data = sim.now();
+                    let resp = self.router.transact(sim, master, req).await?;
+                    let slave_time = sim.now().since(t_data);
+                    if slave_time < data_time {
+                        sim.wait_for(data_time - slave_time).await;
+                    }
+                    remaining -= n;
+                    resp
+                };
+
+                // --- RETRY: early burst termination ------------------------
+                // Segments beyond the grant's beat budget are terminated and
+                // re-arbitrated, so competing masters can slip in between.
+                // (`held` stays true here: nothing between the release and
+                // the re-acquire can return early.)
+                while remaining > 0 {
+                    t.busy += sim.now().since(seg_start);
+                    self.gate.release(sim.now());
+                    retries += 1;
+                    let (regrant, _, _) = self.gate.acquire(sim, master).await;
+                    seg_start = regrant;
+                    sim.wait_for(self.cycles(self.cfg.arb_cycles + self.cfg.addr_cycles))
+                        .await;
+                    let n = remaining.min(max_grant);
+                    sim.wait_for(self.cycles(n * self.cfg.cycles_per_beat))
+                        .await;
+                    remaining -= n;
+                }
+                Ok(resp)
+            }
+            .await;
+            if held {
+                let end = sim.now();
+                t.busy += end.since(seg_start);
+                self.gate.release(end);
+            }
+
+            self.book.settle(
+                sim,
+                t,
+                result,
+                |a, ok| {
+                    a.splits += splits;
+                    a.split_regrants += regrants;
+                    a.retries += retries;
+                    if ok {
+                        a.record_burst(burst);
+                    }
+                },
+                &[("ahb.splits", splits), ("ahb.retries", retries)],
+            )
+        })
     }
 
     fn target_name(&self) -> String {

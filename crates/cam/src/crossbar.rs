@@ -5,13 +5,11 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
-use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::memory::Router;
-use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
-use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
+use shiptlm_ocp::payload::OcpRequest;
+use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 
 use crate::account::{Book, Cam, Transfer};
 use crate::arb::ArbPolicy;
@@ -104,39 +102,43 @@ impl Crossbar {
 }
 
 impl OcpTarget for Crossbar {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         master: MasterId,
         mut req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let mut t = Transfer::begin(ctx, master, &req);
-        let (port, target) = self.router.decode(&mut req)?;
-        let gate = &self.gates[port];
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            let mut t = Transfer::begin(sim, master, &req);
+            let (port, target) = self.router.decode(&mut req)?;
+            let gate = &self.gates[port];
 
-        let (granted_at, _b2b, queue_depth) = gate.acquire(ctx, master);
-        let result = (|| {
-            ctx.wait_for(self.cfg.clock.saturating_mul(self.cfg.setup_cycles));
-            let beats = req.beats(self.cfg.width_bytes);
-            let data_time = self
-                .cfg
-                .clock
-                .saturating_mul(beats * self.cfg.cycles_per_beat);
-            let t_data = ctx.now();
-            let resp = target.transact(ctx, master, req)?;
-            let slave_time = ctx.now().since(t_data);
-            if slave_time < data_time {
-                ctx.wait_for(data_time - slave_time);
+            let (granted_at, _b2b, queue_depth) = gate.acquire(sim, master).await;
+            let result = async {
+                sim.wait_for(self.cfg.clock.saturating_mul(self.cfg.setup_cycles))
+                    .await;
+                let beats = req.beats(self.cfg.width_bytes);
+                let data_time = self
+                    .cfg
+                    .clock
+                    .saturating_mul(beats * self.cfg.cycles_per_beat);
+                let t_data = sim.now();
+                let resp = target.transact(sim, master, req).await?;
+                let slave_time = sim.now().since(t_data);
+                if slave_time < data_time {
+                    sim.wait_for(data_time - slave_time).await;
+                }
+                Ok(resp)
             }
-            Ok(resp)
-        })();
-        let end = ctx.now();
-        gate.release(end);
+            .await;
+            let end = sim.now();
+            gate.release(end);
 
-        t.granted = granted_at;
-        t.queue_depth = queue_depth;
-        t.busy = end.since(granted_at);
-        self.book.settle(ctx, t, result, |_, _| {}, &[])
+            t.granted = granted_at;
+            t.queue_depth = queue_depth;
+            t.busy = end.since(granted_at);
+            self.book.settle(sim, t, result, |_, _| {}, &[])
+        })
     }
 
     fn target_name(&self) -> String {

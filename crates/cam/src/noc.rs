@@ -27,14 +27,12 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::stats::RunningStats;
 use shiptlm_kernel::time::{SimDur, SimTime};
-use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::memory::Router;
-use shiptlm_ocp::payload::{OcpRequest, OcpResponse};
-use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
+use shiptlm_ocp::payload::OcpRequest;
+use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 
 use crate::account::{Book, Cam, Transfer};
 use crate::arb::ArbPolicy;
@@ -262,86 +260,91 @@ impl MeshNoc {
     /// Forwards `flits` flits over the directed link `from → to`, charging
     /// arbitration + store-and-forward latency. Returns
     /// `(granted_at, held_for)`.
-    fn hop(
+    async fn hop(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         master: MasterId,
         from: usize,
         to: usize,
         flits: u64,
     ) -> (SimTime, SimDur) {
         let gate = self.gate(from, to);
-        let (granted_at, _b2b, _depth) = gate.acquire(ctx, master);
-        ctx.wait_for(self.cycles(
+        let (granted_at, _b2b, _depth) = gate.acquire(sim, master).await;
+        sim.wait_for(self.cycles(
             self.cfg.router_cycles + flits * self.cfg.cycles_per_flit,
-        ));
-        let now = ctx.now();
+        ))
+        .await;
+        let now = sim.now();
         gate.release(now);
         (granted_at, now.since(granted_at))
     }
 }
 
 impl OcpTarget for MeshNoc {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         master: MasterId,
         mut req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let mut t = Transfer::begin(ctx, master, &req);
-        let (slave, target) = self.router.decode(&mut req)?;
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            let mut t = Transfer::begin(sim, master, &req);
+            let (slave, target) = self.router.decode(&mut req)?;
 
-        let src = master.0 % self.cfg.nodes();
-        let dst = self.nodes[slave];
-        let payload_flits = t.len.div_ceil(self.cfg.flit_bytes) as u64;
-        // Writes carry their payload out; reads carry it back. The reverse
-        // direction is a single head/ack flit.
-        let req_flits = 1 + if t.is_read { 0 } else { payload_flits };
-        let resp_flits = 1 + if t.is_read { payload_flits } else { 0 };
+            let src = master.0 % self.cfg.nodes();
+            let dst = self.nodes[slave];
+            let payload_flits = t.len.div_ceil(self.cfg.flit_bytes) as u64;
+            // Writes carry their payload out; reads carry it back. The
+            // reverse direction is a single head/ack flit.
+            let req_flits = 1 + if t.is_read { 0 } else { payload_flits };
+            let resp_flits = 1 + if t.is_read { payload_flits } else { 0 };
 
-        let mut first_grant: Option<SimTime> = None;
-        let mut hops = 0u64;
-        for w in self.route(src, dst).windows(2) {
-            let (granted, held) = self.hop(ctx, master, w[0], w[1], req_flits);
-            first_grant.get_or_insert(granted);
-            t.busy += held;
-            hops += 1;
-        }
-
-        // Ejection into the destination's local port, held across the slave
-        // access: competing masters aimed at a hot node serialize here.
-        let eject = self.gate(dst, dst);
-        let (granted, _b2b, queue_depth) = eject.acquire(ctx, master);
-        t.granted = first_grant.unwrap_or(granted);
-        t.queue_depth = queue_depth;
-        hops += 1;
-        ctx.wait_for(self.cycles(
-            self.cfg.router_cycles + req_flits * self.cfg.cycles_per_flit,
-        ));
-        let result = target.transact(ctx, master, req);
-        let now = ctx.now();
-        t.busy += now.since(granted);
-        eject.release(now);
-
-        // Response path back to the source (only a completed access
-        // generates response flits).
-        if result.is_ok() {
-            for w in self.route(dst, src).windows(2) {
-                let (_granted, held) = self.hop(ctx, master, w[0], w[1], resp_flits);
+            let mut first_grant: Option<SimTime> = None;
+            let mut hops = 0u64;
+            for w in self.route(src, dst).windows(2) {
+                let (granted, held) = self.hop(sim, master, w[0], w[1], req_flits).await;
+                first_grant.get_or_insert(granted);
                 t.busy += held;
+                hops += 1;
             }
-        }
 
-        self.book.settle(
-            ctx,
-            t,
-            result,
-            |n, ok| {
-                n.flits += req_flits * hops + if ok { resp_flits * (hops - 1) } else { 0 };
-                n.hops.record(hops as f64);
-            },
-            &[("noc.flits", req_flits + resp_flits)],
-        )
+            // Ejection into the destination's local port, held across the
+            // slave access: competing masters aimed at a hot node serialize
+            // here.
+            let eject = self.gate(dst, dst);
+            let (granted, _b2b, queue_depth) = eject.acquire(sim, master).await;
+            t.granted = first_grant.unwrap_or(granted);
+            t.queue_depth = queue_depth;
+            hops += 1;
+            sim.wait_for(self.cycles(
+                self.cfg.router_cycles + req_flits * self.cfg.cycles_per_flit,
+            ))
+            .await;
+            let result = target.transact(sim, master, req).await;
+            let now = sim.now();
+            t.busy += now.since(granted);
+            eject.release(now);
+
+            // Response path back to the source (only a completed access
+            // generates response flits).
+            if result.is_ok() {
+                for w in self.route(dst, src).windows(2) {
+                    let (_granted, held) = self.hop(sim, master, w[0], w[1], resp_flits).await;
+                    t.busy += held;
+                }
+            }
+
+            self.book.settle(
+                sim,
+                t,
+                result,
+                |n, ok| {
+                    n.flits += req_flits * hops + if ok { resp_flits * (hops - 1) } else { 0 };
+                    n.hops.record(hops as f64);
+                },
+                &[("noc.flits", req_flits + resp_flits)],
+            )
+        })
     }
 
     fn target_name(&self) -> String {

@@ -28,7 +28,7 @@ use shiptlm_kernel::time::{SimDur, SimTime};
 use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
-use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
+use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 use shiptlm_ship::bytes::ShipBytes;
 use shiptlm_ship::channel::{ShipEndpoint, ShipPort};
 use shiptlm_ship::error::ShipError;
@@ -277,189 +277,197 @@ impl ShipSlaveAdapter {
 }
 
 impl OcpTarget for ShipSlaveAdapter {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         _master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        if !self.access_latency.is_zero() {
-            ctx.wait_for(self.access_latency);
-        }
-        let timing = TxTiming {
-            start: ctx.now(),
-            end: ctx.now(),
-            total_cycles: 0,
-            wait_cycles: 0,
-        };
-        let addr = req.addr;
-        match req.cmd {
-            OcpCommand::Read { bytes } => {
-                let g = self.lock();
-                let data = match addr {
-                    regs::STATUS => g.status().to_le_bytes().to_vec(),
-                    regs::REPLY_LEN => (g.reply.as_ref().map(|r| r.len() as u32).unwrap_or(0))
-                        .to_le_bytes()
-                        .to_vec(),
-                    regs::RX_LEN => (g.rx.front().map(|(_, b)| b.len() as u32).unwrap_or(0))
-                        .to_le_bytes()
-                        .to_vec(),
-                    regs::RX_KIND => (match g.rx.front() {
-                        Some((MsgKind::Data, _)) => 1u32,
-                        Some((MsgKind::Request, _)) => 2,
-                        None => 0,
-                    })
-                    .to_le_bytes()
-                    .to_vec(),
-                    a if (regs::RX_WIN..regs::RX_WIN_END).contains(&a) => {
-                        let off = (a - regs::RX_WIN) as usize;
-                        match g.rx.front() {
-                            Some((_, b)) if off + bytes <= b.len() => b[off..off + bytes].to_vec(),
-                            _ => return Ok(OcpResponse::error(timing)),
-                        }
-                    }
-                    a if (regs::REPLY_WIN..regs::REPLY_WIN_END).contains(&a) => {
-                        let off = (a - regs::REPLY_WIN) as usize;
-                        match g.reply.as_ref() {
-                            Some(r) if off + bytes <= r.len() => r[off..off + bytes].to_vec(),
-                            _ => return Ok(OcpResponse::error(timing)),
-                        }
-                    }
-                    _ => return Ok(OcpResponse::error(timing)),
-                };
-                let mut data = data;
-                data.resize(bytes.max(data.len()), 0);
-                data.truncate(bytes);
-                Ok(OcpResponse::read_ok(data, timing))
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            if !self.access_latency.is_zero() {
+                sim.wait_for(self.access_latency).await;
             }
-            OcpCommand::Write { data } => {
-                match addr {
-                    regs::TX_LEN => {
-                        let len = u32::from_le_bytes(
-                            data.get(..4)
-                                .and_then(|s| s.try_into().ok())
-                                .unwrap_or([0; 4]),
-                        ) as usize;
-                        if len as u64 > ADAPTER_SIZE - regs::TX_WIN {
-                            return Ok(OcpResponse::error(timing));
-                        }
-                        self.lock().staging = vec![0; len];
-                    }
-                    regs::DOORBELL => {
-                        let v = u32::from_le_bytes(
-                            data.get(..4)
-                                .and_then(|s| s.try_into().ok())
-                                .unwrap_or([0; 4]),
-                        );
-                        if ctx.metrics_enabled() {
-                            ctx.metrics()
-                                .counter_add("hwsw.doorbells", &self.label, 1, ctx.now());
-                        }
-                        match v {
-                            DOORBELL_DATA | DOORBELL_REQUEST => {
-                                let kind = if v == DOORBELL_DATA {
-                                    MsgKind::Data
-                                } else {
-                                    MsgKind::Request
-                                };
-                                let mut g = self.lock();
-                                if g.rx.len() >= g.rx_capacity {
-                                    return Ok(OcpResponse::error(timing));
+            let timing = TxTiming {
+                start: sim.now(),
+                end: sim.now(),
+                total_cycles: 0,
+                wait_cycles: 0,
+            };
+            let addr = req.addr;
+            match req.cmd {
+                OcpCommand::Read { bytes } => {
+                    let g = self.lock();
+                    let data = match addr {
+                        regs::STATUS => g.status().to_le_bytes().to_vec(),
+                        regs::REPLY_LEN => (g.reply.as_ref().map(|r| r.len() as u32).unwrap_or(0))
+                            .to_le_bytes()
+                            .to_vec(),
+                        regs::RX_LEN => (g.rx.front().map(|(_, b)| b.len() as u32).unwrap_or(0))
+                            .to_le_bytes()
+                            .to_vec(),
+                        regs::RX_KIND => (match g.rx.front() {
+                            Some((MsgKind::Data, _)) => 1u32,
+                            Some((MsgKind::Request, _)) => 2,
+                            None => 0,
+                        })
+                        .to_le_bytes()
+                        .to_vec(),
+                        a if (regs::RX_WIN..regs::RX_WIN_END).contains(&a) => {
+                            let off = (a - regs::RX_WIN) as usize;
+                            match g.rx.front() {
+                                Some((_, b)) if off + bytes <= b.len() => {
+                                    b[off..off + bytes].to_vec()
                                 }
-                                // Staging buffer is frozen into the mailbox
-                                // without copying.
-                                let msg = ShipBytes::from(std::mem::take(&mut g.staging));
-                                g.rx.push_back((kind, msg));
-                                let depth = g.rx.len() as u64;
-                                drop(g);
-                                if ctx.metrics_enabled() {
-                                    ctx.metrics().gauge_set(
-                                        "mbox.occupancy",
-                                        &self.label,
-                                        depth,
-                                        ctx.now(),
-                                    );
-                                }
-                                self.rx_written.notify_delta();
-                                self.update_sideband();
+                                _ => return Ok(OcpResponse::error(timing)),
                             }
-                            DOORBELL_REPLY_ACK => {
-                                self.lock().reply = None;
-                                self.reply_taken.notify_delta();
-                                self.update_sideband();
+                        }
+                        a if (regs::REPLY_WIN..regs::REPLY_WIN_END).contains(&a) => {
+                            let off = (a - regs::REPLY_WIN) as usize;
+                            match g.reply.as_ref() {
+                                Some(r) if off + bytes <= r.len() => r[off..off + bytes].to_vec(),
+                                _ => return Ok(OcpResponse::error(timing)),
                             }
-                            DOORBELL_RX_ACK => {
-                                let mut g = self.lock();
-                                match g.rx.pop_front() {
-                                    Some((MsgKind::Request, _)) => g.owed_replies += 1,
-                                    Some(_) => {}
-                                    None => return Ok(OcpResponse::error(timing)),
-                                }
-                                let owed = g.owed_replies;
-                                let depth = g.rx.len() as u64;
-                                drop(g);
-                                if ctx.metrics_enabled() {
-                                    ctx.metrics().gauge_set(
-                                        "mbox.occupancy",
-                                        &self.label,
-                                        depth,
-                                        ctx.now(),
-                                    );
-                                }
-                                self.note_owed(owed);
-                                self.rx_taken.notify_delta();
-                                self.update_sideband();
-                            }
-                            DOORBELL_REPLY_SET => {
-                                let mut g = self.lock();
-                                if g.owed_replies == 0 || g.reply.is_some() {
-                                    return Ok(OcpResponse::error(timing));
-                                }
-                                g.owed_replies -= 1;
-                                let owed = g.owed_replies;
-                                let r = ShipBytes::from(std::mem::take(&mut g.reply_staging));
-                                g.reply = Some(r);
-                                drop(g);
-                                self.note_owed(owed);
-                                self.reply_set.notify_delta();
-                                self.update_sideband();
-                            }
-                            _ => return Ok(OcpResponse::error(timing)),
                         }
-                    }
-                    regs::SET_REPLY_LEN => {
-                        let len = u32::from_le_bytes(
-                            data.get(..4)
-                                .and_then(|s| s.try_into().ok())
-                                .unwrap_or([0; 4]),
-                        ) as usize;
-                        if len as u64 > regs::REPLY_WIN_END - regs::REPLY_WIN {
-                            return Ok(OcpResponse::error(timing));
-                        }
-                        self.lock().reply_staging = vec![0; len];
-                    }
-                    a if (regs::REPLY_WIN..regs::REPLY_WIN_END).contains(&a) => {
-                        // SW slave staging the reply content over the bus.
-                        let off = (a - regs::REPLY_WIN) as usize;
-                        let mut g = self.lock();
-                        if off + data.len() > g.reply_staging.len() {
-                            return Ok(OcpResponse::error(timing));
-                        }
-                        g.reply_staging[off..off + data.len()].copy_from_slice(&data);
-                    }
-                    a if a >= regs::TX_WIN => {
-                        let off = (a - regs::TX_WIN) as usize;
-                        let mut g = self.lock();
-                        if off + data.len() > g.staging.len() {
-                            return Ok(OcpResponse::error(timing));
-                        }
-                        g.staging[off..off + data.len()].copy_from_slice(&data);
-                    }
-                    _ => return Ok(OcpResponse::error(timing)),
+                        _ => return Ok(OcpResponse::error(timing)),
+                    };
+                    let mut data = data;
+                    data.resize(bytes.max(data.len()), 0);
+                    data.truncate(bytes);
+                    Ok(OcpResponse::read_ok(data, timing))
                 }
-                Ok(OcpResponse::write_ok(timing))
+                OcpCommand::Write { data } => {
+                    match addr {
+                        regs::TX_LEN => {
+                            let len = u32::from_le_bytes(
+                                data.get(..4)
+                                    .and_then(|s| s.try_into().ok())
+                                    .unwrap_or([0; 4]),
+                            ) as usize;
+                            if len as u64 > ADAPTER_SIZE - regs::TX_WIN {
+                                return Ok(OcpResponse::error(timing));
+                            }
+                            self.lock().staging = vec![0; len];
+                        }
+                        regs::DOORBELL => {
+                            let v = u32::from_le_bytes(
+                                data.get(..4)
+                                    .and_then(|s| s.try_into().ok())
+                                    .unwrap_or([0; 4]),
+                            );
+                            if sim.metrics_enabled() {
+                                sim.metrics().counter_add(
+                                    "hwsw.doorbells",
+                                    &self.label,
+                                    1,
+                                    sim.now(),
+                                );
+                            }
+                            match v {
+                                DOORBELL_DATA | DOORBELL_REQUEST => {
+                                    let kind = if v == DOORBELL_DATA {
+                                        MsgKind::Data
+                                    } else {
+                                        MsgKind::Request
+                                    };
+                                    let mut g = self.lock();
+                                    if g.rx.len() >= g.rx_capacity {
+                                        return Ok(OcpResponse::error(timing));
+                                    }
+                                    // Staging buffer is frozen into the mailbox
+                                    // without copying.
+                                    let msg = ShipBytes::from(std::mem::take(&mut g.staging));
+                                    g.rx.push_back((kind, msg));
+                                    let depth = g.rx.len() as u64;
+                                    drop(g);
+                                    if sim.metrics_enabled() {
+                                        sim.metrics().gauge_set(
+                                            "mbox.occupancy",
+                                            &self.label,
+                                            depth,
+                                            sim.now(),
+                                        );
+                                    }
+                                    self.rx_written.notify_delta();
+                                    self.update_sideband();
+                                }
+                                DOORBELL_REPLY_ACK => {
+                                    self.lock().reply = None;
+                                    self.reply_taken.notify_delta();
+                                    self.update_sideband();
+                                }
+                                DOORBELL_RX_ACK => {
+                                    let mut g = self.lock();
+                                    match g.rx.pop_front() {
+                                        Some((MsgKind::Request, _)) => g.owed_replies += 1,
+                                        Some(_) => {}
+                                        None => return Ok(OcpResponse::error(timing)),
+                                    }
+                                    let owed = g.owed_replies;
+                                    let depth = g.rx.len() as u64;
+                                    drop(g);
+                                    if sim.metrics_enabled() {
+                                        sim.metrics().gauge_set(
+                                            "mbox.occupancy",
+                                            &self.label,
+                                            depth,
+                                            sim.now(),
+                                        );
+                                    }
+                                    self.note_owed(owed);
+                                    self.rx_taken.notify_delta();
+                                    self.update_sideband();
+                                }
+                                DOORBELL_REPLY_SET => {
+                                    let mut g = self.lock();
+                                    if g.owed_replies == 0 || g.reply.is_some() {
+                                        return Ok(OcpResponse::error(timing));
+                                    }
+                                    g.owed_replies -= 1;
+                                    let owed = g.owed_replies;
+                                    let r = ShipBytes::from(std::mem::take(&mut g.reply_staging));
+                                    g.reply = Some(r);
+                                    drop(g);
+                                    self.note_owed(owed);
+                                    self.reply_set.notify_delta();
+                                    self.update_sideband();
+                                }
+                                _ => return Ok(OcpResponse::error(timing)),
+                            }
+                        }
+                        regs::SET_REPLY_LEN => {
+                            let len = u32::from_le_bytes(
+                                data.get(..4)
+                                    .and_then(|s| s.try_into().ok())
+                                    .unwrap_or([0; 4]),
+                            ) as usize;
+                            if len as u64 > regs::REPLY_WIN_END - regs::REPLY_WIN {
+                                return Ok(OcpResponse::error(timing));
+                            }
+                            self.lock().reply_staging = vec![0; len];
+                        }
+                        a if (regs::REPLY_WIN..regs::REPLY_WIN_END).contains(&a) => {
+                            // SW slave staging the reply content over the bus.
+                            let off = (a - regs::REPLY_WIN) as usize;
+                            let mut g = self.lock();
+                            if off + data.len() > g.reply_staging.len() {
+                                return Ok(OcpResponse::error(timing));
+                            }
+                            g.reply_staging[off..off + data.len()].copy_from_slice(&data);
+                        }
+                        a if a >= regs::TX_WIN => {
+                            let off = (a - regs::TX_WIN) as usize;
+                            let mut g = self.lock();
+                            if off + data.len() > g.staging.len() {
+                                return Ok(OcpResponse::error(timing));
+                            }
+                            g.staging[off..off + data.len()].copy_from_slice(&data);
+                        }
+                        _ => return Ok(OcpResponse::error(timing)),
+                    }
+                    Ok(OcpResponse::write_ok(timing))
+                }
             }
-        }
+        })
     }
 
     fn target_name(&self) -> String {

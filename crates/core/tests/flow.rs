@@ -125,3 +125,22 @@ fn pin_level_equivalence_on_rpc() {
         .unwrap();
     assert!(run.pin_accurate.is_some());
 }
+
+#[test]
+fn pin_level_rejects_a_clock_below_the_toggle_resolution() {
+    // A 1 ps bus clock passes `ArchSpec::check` and runs at CCATB, but a
+    // pin-level clock cannot toggle faster than one phase per picosecond:
+    // both pin-level entry points report the architecture, never panic.
+    let app = workload::pipeline(3, 2, 16, SimDur::ZERO);
+    let arch = ArchSpec::plb().with_clock(SimDur::ps(1));
+    let roles = run_component_assembly(&app).unwrap().roles;
+    assert!(run_mapped(&app, &roles, &arch).is_ok());
+    assert!(matches!(
+        run_pin_accurate(&app, &roles, &arch),
+        Err(MapError::Arch { .. })
+    ));
+    assert!(matches!(
+        DesignFlow::new(app, arch).with_pin_level().run(),
+        Err(FlowError::Map(MapError::Arch { .. }))
+    ));
+}

@@ -21,13 +21,14 @@ use std::time::Instant;
 
 use shiptlm_cam::accessor::Accessor;
 use shiptlm_cam::wrapper::{map_channel, PendingMapping, WrapperConfig, ADAPTER_SIZE};
+use shiptlm_kernel::clock::Clock;
 use shiptlm_kernel::direct::{DirectOutcome, DirectSim, Disqualified};
 use shiptlm_kernel::liveness::DeadlockReport;
 use shiptlm_kernel::metrics::MetricsSnapshot;
 use shiptlm_kernel::sim::{SimHandle, Simulation};
 use shiptlm_kernel::time::{SimDur, SimTime};
 use shiptlm_kernel::txn::TxnTrace;
-use shiptlm_kernel::{RunResult, StopReason};
+use shiptlm_kernel::{Activations, RunResult, StopReason};
 use shiptlm_ocp::tl::{MasterId, OcpMasterPort, OcpTarget};
 use shiptlm_ship::channel::{ShipChannel, ShipConfig, ShipPort};
 use shiptlm_ship::direct::DirectChannel;
@@ -378,6 +379,10 @@ pub struct RunOutput {
     /// diagnosis naming a PE process as a hang; infrastructure processes
     /// (clocks, RTOS idle loops) may legitimately appear here.
     pub diagnosis: Option<DeadlockReport>,
+    /// Kernel process activations, split into thread activations (OS
+    /// handoffs) and inline ones (method calls and async polls); zero on
+    /// the direct backend.
+    pub activations: Activations,
 }
 
 impl RunOutput {
@@ -400,6 +405,7 @@ impl RunOutput {
             metrics: opts.collect_metrics(sim),
             reason: result.reason,
             diagnosis: RunOptions::diagnose_blocked(sim),
+            activations: sim.activations(),
         }
     }
 }
@@ -650,6 +656,7 @@ fn run_component_assembly_direct(
             metrics: opts.metrics.map(|_| sim.metrics_snapshot()),
             reason,
             diagnosis,
+            activations: Activations::default(),
         },
         roles,
         backend: BackendReport {
@@ -828,7 +835,8 @@ pub fn run_mapped_with(
 /// # Errors
 ///
 /// Returns [`MapError::Missing`] if `roles` does not cover every channel of
-/// `app`.
+/// `app`, and [`MapError::Arch`] if the interconnect clock is shorter than
+/// [`Clock::MIN_PERIOD`].
 pub fn run_pin_accurate(
     app: &AppSpec,
     roles: &RoleMap,
@@ -842,8 +850,7 @@ pub fn run_pin_accurate(
 ///
 /// # Errors
 ///
-/// Returns [`MapError::Missing`] if `roles` does not cover every channel of
-/// `app`.
+/// As [`run_pin_accurate`].
 pub fn run_pin_accurate_with(
     app: &AppSpec,
     roles: &RoleMap,
@@ -856,7 +863,16 @@ pub fn run_pin_accurate_with(
     let h = sim.handle();
     let log = TransactionLog::new();
     let (interconnect, channels) = map_communication(&h, app, roles, arch)?;
-    let clk = sim.clock("clk", interconnect.clock_period());
+    let period = interconnect.clock_period();
+    if period < Clock::MIN_PERIOD {
+        return Err(MapError::Arch {
+            detail: format!(
+                "interconnect clock {period} is below the {} toggle resolution of the pin level",
+                Clock::MIN_PERIOD
+            ),
+        });
+    }
+    let clk = sim.clock("clk", period);
 
     // One pin-level accessor per master PE, attached in order of the
     // master's first channel.

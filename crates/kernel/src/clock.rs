@@ -12,7 +12,9 @@ use crate::time::{SimDur, SimTime};
 
 /// A 50%-duty-cycle clock.
 ///
-/// The clock starts low; the first rising edge occurs after half a period.
+/// The clock starts low; the first rising edge occurs after half a period,
+/// rounded down to whole picoseconds, and the high phase lasts the rest of
+/// the period, so an odd period still makes one rising edge per period.
 /// Cycle-accurate models synchronize on [`posedge`](Clock::posedge) (usually
 /// through [`wait_cycles`](Clock::wait_cycles)) and may convert elapsed time
 /// to cycles with [`cycles_between`](Clock::cycles_between).
@@ -28,7 +30,7 @@ impl Clock {
     pub(crate) fn new(kernel: Arc<KernelShared>, name: &str, period: SimDur) -> Self {
         assert!(!period.is_zero(), "clock period must be non-zero");
         assert!(
-            period.as_ps() >= 2,
+            period.as_ps() >= Self::MIN_PERIOD.as_ps(),
             "clock period below the 2 ps toggle resolution"
         );
         let signal = Signal::new(Arc::clone(&kernel), name, false);
@@ -37,7 +39,8 @@ impl Clock {
         let tick = Event::new(Arc::clone(&kernel), &format!("{name}.tick"));
         let rising_edges = Arc::new(AtomicU64::new(0));
 
-        let half = period / 2;
+        let low = period / 2;
+        let high = period - low;
         let sig = signal.clone();
         let pos = posedge.clone();
         let neg = negedge.clone();
@@ -51,7 +54,7 @@ impl Clock {
             Box::new(move |api| {
                 if api.cause().is_none() {
                     // Initialization: schedule the first rising edge.
-                    tick_for_method.notify_after(half);
+                    tick_for_method.notify_after(low);
                     return;
                 }
                 level = !level;
@@ -59,10 +62,11 @@ impl Clock {
                 if level {
                     edges.fetch_add(1, Ordering::Relaxed);
                     pos.notify_delta();
+                    tick_for_method.notify_after(high);
                 } else {
                     neg.notify_delta();
+                    tick_for_method.notify_after(low);
                 }
-                tick_for_method.notify_after(half);
             }),
         );
 
@@ -74,6 +78,10 @@ impl Clock {
             rising_edges,
         }
     }
+
+    /// The shortest period a clock can toggle at: each phase lasts at
+    /// least one picosecond.
+    pub const MIN_PERIOD: SimDur = SimDur::ps(2);
 
     /// Clock period.
     pub fn period(&self) -> SimDur {
@@ -105,7 +113,7 @@ impl Clock {
         self.rising_edges.load(Ordering::Relaxed)
     }
 
-    /// Suspends the calling process for `n` rising edges.
+    /// Suspends the calling thread process for `n` rising edges.
     pub fn wait_cycles(&self, ctx: &mut ThreadCtx, n: u64) {
         for _ in 0..n {
             ctx.wait(&self.posedge);

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
 use crate::kernel::{EventId, KernelShared};
-use crate::process::ThreadCtx;
+use crate::process::Suspend;
 
 struct FifoShared<T> {
     kernel: Arc<KernelShared>,
@@ -17,8 +17,9 @@ struct FifoShared<T> {
     data_read: EventId,
 }
 
-/// A bounded FIFO with blocking read/write for thread processes and
-/// non-blocking variants for methods.
+/// A bounded FIFO with async read/write for processes and non-blocking
+/// variants for methods. A thread process awaits the async operations
+/// through [`ThreadCtx::block_on`](crate::process::ThreadCtx::block_on).
 ///
 /// Cloning yields another handle to the same channel; a typical module keeps
 /// one clone per port.
@@ -71,25 +72,28 @@ impl<T: Send + 'static> Fifo<T> {
         self.lock().is_empty()
     }
 
-    /// Blocking read: suspends the calling process while the FIFO is empty.
-    pub fn read(&self, ctx: &mut ThreadCtx) -> T {
+    /// Reads the oldest item, suspending the polling process while the
+    /// FIFO is empty.
+    pub async fn read(&self) -> T {
         loop {
             if let Some(v) = self.try_read() {
                 return v;
             }
-            ctx.wait(&self.written_event());
+            let written = std::slice::from_ref(&self.shared.data_written);
+            Suspend::new(&self.shared.kernel, written, None).await;
         }
     }
 
-    /// Blocking write: suspends the calling process while the FIFO is full.
-    pub fn write(&self, ctx: &mut ThreadCtx, v: T) {
+    /// Appends `v`, suspending the polling process while the FIFO is full.
+    pub async fn write(&self, v: T) {
         let mut v = v;
         loop {
             match self.try_write(v) {
                 Ok(()) => return,
                 Err(back) => {
                     v = back;
-                    ctx.wait(&self.read_event());
+                    let read = std::slice::from_ref(&self.shared.data_read);
+                    Suspend::new(&self.shared.kernel, read, None).await;
                 }
             }
         }

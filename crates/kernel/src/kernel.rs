@@ -11,23 +11,30 @@
 //! 4. **Time advance** — otherwise pop the earliest timed notifications and
 //!    advance [`SimTime`].
 //!
-//! Thread processes are real OS threads, but exactly one thread holds
-//! control at any instant, so the simulation is fully deterministic. The
-//! scheduler loop runs on whichever thread holds control: the caller of
-//! `run` until the first thread process is due, then each process as it
-//! yields or terminates. The holder runs method processes and update
-//! callbacks inline and resumes the next due thread process directly, so an
-//! activation costs one OS handoff, and none when the yielding process is
-//! itself the next one due. The holder at the end of a run reports how it
-//! ended on a one-slot channel that `run` blocks on.
+//! There are three process kinds. A *method* is a callback, an *async*
+//! process is a future, and a *thread* process is a real OS thread. Exactly
+//! one OS thread holds control at any instant, so the simulation is fully
+//! deterministic. The scheduler loop runs on whichever thread holds
+//! control: the caller of `run` until the first thread process is due, then
+//! each thread process as it yields or terminates. The holder calls methods,
+//! polls async processes and runs update callbacks inline, at the runnable
+//! queue position where they are due, and resumes the next due thread
+//! process directly. So only a thread activation costs an OS handoff, and
+//! none when the yielding thread is itself the next one due. The holder at
+//! the end of a run reports how it ended on a one-slot channel that `run`
+//! blocks on.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,7 +52,7 @@ use crate::txn::TxnShared;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub(crate) usize);
 
-/// Identifies a process (thread or method) inside the kernel.
+/// Identifies a process (thread, method or async) inside the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId(pub(crate) usize);
 
@@ -75,6 +82,16 @@ impl fmt::Display for StopReason {
         };
         f.write_str(s)
     }
+}
+
+/// Process activations since the simulation was created, by how they ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Activations {
+    /// Thread-process activations: each one resumes an OS thread.
+    pub threads: u64,
+    /// Method calls and async polls, run inline by the thread holding
+    /// control.
+    pub inline: u64,
 }
 
 /// Outcome of a scheduler run.
@@ -141,10 +158,25 @@ struct EventRec {
 
 enum ProcKind {
     Thread(ThreadLink),
+    /// `None` while the callback runs and after teardown.
     Method(Option<MethodFn>),
+    /// `None` while the future is polled, after it finished and after
+    /// teardown.
+    Async(Option<AsyncBody>),
 }
 
 pub(crate) type MethodFn = Box<dyn FnMut(&mut MethodApi) + Send>;
+
+pub(crate) type AsyncBody = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// The private-timer notification a wait arms besides its events.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Timer {
+    /// Fires after this much simulated time.
+    After(SimDur),
+    /// Fires in the next delta cycle.
+    Delta,
+}
 
 struct ThreadLink {
     /// `None` after teardown dropped it to force a blocked `recv` to error
@@ -170,6 +202,19 @@ struct ProcRec {
     wake_cause: Option<EventId>,
     /// Private timer event backing `wait_for` / `wait_delta`.
     timer: EventId,
+}
+
+impl ProcRec {
+    fn new(name: &str, kind: ProcKind, state: PState, timer: EventId) -> Self {
+        ProcRec {
+            name: Arc::from(name),
+            kind,
+            state,
+            waiting_on: Vec::new(),
+            wake_cause: None,
+            timer,
+        }
+    }
 }
 
 /// Min-heap entry for timed notifications; `seq` keeps FIFO order among
@@ -223,6 +268,10 @@ pub(crate) struct KernelShared {
     pub(crate) metrics: MetricsShared,
     /// Host wall-clock profiler (disabled by default).
     pub(crate) profiler: HostProfiler,
+    /// Thread activations: dispatches that resume an OS thread.
+    thread_activations: AtomicU64,
+    /// Inline activations: method calls and async polls.
+    inline_activations: AtomicU64,
     /// Set when this kernel is the dormant companion of a direct-execution
     /// run: constructs the direct backend cannot honour (timed
     /// notifications, signal updates, dynamic processes) disqualify the
@@ -259,6 +308,8 @@ impl KernelShared {
             txn: TxnShared::new(),
             metrics: MetricsShared::new(),
             profiler: HostProfiler::new(),
+            thread_activations: AtomicU64::new(0),
+            inline_activations: AtomicU64::new(0),
             direct_guard: OnceLock::new(),
             run_end_tx,
             run_end_rx: Mutex::new(run_end_rx),
@@ -285,6 +336,13 @@ impl KernelShared {
 
     pub(crate) fn delta_count(&self) -> u64 {
         self.lock().delta_count
+    }
+
+    pub(crate) fn activations(&self) -> Activations {
+        Activations {
+            threads: self.thread_activations.load(Ordering::Relaxed),
+            inline: self.inline_activations.load(Ordering::Relaxed),
+        }
     }
 
     pub(crate) fn request_stop(&self) {
@@ -331,7 +389,10 @@ impl KernelShared {
             return;
         }
         self.disqualify_if_direct(crate::direct::Construct::NotifyAfter);
-        let mut g = self.lock();
+        Self::mark_timed(&mut self.lock(), id, d);
+    }
+
+    fn mark_timed(g: &mut Inner, id: EventId, d: SimDur) {
         // Saturate instead of panicking: SimTime::MAX is the documented
         // "infinite horizon", so an overflowing notification simply lands
         // there (and never fires within any finite run).
@@ -414,15 +475,37 @@ impl KernelShared {
         g.runnable.push_back(pid);
     }
 
-    /// Registers a dynamic wait of `pid` on each event in `ids`.
-    pub(crate) fn register_wait(&self, pid: ProcessId, ids: &[EventId]) {
+    /// Registers a dynamic wait of `pid` on each event in `ids` and, when
+    /// `timer` is set, arms the process's private timer and waits on it
+    /// too. Returns the timer's id. The one registration path of every
+    /// wait, thread or async.
+    pub(crate) fn arm_wait(
+        &self,
+        pid: ProcessId,
+        ids: &[EventId],
+        timer: Option<Timer>,
+    ) -> EventId {
         let mut g = self.lock();
-        g.processes[pid.0].state = PState::Waiting;
-        g.processes[pid.0].wake_cause = None;
+        let own = g.processes[pid.0].timer;
+        match timer {
+            Some(Timer::After(d)) if !d.is_zero() => Self::mark_timed(&mut g, own, d),
+            Some(_) => Self::mark_delta(&mut g, own),
+            None => {}
+        }
+        let p = &mut g.processes[pid.0];
+        p.state = PState::Waiting;
+        p.wake_cause = None;
+        p.waiting_on.extend_from_slice(ids);
+        if timer.is_some() {
+            p.waiting_on.push(own);
+        }
         for id in ids {
-            g.processes[pid.0].waiting_on.push(*id);
             g.events[id.0].waiters.push(pid);
         }
+        if timer.is_some() {
+            g.events[own.0].waiters.push(pid);
+        }
+        own
     }
 
     pub(crate) fn request_update(&self, f: UpdateFn) {
@@ -435,29 +518,12 @@ impl KernelShared {
         name: &str,
         body: Box<dyn FnOnce(&mut crate::process::ThreadCtx) + Send>,
     ) -> ProcessId {
-        self.disqualify_if_direct(crate::direct::Construct::DynamicProcess);
         let (resume_tx, resume_rx) = sync_channel::<Resume>(1);
-        let timer = self.new_event(&format!("{name}.timer"));
-        let pid = {
-            let mut g = self.lock();
-            let pid = ProcessId(g.processes.len());
-            g.processes.push(ProcRec {
-                name: Arc::from(name),
-                kind: ProcKind::Thread(ThreadLink {
-                    resume_tx: Some(resume_tx),
-                    join: None,
-                }),
-                // Newly spawned processes start runnable (SystemC default
-                // initialization); during a run they join the current
-                // evaluate phase.
-                state: PState::Ready,
-                waiting_on: Vec::new(),
-                wake_cause: None,
-                timer,
-            });
-            g.runnable.push_back(pid);
-            pid
+        let link = ThreadLink {
+            resume_tx: Some(resume_tx),
+            join: None,
         };
+        let pid = self.add_process(name, ProcKind::Thread(link), &[], true);
         let kernel = Arc::clone(self);
         let join = std::thread::Builder::new()
             .name(name.to_string())
@@ -498,33 +564,40 @@ impl KernelShared {
         initialize: bool,
         f: MethodFn,
     ) -> ProcessId {
+        self.add_process(name, ProcKind::Method(Some(f)), sensitivity, initialize)
+    }
+
+    pub(crate) fn spawn_async(self: &Arc<Self>, name: &str, body: AsyncBody) -> ProcessId {
+        self.add_process(name, ProcKind::Async(Some(body)), &[], true)
+    }
+
+    /// Adds a process with its private timer, statically sensitive to
+    /// `sensitivity`; `ready` makes it runnable at once (SystemC default
+    /// initialization: during a run it joins the current evaluate phase).
+    fn add_process(
+        &self,
+        name: &str,
+        kind: ProcKind,
+        sensitivity: &[EventId],
+        ready: bool,
+    ) -> ProcessId {
         self.disqualify_if_direct(crate::direct::Construct::DynamicProcess);
         let timer = self.new_event(&format!("{name}.timer"));
         let mut g = self.lock();
         let pid = ProcessId(g.processes.len());
-        g.processes.push(ProcRec {
-            name: Arc::from(name),
-            kind: ProcKind::Method(Some(f)),
-            state: if initialize {
-                PState::Ready
-            } else {
-                PState::Waiting
-            },
-            waiting_on: Vec::new(),
-            wake_cause: None,
-            timer,
-        });
+        let state = if ready {
+            PState::Ready
+        } else {
+            PState::Waiting
+        };
+        g.processes.push(ProcRec::new(name, kind, state, timer));
         for eid in sensitivity {
             g.events[eid.0].static_sensitive.push(pid);
         }
-        if initialize {
+        if ready {
             g.runnable.push_back(pid);
         }
         pid
-    }
-
-    pub(crate) fn process_timer(&self, pid: ProcessId) -> EventId {
-        self.lock().processes[pid.0].timer
     }
 
     pub(crate) fn process_name(&self, pid: ProcessId) -> Arc<str> {
@@ -595,14 +668,16 @@ impl KernelShared {
                     continue;
                 }
                 let cause = p.wake_cause.take();
-                // The process is "waiting" unless it re-registers; a thread
-                // always registers a new wait before yielding.
+                // The process is "waiting" unless it re-registers; threads
+                // and async processes always register a new wait before
+                // they suspend.
                 p.state = PState::Waiting;
                 match &mut p.kind {
                     ProcKind::Thread(link) => {
                         // `None`: torn down mid-flight, nothing to resume.
                         if let Some(tx) = &link.resume_tx {
                             let tx = tx.clone();
+                            self.thread_activations.fetch_add(1, Ordering::Relaxed);
                             return Next::Resume { pid, cause, tx };
                         }
                     }
@@ -610,6 +685,12 @@ impl KernelShared {
                         if let Some(f) = slot.take() {
                             drop(g);
                             self.run_method(pid, f, cause);
+                        }
+                    }
+                    ProcKind::Async(slot) => {
+                        if let Some(body) = slot.take() {
+                            drop(g);
+                            self.poll_async(pid, body, cause);
                         }
                     }
                 }
@@ -713,6 +794,7 @@ impl KernelShared {
     /// Runs one activation of a method process on the thread holding
     /// control.
     fn run_method(self: &Arc<Self>, pid: ProcessId, mut f: MethodFn, cause: Option<EventId>) {
+        self.inline_activations.fetch_add(1, Ordering::Relaxed);
         let probe = self.profiler.start();
         let mut api = MethodApi {
             kernel: Arc::clone(self),
@@ -723,6 +805,44 @@ impl KernelShared {
             *slot = Some(f);
         }
         self.record_activation(pid, probe);
+    }
+
+    /// Polls async process `pid` once on the thread holding control, with
+    /// `cause` as the event that woke it. A pending body goes back to its
+    /// slot; a finished one is dropped outside the kernel lock. A panic
+    /// ends the process and re-raises as `process '<name>' panicked: …`,
+    /// the message a thread process's panic reaches `run` with.
+    fn poll_async(self: &Arc<Self>, pid: ProcessId, mut body: AsyncBody, cause: Option<EventId>) {
+        self.inline_activations.fetch_add(1, Ordering::Relaxed);
+        let probe = self.profiler.start();
+        let polled = {
+            let _polling = crate::process::Polling::enter(self, pid, cause);
+            let mut cx = Context::from_waker(Waker::noop());
+            panic::catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx)))
+        };
+        self.record_activation(pid, probe);
+        let failure = match polled {
+            Ok(Poll::Pending) => {
+                let mut g = self.lock();
+                let p = &mut g.processes[pid.0];
+                if !p.waiting_on.is_empty() {
+                    if let ProcKind::Async(slot) = &mut p.kind {
+                        *slot = Some(body);
+                    }
+                    return;
+                }
+                drop(g);
+                "suspended without a kernel wait".to_string()
+            }
+            Ok(Poll::Ready(())) => {
+                self.lock().processes[pid.0].state = PState::Terminated;
+                return;
+            }
+            Err(payload) => panic_message(&*payload),
+        };
+        // Dropped outside the kernel lock, which its captures may take.
+        drop(body);
+        panic!("{}", self.end_process(pid, &failure));
     }
 
     /// Attributes one process activation to the profiler.
@@ -787,19 +907,24 @@ impl KernelShared {
 
     /// Ends the run with the panic of process `me`, which held control.
     fn process_panicked(&self, me: ProcessId, payload: &(dyn Any + Send)) {
+        let msg = self.end_process(me, &panic_message(payload));
+        self.end_run(RunEnd::ProcessPanicked(msg));
+    }
+
+    /// Terminates process `me`, which failed with `msg`, and returns the
+    /// message its failure reaches `run` with.
+    fn end_process(&self, me: ProcessId, msg: &str) -> String {
         let name = {
             let mut g = self.lock();
             g.processes[me.0].state = PState::Terminated;
             Arc::clone(&g.processes[me.0].name)
         };
-        let msg = panic_message(payload);
-        self.end_run(RunEnd::ProcessPanicked(format!(
-            "process '{name}' panicked: {msg}"
-        )));
+        format!("process '{name}' panicked: {msg}")
     }
 
     /// Kills and joins every live process thread, and drops every method
-    /// closure and pending update callback. Called on simulation drop.
+    /// closure, async body and pending update callback. Called on
+    /// simulation drop.
     ///
     /// Each thread is parked either in its initial `recv` (never dispatched)
     /// or inside `yield_now` waiting for a resume. `Resume::Kill` unwinds it
@@ -807,12 +932,13 @@ impl KernelShared {
     /// well guarantees the `recv` errors out even if the kill message could
     /// not be buffered, so teardown can never hang on a live thread.
     ///
-    /// Closures that capture an `Event` or `Signal` (every `Clock`'s does)
-    /// hold this kernel through them, a reference cycle that only dropping
-    /// the closures breaks.
+    /// Closures and futures that capture an `Event` or `Signal` (every
+    /// `Clock`'s and every pin FSM's do) hold this kernel through them, a
+    /// reference cycle that only dropping them breaks.
     pub(crate) fn teardown(&self) {
         type LinkParts = (Option<SyncSender<Resume>>, Option<JoinHandle<()>>);
         let mut methods: Vec<MethodFn> = Vec::new();
+        let mut bodies: Vec<AsyncBody> = Vec::new();
         let (links, updates): (Vec<LinkParts>, Vec<UpdateFn>) = {
             let mut g = self.lock();
             let links = g
@@ -826,6 +952,10 @@ impl KernelShared {
                             methods.extend(slot.take());
                             (None, None)
                         }
+                        ProcKind::Async(slot) => {
+                            bodies.extend(slot.take());
+                            (None, None)
+                        }
                     }
                 })
                 .collect();
@@ -833,6 +963,7 @@ impl KernelShared {
         };
         // Dropped outside the kernel lock, which their captures may take.
         drop(methods);
+        drop(bodies);
         drop(updates);
         // First wave: send kills / drop senders without joining, so sibling
         // processes are all unblocked before we wait on any of them.

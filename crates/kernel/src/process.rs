@@ -1,17 +1,166 @@
-//! Thread-process context: the handle through which a simulated process
-//! waits, observes time and interacts with the kernel.
+//! Process contexts: how a simulated process waits, observes time and
+//! interacts with the kernel.
+//!
+//! A *thread* process receives a [`ThreadCtx`], whose blocking waits
+//! suspend its OS thread. An *async* process is a future
+//! ([`Simulation::spawn_async`](crate::sim::Simulation::spawn_async)) that
+//! the thread holding control polls inline; it waits by awaiting the wait
+//! futures of a [`SimHandle`](crate::sim::SimHandle) (`wait`, `wait_any`,
+//! `wait_any_for`, `wait_for`, `wait_delta`) or an async channel operation
+//! such as [`Fifo::read`](crate::fifo::Fifo::read). A wait future suspends
+//! whichever process polls it, so thread code that has not been ported
+//! runs the same futures through [`ThreadCtx::block_on`]. Both kinds
+//! register every wait through one kernel path, so a wait means the same
+//! scheduling step whichever kind makes it.
 
+use std::cell::Cell;
 use std::fmt;
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
-use crate::kernel::{EventId, KernelShared, ProcessId, Resume};
+use crate::kernel::{EventId, KernelShared, ProcessId, Resume, Timer};
 use crate::metrics::MetricsShared;
 use crate::time::{SimDur, SimTime};
-use crate::txn::{TxnEvent, TxnOutcome, TxnSpan};
+use crate::txn::TxnSpan;
+
+/// The process this OS thread is polling: its kernel (identity only), its
+/// id and the event that woke it, while unconsumed.
+#[derive(Clone, Copy)]
+struct Current {
+    kernel: *const KernelShared,
+    pid: ProcessId,
+    cause: Option<EventId>,
+}
+
+thread_local! {
+    static CURRENT: Cell<Option<Current>> = const { Cell::new(None) };
+}
+
+/// Marks process `pid` as the one this OS thread polls, for the guard's
+/// lifetime: set around each poll of an async process and each poll inside
+/// [`ThreadCtx::block_on`]. Nested runs restore the outer process on drop.
+pub(crate) struct Polling {
+    outer: Option<Current>,
+}
+
+impl Polling {
+    pub(crate) fn enter(
+        kernel: &Arc<KernelShared>,
+        pid: ProcessId,
+        cause: Option<EventId>,
+    ) -> Self {
+        let current = Current {
+            kernel: Arc::as_ptr(kernel),
+            pid,
+            cause,
+        };
+        Polling {
+            outer: CURRENT.replace(Some(current)),
+        }
+    }
+
+    /// The process of `kernel` being polled on this thread; `None` outside
+    /// any poll (the direct backend's `block_on`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a process of another simulation is being polled.
+    pub(crate) fn pid(kernel: &Arc<KernelShared>) -> Option<ProcessId> {
+        let current = CURRENT.get()?;
+        assert!(
+            std::ptr::eq(current.kernel, Arc::as_ptr(kernel)),
+            "a wait of one simulation was polled by a process of another"
+        );
+        Some(current.pid)
+    }
+
+    /// Takes the event that woke the polled process.
+    fn take_cause() -> Option<EventId> {
+        let mut current = CURRENT.get()?;
+        let cause = current.cause.take();
+        CURRENT.set(Some(current));
+        cause
+    }
+}
+
+impl Drop for Polling {
+    fn drop(&mut self) {
+        CURRENT.set(self.outer);
+    }
+}
+
+/// The one wait future: suspends the process that polls it until one of
+/// `ids` fires or, when `timer` is set, its private timer does. Resolves to
+/// the waking event and the timer's id.
+pub(crate) struct Suspend<'a> {
+    kernel: &'a Arc<KernelShared>,
+    ids: &'a [EventId],
+    timer: Option<Timer>,
+    /// The private timer's id, once the wait is registered.
+    armed: Option<EventId>,
+}
+
+impl<'a> Suspend<'a> {
+    pub(crate) fn new(
+        kernel: &'a Arc<KernelShared>,
+        ids: &'a [EventId],
+        timer: Option<Timer>,
+    ) -> Self {
+        Suspend {
+            kernel,
+            ids,
+            timer,
+            armed: None,
+        }
+    }
+}
+
+/// How a [`Suspend`] ended.
+pub(crate) struct Woken {
+    /// The event that woke the process.
+    pub(crate) cause: EventId,
+    /// The process's private timer.
+    pub(crate) timer: EventId,
+}
+
+impl Woken {
+    /// The position of the waking event in `ids`.
+    pub(crate) fn index(&self, ids: &[EventId]) -> usize {
+        ids.iter()
+            .position(|i| *i == self.cause)
+            .expect("woken by unregistered event")
+    }
+}
+
+impl Future for Suspend<'_> {
+    type Output = Woken;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Woken> {
+        // Outside a kernel poll nothing can register the wait: report
+        // `Pending`, which the direct backend's `block_on` disqualifies.
+        let Some(pid) = Polling::pid(self.kernel) else {
+            return Poll::Pending;
+        };
+        match self.armed {
+            // A process is polled again only once a registered event woke
+            // it, so the second poll always completes the wait.
+            Some(timer) => Poll::Ready(Woken {
+                cause: Polling::take_cause().expect("a wait resumed without a cause"),
+                timer,
+            }),
+            None => {
+                self.armed = Some(self.kernel.arm_wait(pid, self.ids, self.timer));
+                Poll::Pending
+            }
+        }
+    }
+}
 
 /// Which execution backend is driving this process.
 enum CtxInner {
@@ -44,9 +193,10 @@ enum CtxInner {
 /// A `ThreadCtx` is handed to the process body and is the only way for the
 /// process to block: [`wait`](ThreadCtx::wait), [`wait_for`](ThreadCtx::wait_for),
 /// [`wait_any`](ThreadCtx::wait_any) and [`wait_delta`](ThreadCtx::wait_delta)
-/// suspend the process and pass control to the scheduler. Channel
-/// blocking operations (FIFO reads, SHIP calls, bus transactions) all take
-/// `&mut ThreadCtx` for the same reason.
+/// suspend the process and pass control to the scheduler. Blocking
+/// channel operations (SHIP calls, OCP master ports) take `&mut ThreadCtx`
+/// for the same reason; async ones (FIFO reads, CAM transactions) run
+/// through [`block_on`](ThreadCtx::block_on).
 ///
 /// The same type serves both backends: under the delta-cycle kernel the
 /// blocking calls run the scheduler on the process's own thread; under the
@@ -175,20 +325,7 @@ impl ThreadCtx {
             CtxInner::Kernel { kernel, pid, .. } => (&kernel.txn, kernel.process_name(*pid)),
             CtxInner::Direct { core, index, .. } => (&core.txn, core.process_name(*index)),
         };
-        txn.record(TxnEvent {
-            level: span.level,
-            op: span.op,
-            resource: Arc::clone(span.resource),
-            process,
-            start: span.start,
-            end: span.end,
-            bytes: span.bytes,
-            outcome: if span.ok {
-                TxnOutcome::Ok
-            } else {
-                TxnOutcome::Error
-            },
-        });
+        txn.record(span.stamped(process));
     }
 
     /// `true` when the time-resolved metrics registry is enabled
@@ -214,13 +351,9 @@ impl ThreadCtx {
 
     /// Suspends until `event` is notified.
     pub fn wait(&mut self, event: &Event) {
-        match &mut self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => {
-                kernel.register_wait(*pid, &[event.id]);
-                let _ = self.yield_now();
-            }
-            CtxInner::Direct { core, .. } => core.disqualify(Construct::EventWait),
-        }
+        self.on_direct(Construct::EventWait);
+        let sim = self.sim();
+        self.block_on(sim.wait(event));
     }
 
     /// Suspends until any of `events` fires; returns the index of the one
@@ -231,21 +364,9 @@ impl ThreadCtx {
     /// Panics if `events` is empty (the process could never wake).
     pub fn wait_any(&mut self, events: &[&Event]) -> usize {
         assert!(!events.is_empty(), "wait_any on an empty event set");
-        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        match &mut self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => {
-                kernel.register_wait(*pid, &ids);
-            }
-            CtxInner::Direct { core, .. } => core.disqualify(Construct::EventWait),
-        }
-        let cause = self.yield_now();
-        match cause {
-            Some(c) => ids
-                .iter()
-                .position(|i| *i == c)
-                .expect("woken by unregistered event"),
-            None => panic!("wait_any woke without a cause"),
-        }
+        self.on_direct(Construct::EventWait);
+        let sim = self.sim();
+        self.block_on(sim.wait_any(events))
     }
 
     /// Suspends until any of `events` fires or `timeout` elapses.
@@ -258,36 +379,9 @@ impl ThreadCtx {
     pub fn wait_any_for(&mut self, events: &[&Event], timeout: SimDur) -> Option<usize> {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
-        let (timer, mut ids) = match &mut self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => {
-                let timer = kernel.process_timer(*pid);
-                kernel.notify_after(timer, timeout);
-                let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-                (timer, ids)
-            }
-            CtxInner::Direct { core, .. } => core.disqualify(Construct::TimedWait),
-        };
-        ids.push(timer);
-        if let CtxInner::Kernel { kernel, pid, .. } = &self.inner {
-            kernel.register_wait(*pid, &ids);
-        }
-        let cause = self.yield_now();
-        match cause {
-            Some(c) if c == timer => None,
-            Some(c) => {
-                // Cancel the pending timeout so it cannot spuriously wake a
-                // later wait on the same private timer.
-                if let CtxInner::Kernel { kernel, .. } = &self.inner {
-                    kernel.cancel(timer);
-                }
-                Some(
-                    ids.iter()
-                        .position(|i| *i == c)
-                        .expect("woken by unregistered event"),
-                )
-            }
-            None => panic!("wait_any_for woke without a cause"),
-        }
+        self.on_direct(Construct::TimedWait);
+        let sim = self.sim();
+        self.block_on(sim.wait_any_for(events, timeout))
     }
 
     /// Suspends for duration `d` of simulated time.
@@ -296,32 +390,59 @@ impl ThreadCtx {
             self.wait_delta();
             return;
         }
-        match &mut self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => {
-                let timer = kernel.process_timer(*pid);
-                kernel.notify_after(timer, d);
-                kernel.register_wait(*pid, &[timer]);
-                let _ = self.yield_now();
-            }
-            CtxInner::Direct { core, .. } => core.disqualify(Construct::TimedWait),
-        }
+        self.on_direct(Construct::TimedWait);
+        let sim = self.sim();
+        self.block_on(sim.wait_for(d));
     }
 
     /// Suspends for one delta cycle. On the direct backend this is a plain
     /// scheduling hint (plus an abort check): qualifying models only use it
     /// for fairness, never for ordering.
     pub fn wait_delta(&mut self) {
-        match &mut self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => {
-                let timer = kernel.process_timer(*pid);
-                kernel.notify_delta(timer);
-                kernel.register_wait(*pid, &[timer]);
-                let _ = self.yield_now();
+        if let CtxInner::Direct { core, .. } = &self.inner {
+            core.check_abort();
+            std::thread::yield_now();
+            return;
+        }
+        let sim = self.sim();
+        self.block_on(sim.wait_delta());
+    }
+
+    /// Runs `fut` to completion in this thread process: the way thread code
+    /// awaits an async API (a FIFO read, a CAM transaction, a wait future).
+    /// Each time `fut` suspends on a kernel wait the process yields exactly
+    /// as a blocking wait would, and the waking event resumes it.
+    ///
+    /// On the direct backend the first suspension disqualifies the run
+    /// ([`Construct::EventWait`]); a future that completes without
+    /// suspending runs normally.
+    pub fn block_on<F: Future>(&mut self, fut: F) -> F::Output {
+        let mut fut = pin!(fut);
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut cause = None;
+        loop {
+            let polled = match &self.inner {
+                CtxInner::Kernel { kernel, pid, .. } => {
+                    let _polling = Polling::enter(kernel, *pid, cause);
+                    fut.as_mut().poll(&mut cx)
+                }
+                CtxInner::Direct { .. } => fut.as_mut().poll(&mut cx),
+            };
+            match polled {
+                Poll::Ready(out) => return out,
+                Poll::Pending => {
+                    self.on_direct(Construct::EventWait);
+                    cause = self.yield_now();
+                }
             }
-            CtxInner::Direct { core, .. } => {
-                core.check_abort();
-                std::thread::yield_now();
-            }
+        }
+    }
+
+    /// Disqualifies a direct-backend run that reached `construct`; a no-op
+    /// under the delta-cycle kernel.
+    fn on_direct(&self, construct: Construct) {
+        if let CtxInner::Direct { core, .. } = &self.inner {
+            core.disqualify(construct);
         }
     }
 

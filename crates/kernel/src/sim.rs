@@ -1,23 +1,27 @@
 //! The public simulation facade: elaboration and run control.
 
 use std::fmt;
+use std::future::Future;
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::clock::Clock;
 use crate::event::Event;
 use crate::fifo::Fifo;
-use crate::kernel::{KernelShared, MethodApi, ProcessId, RunResult};
+use crate::kernel::{Activations, EventId, KernelShared, MethodApi, ProcessId, RunResult, Timer};
 use crate::liveness::{DeadlockReport, EndpointId};
 use crate::metrics::{HostProfile, MetricsShared, MetricsSnapshot};
-use crate::process::ThreadCtx;
+use crate::process::{Polling, Suspend, ThreadCtx};
 use crate::signal::{Signal, SignalValue};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{TraceError, VcdTracer};
-use crate::txn::TxnTrace;
+use crate::txn::{TxnSpan, TxnTrace};
 
 /// A discrete-event simulation: owns the kernel, elaborates processes and
 /// channels, and drives the scheduler.
+///
+/// A thread process blocks through its [`ThreadCtx`]; an async process
+/// awaits the wait futures of a [`SimHandle`] and async channel operations.
 ///
 /// ```
 /// use shiptlm_kernel::prelude::*;
@@ -25,15 +29,16 @@ use crate::txn::TxnTrace;
 /// let sim = Simulation::new();
 /// let fifo = sim.fifo::<u32>("pipe", 4);
 /// let (tx, rx) = (fifo.clone(), fifo);
-/// sim.spawn_thread("producer", move |ctx| {
+/// let h = sim.handle();
+/// sim.spawn_async("producer", async move {
 ///     for i in 0..10 {
-///         tx.write(ctx, i);
-///         ctx.wait_for(SimDur::ns(10));
+///         tx.write(i).await;
+///         h.wait_for(SimDur::ns(10)).await;
 ///     }
 /// });
 /// sim.spawn_thread("consumer", move |ctx| {
 ///     for i in 0..10 {
-///         assert_eq!(rx.read(ctx), i);
+///         assert_eq!(ctx.block_on(rx.read()), i);
 ///     }
 /// });
 /// let result = sim.run();
@@ -60,6 +65,13 @@ impl Simulation {
     /// scheduler effort when comparing abstraction levels.
     pub fn delta_count(&self) -> u64 {
         self.kernel.delta_count()
+    }
+
+    /// Process activations so far: thread activations, each of which
+    /// resumes an OS thread, and inline ones (method calls and async
+    /// polls). Two relaxed counters, always on.
+    pub fn activations(&self) -> Activations {
+        self.kernel.activations()
     }
 
     /// Creates a named event.
@@ -94,6 +106,20 @@ impl Simulation {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         self.kernel.spawn_thread(name, Box::new(body))
+    }
+
+    /// Spawns an async process: `body` is polled inline by the thread
+    /// holding control, at the runnable-queue position where a thread
+    /// process would be resumed, so no OS thread is involved. It starts
+    /// runnable, like a thread process, and suspends by awaiting the wait
+    /// futures of a [`SimHandle`] or async channel operations; no other
+    /// future may suspend it. Its pid and private timer are allocated in
+    /// the same order as [`spawn_thread`](Self::spawn_thread)'s.
+    pub fn spawn_async<F>(&self, name: &str, body: F) -> ProcessId
+    where
+        F: Future<Output = ()> + Send + 'static,
+    {
+        self.kernel.spawn_async(name, Box::pin(body))
     }
 
     /// Spawns a method process triggered whenever any event in `sensitivity`
@@ -279,6 +305,14 @@ impl fmt::Debug for Simulation {
 /// Obtained from [`Simulation::handle`] or [`ThreadCtx::sim`]; allows
 /// creating events/channels and spawning processes dynamically (e.g. an RTOS
 /// task creating another task at runtime).
+///
+/// It is also the handle a process waits and records through from async
+/// code: its wait futures ([`wait`](Self::wait), [`wait_any`](Self::wait_any),
+/// [`wait_any_for`](Self::wait_any_for), [`wait_for`](Self::wait_for),
+/// [`wait_delta`](Self::wait_delta)) suspend whichever process polls them —
+/// an async process, or a thread process inside
+/// [`ThreadCtx::block_on`] — and [`txn_record`](Self::txn_record) stamps
+/// that process's name. A wait future must be awaited to completion.
 #[derive(Clone)]
 pub struct SimHandle {
     kernel: Arc<KernelShared>,
@@ -325,6 +359,78 @@ impl SimHandle {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         self.kernel.spawn_thread(name, Box::new(body))
+    }
+
+    /// Spawns an async process (see [`Simulation::spawn_async`]); during a
+    /// run it joins the current evaluate phase.
+    pub fn spawn_async<F>(&self, name: &str, body: F) -> ProcessId
+    where
+        F: Future<Output = ()> + Send + 'static,
+    {
+        self.kernel.spawn_async(name, Box::pin(body))
+    }
+
+    /// Suspends the polling process until `event` is notified.
+    pub async fn wait(&self, event: &Event) {
+        Suspend::new(&self.kernel, std::slice::from_ref(&event.id), None).await;
+    }
+
+    /// Suspends the polling process until any of `events` fires; resolves
+    /// to the index of the one that woke it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is empty (the process could never wake).
+    pub async fn wait_any(&self, events: &[&Event]) -> usize {
+        assert!(!events.is_empty(), "wait_any on an empty event set");
+        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
+        Suspend::new(&self.kernel, &ids, None).await.index(&ids)
+    }
+
+    /// Suspends the polling process until any of `events` fires or
+    /// `timeout` elapses: `Some(index)` of the waking event, or `None` on
+    /// timeout. An event wake cancels the pending timeout, so it cannot
+    /// end a later wait early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is empty or `timeout` is zero.
+    pub async fn wait_any_for(&self, events: &[&Event], timeout: SimDur) -> Option<usize> {
+        assert!(!events.is_empty(), "wait_any_for on an empty event set");
+        assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
+        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
+        let woken = Suspend::new(&self.kernel, &ids, Some(Timer::After(timeout))).await;
+        if woken.cause == woken.timer {
+            return None;
+        }
+        self.kernel.cancel(woken.timer);
+        Some(woken.index(&ids))
+    }
+
+    /// Suspends the polling process for `d` of simulated time; a zero
+    /// duration waits one delta cycle.
+    pub async fn wait_for(&self, d: SimDur) {
+        Suspend::new(&self.kernel, &[], Some(Timer::After(d))).await;
+    }
+
+    /// Suspends the polling process for one delta cycle.
+    pub async fn wait_delta(&self) {
+        Suspend::new(&self.kernel, &[], Some(Timer::Delta)).await;
+    }
+
+    /// Records a completed transaction span, stamped with the name of the
+    /// process being polled. No-op when the recorder is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a poll of one of this simulation's processes.
+    pub fn txn_record(&self, span: TxnSpan<'_>) {
+        if !self.txn_enabled() {
+            return;
+        }
+        let pid = Polling::pid(&self.kernel).expect("txn_record outside a process");
+        let process = self.kernel.process_name(pid);
+        self.kernel.txn.record(span.stamped(process));
     }
 
     /// Requests the simulation to stop.

@@ -99,8 +99,9 @@ pub struct TxnEvent {
     pub outcome: TxnOutcome,
 }
 
-/// A span handed to [`ThreadCtx::txn_record`](crate::process::ThreadCtx::txn_record);
-/// the context fills in the recording process automatically.
+/// A span handed to [`ThreadCtx::txn_record`](crate::process::ThreadCtx::txn_record)
+/// or [`SimHandle::txn_record`](crate::sim::SimHandle::txn_record); the
+/// recording process is filled in automatically.
 #[derive(Debug)]
 pub struct TxnSpan<'a> {
     /// Abstraction level / trace category.
@@ -117,6 +118,26 @@ pub struct TxnSpan<'a> {
     pub bytes: usize,
     /// `true` when the operation succeeded.
     pub ok: bool,
+}
+
+impl TxnSpan<'_> {
+    /// The event this span records when `process` performed it.
+    pub(crate) fn stamped(self, process: Arc<str>) -> TxnEvent {
+        TxnEvent {
+            level: self.level,
+            op: self.op,
+            resource: Arc::clone(self.resource),
+            process,
+            start: self.start,
+            end: self.end,
+            bytes: self.bytes,
+            outcome: if self.ok {
+                TxnOutcome::Ok
+            } else {
+                TxnOutcome::Error
+            },
+        }
+    }
 }
 
 /// Online latency/throughput accounting for one `(level, resource)` stream.

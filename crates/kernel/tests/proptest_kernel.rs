@@ -62,7 +62,7 @@ fn fifo_preserves_order_and_content() {
         let sent = items.clone();
         sim.spawn_thread("p", move |ctx| {
             for v in sent {
-                tx.write(ctx, v);
+                ctx.block_on(tx.write(v));
                 if prod_gap > 0 {
                     ctx.wait_for(SimDur::ps(prod_gap));
                 }
@@ -76,7 +76,7 @@ fn fifo_preserves_order_and_content() {
                     if cons_gap > 0 {
                         ctx.wait_for(SimDur::ps(cons_gap));
                     }
-                    received.lock().unwrap().push(rx.read(ctx));
+                    received.lock().unwrap().push(ctx.block_on(rx.read()));
                 }
             });
         }

@@ -1,10 +1,37 @@
 //! Scheduler-semantics tests: delta cycles, notification flavors, process
 //! interleaving, signals, FIFOs, clocks and run control.
+//!
+//! The dispatch-order, panic and teardown tests run every process body on
+//! both process kinds: a body is written once as a future over a
+//! [`SimHandle`], which an async process is and a thread process runs with
+//! `block_on`. Both kinds must give the same result.
 
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use shiptlm_kernel::prelude::*;
+
+/// A process kind.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Thread,
+    Async,
+}
+
+const KINDS: [Kind; 2] = [Kind::Thread, Kind::Async];
+
+/// Spawns `body`, built from a handle on `sim`, as a process of `kind`.
+fn spawn<Fut>(sim: &SimHandle, kind: Kind, name: &str, body: impl FnOnce(SimHandle) -> Fut)
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    let body = body(sim.clone());
+    match kind {
+        Kind::Thread => sim.spawn_thread(name, move |ctx| ctx.block_on(body)),
+        Kind::Async => sim.spawn_async(name, body),
+    };
+}
 
 fn shared_log() -> (
     Arc<Mutex<Vec<String>>>,
@@ -266,17 +293,17 @@ fn fifo_blocks_reader_until_write() {
         let got = Arc::clone(&got);
         sim.spawn_thread("rx", move |ctx| {
             for _ in 0..3 {
-                let v = rx.read(ctx);
+                let v = ctx.block_on(rx.read());
                 got.lock().unwrap().push((v, ctx.now().as_ps()));
             }
         });
     }
     sim.spawn_thread("tx", move |ctx| {
         ctx.wait_for(SimDur::ns(10));
-        tx.write(ctx, 7);
+        ctx.block_on(tx.write(7));
         ctx.wait_for(SimDur::ns(10));
-        tx.write(ctx, 8);
-        tx.write(ctx, 9);
+        ctx.block_on(tx.write(8));
+        ctx.block_on(tx.write(9));
     });
     sim.run();
     let got = got.lock().unwrap();
@@ -295,7 +322,7 @@ fn fifo_blocks_writer_when_full() {
         let wt = Arc::clone(&write_times);
         sim.spawn_thread("tx", move |ctx| {
             for i in 0..3 {
-                tx.write(ctx, i);
+                ctx.block_on(tx.write(i));
                 wt.lock().unwrap().push(ctx.now().as_ps());
             }
         });
@@ -303,7 +330,7 @@ fn fifo_blocks_writer_when_full() {
     sim.spawn_thread("rx", move |ctx| {
         for _ in 0..3 {
             ctx.wait_for(SimDur::ns(100));
-            let _ = rx.read(ctx);
+            let _ = ctx.block_on(rx.read());
         }
     });
     sim.run();
@@ -493,28 +520,37 @@ fn method_initialization_call_runs_once() {
 }
 
 #[test]
-#[should_panic(expected = "process 'boom' panicked")]
 fn process_panic_propagates_to_run() {
-    let sim = Simulation::new();
-    sim.spawn_thread("boom", |ctx| {
-        ctx.wait_for(SimDur::ns(1));
-        panic!("kaboom");
-    });
-    sim.run();
+    for kind in KINDS {
+        let sim = Simulation::new();
+        spawn(&sim.handle(), kind, "boom", |h| async move {
+            h.wait_for(SimDur::ns(1)).await;
+            panic!("kaboom");
+        });
+        let msg = run_expecting_panic(&sim);
+        assert!(msg.contains("process 'boom' panicked"), "{kind:?}: {msg}");
+    }
 }
 
 #[test]
 fn drop_with_blocked_processes_does_not_hang() {
-    let sim = Simulation::new();
-    let ev = sim.event("never");
-    for i in 0..4 {
-        let ev = ev.clone();
-        sim.spawn_thread(&format!("blocked{i}"), move |ctx| {
-            ctx.wait(&ev);
-        });
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let ev = sim.event("never");
+        for i in 0..4 {
+            let ev = ev.clone();
+            spawn(
+                &sim.handle(),
+                kind,
+                &format!("blocked{i}"),
+                |h| async move {
+                    h.wait(&ev).await;
+                },
+            );
+        }
+        sim.run(); // starves with blocked processes
+        drop(sim); // must join all threads without deadlock
     }
-    sim.run(); // starves with blocked processes
-    drop(sim); // must join all threads without deadlock
 }
 
 #[test]
@@ -692,21 +728,23 @@ fn process_panic_message_reaches_the_driving_thread() {
     // Regression: the kernel used to coerce the panic payload *Box* itself
     // to `&dyn Any`, so every process panic surfaced as "unknown panic
     // payload" instead of the original message.
-    let sim = Simulation::new();
-    sim.spawn_thread("crasher", |_ctx| {
-        // Panic via `unwrap` on purpose — the exact path model PEs take.
-        #[allow(clippy::unnecessary_literal_unwrap)]
-        let () = Err::<(), String>("original cause".into()).unwrap();
-    });
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
-        .expect_err("process panic must re-raise on the driving thread");
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("re-raised panic carries a String");
-    assert!(
-        msg.contains("process 'crasher' panicked") && msg.contains("original cause"),
-        "driving-thread panic must carry the original message, got: {msg}"
-    );
+    for kind in KINDS {
+        let sim = Simulation::new();
+        spawn(&sim.handle(), kind, "crasher", |_h| async move {
+            // Panic via `unwrap` on purpose — the exact path model PEs take.
+            #[allow(clippy::unnecessary_literal_unwrap)]
+            let () = Err::<(), String>("original cause".into()).unwrap();
+        });
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("process panic must re-raise on the driving thread");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("re-raised panic carries a String");
+        assert!(
+            msg.contains("process 'crasher' panicked") && msg.contains("original cause"),
+            "{kind:?}: driving-thread panic must carry the original message, got: {msg}"
+        );
+    }
 }
 
 /// Simulated time in whole nanoseconds, for compact activation logs.
@@ -716,35 +754,78 @@ fn ns(t: SimTime) -> u64 {
 
 #[test]
 fn dispatch_order_is_pinned() {
-    // Every thread and method activation, in order. Covers immediate,
-    // delta and timed notifications, a thread resuming itself after
-    // `wait_delta`, a dynamic spawn, and a `run_until` that pauses the run
-    // while processes are mid-flight and then resumes it.
+    // Every thread or async and method activation, in order. Covers
+    // immediate, delta and timed notifications, a process resuming itself
+    // after `wait_delta`, a dynamic spawn, and a `run_until` that pauses
+    // the run while processes are mid-flight and then resumes it.
+    for kind in KINDS {
+        assert_eq!(
+            dispatch_log(kind),
+            vec![
+                "a0@0",
+                "m.init@0",
+                "a0.delta@0",
+                "b.delta@0",
+                "m.delta@0",
+                "m.timed@5",
+                "a1@10",
+                "b.imm@10",
+                "a1.delta@10",
+                "b.delta@10",
+                "m.delta@10",
+                "spawner@12",
+                "child@12",
+                "b.imm@12",
+                "spawner.end@12",
+                "child.delta@12",
+                "m.timed@15",
+                "child.end@15",
+                "pause.TimeLimit@15 deltas=9",
+                "a2@20",
+                "b.imm@20",
+                "a2.delta@20",
+                "b.delta@20",
+                "m.delta@20",
+                "m.timed@25",
+                "a.end@30",
+                "end.Starved@30 deltas=14",
+            ],
+            "{kind:?}"
+        );
+    }
+}
+
+/// The activation log of the dispatch-order model with its processes of
+/// `kind` (the method stays a method).
+fn dispatch_log(kind: Kind) -> Vec<String> {
     let sim = Simulation::new();
+    let h = sim.handle();
     let (log, push) = shared_log();
     let imm = sim.event("imm");
     let delta = sim.event("delta");
     let timed = sim.event("timed");
     {
         let (imm, delta, timed, push) = (imm.clone(), delta.clone(), timed.clone(), push.clone());
-        sim.spawn_thread("a", move |ctx| {
+        spawn(&h, kind, "a", |h| async move {
             for i in 0..3 {
-                push(&format!("a{i}@{}", ns(ctx.now())));
+                push(&format!("a{i}@{}", ns(h.now())));
                 imm.notify();
-                ctx.wait_delta();
-                push(&format!("a{i}.delta@{}", ns(ctx.now())));
+                h.wait_delta().await;
+                push(&format!("a{i}.delta@{}", ns(h.now())));
                 delta.notify_delta();
                 timed.notify_after(SimDur::ns(5));
-                ctx.wait_for(SimDur::ns(10));
+                h.wait_for(SimDur::ns(10)).await;
             }
-            push(&format!("a.end@{}", ns(ctx.now())));
+            push(&format!("a.end@{}", ns(h.now())));
         });
     }
     {
         let (imm, delta, push) = (imm.clone(), delta.clone(), push.clone());
-        sim.spawn_thread("b", move |ctx| loop {
-            let which = ctx.wait_any(&[&imm, &delta]);
-            push(&format!("b.{}@{}", ["imm", "delta"][which], ns(ctx.now())));
+        spawn(&h, kind, "b", |h| async move {
+            loop {
+                let which = h.wait_any(&[&imm, &delta]).await;
+                push(&format!("b.{}@{}", ["imm", "delta"][which], ns(h.now())));
+            }
         });
     }
     {
@@ -760,20 +841,20 @@ fn dispatch_order_is_pinned() {
     }
     {
         let (imm, push) = (imm.clone(), push.clone());
-        sim.spawn_thread("spawner", move |ctx| {
-            ctx.wait_for(SimDur::ns(12));
-            push(&format!("spawner@{}", ns(ctx.now())));
+        spawn(&h, kind, "spawner", |h| async move {
+            h.wait_for(SimDur::ns(12)).await;
+            push(&format!("spawner@{}", ns(h.now())));
             let child_push = push.clone();
-            ctx.sim().spawn_thread("child", move |cctx| {
-                child_push(&format!("child@{}", ns(cctx.now())));
-                cctx.wait_delta();
-                child_push(&format!("child.delta@{}", ns(cctx.now())));
-                cctx.wait_for(SimDur::ns(3));
-                child_push(&format!("child.end@{}", ns(cctx.now())));
+            spawn(&h, kind, "child", |h| async move {
+                child_push(&format!("child@{}", ns(h.now())));
+                h.wait_delta().await;
+                child_push(&format!("child.delta@{}", ns(h.now())));
+                h.wait_for(SimDur::ns(3)).await;
+                child_push(&format!("child.end@{}", ns(h.now())));
             });
             imm.notify();
-            ctx.wait_delta();
-            push(&format!("spawner.end@{}", ns(ctx.now())));
+            h.wait_delta().await;
+            push(&format!("spawner.end@{}", ns(h.now())));
         });
     }
     let r = sim.run_until(SimTime::ZERO + SimDur::ns(15));
@@ -790,38 +871,8 @@ fn dispatch_order_is_pinned() {
         ns(r.time),
         sim.delta_count()
     ));
-    assert_eq!(
-        *log.lock().unwrap(),
-        vec![
-            "a0@0",
-            "m.init@0",
-            "a0.delta@0",
-            "b.delta@0",
-            "m.delta@0",
-            "m.timed@5",
-            "a1@10",
-            "b.imm@10",
-            "a1.delta@10",
-            "b.delta@10",
-            "m.delta@10",
-            "spawner@12",
-            "child@12",
-            "b.imm@12",
-            "spawner.end@12",
-            "child.delta@12",
-            "m.timed@15",
-            "child.end@15",
-            "pause.TimeLimit@15 deltas=9",
-            "a2@20",
-            "b.imm@20",
-            "a2.delta@20",
-            "b.delta@20",
-            "m.delta@20",
-            "m.timed@25",
-            "a.end@30",
-            "end.Starved@30 deltas=14",
-        ]
-    );
+    let log = log.lock().unwrap().clone();
+    log
 }
 
 /// The message a panic payload carries (`panic!` with a literal yields a
@@ -843,14 +894,19 @@ fn run_expecting_panic(sim: &Simulation) -> String {
     payload_text(&*payload)
 }
 
-/// A thread that wakes at 1 ns, calls `act`, then finishes at 2 ns; `done`
-/// counts the finishes.
-fn spawn_two_step(sim: &Simulation, done: &Arc<AtomicU64>, act: impl FnOnce() + Send + 'static) {
+/// A process of `kind` that wakes at 1 ns, calls `act`, then finishes at
+/// 2 ns; `done` counts the finishes.
+fn spawn_two_step(
+    sim: &Simulation,
+    kind: Kind,
+    done: &Arc<AtomicU64>,
+    act: impl FnOnce() + Send + 'static,
+) {
     let done = Arc::clone(done);
-    sim.spawn_thread("stepper", move |ctx| {
-        ctx.wait_for(SimDur::ns(1));
+    spawn(&sim.handle(), kind, "stepper", |h| async move {
+        h.wait_for(SimDur::ns(1)).await;
         act();
-        ctx.wait_for(SimDur::ns(1));
+        h.wait_for(SimDur::ns(1)).await;
         done.fetch_add(1, Ordering::SeqCst);
     });
 }
@@ -867,16 +923,18 @@ fn assert_resumes_to_completion(sim: &Simulation, done: &AtomicU64) {
 
 #[test]
 fn method_panic_after_a_thread_yield_surfaces_with_its_payload() {
-    let sim = Simulation::new();
-    let kick = sim.event("kick");
-    let done = Arc::new(AtomicU64::new(0));
-    {
-        let kick = kick.clone();
-        spawn_two_step(&sim, &done, move || kick.notify_delta());
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let kick = sim.event("kick");
+        let done = Arc::new(AtomicU64::new(0));
+        {
+            let kick = kick.clone();
+            spawn_two_step(&sim, kind, &done, move || kick.notify_delta());
+        }
+        sim.spawn_method_no_init("m", &[&kick], |_| panic!("method boom"));
+        assert_eq!(run_expecting_panic(&sim), "method boom", "{kind:?}");
+        assert_resumes_to_completion(&sim, &done);
     }
-    sim.spawn_method_no_init("m", &[&kick], |_| panic!("method boom"));
-    assert_eq!(run_expecting_panic(&sim), "method boom");
-    assert_resumes_to_completion(&sim, &done);
 }
 
 /// A signal value whose comparison panics on 13: the update phase compares
@@ -893,61 +951,190 @@ impl PartialEq for Touchy {
 
 #[test]
 fn update_panic_after_a_thread_yield_surfaces_with_its_payload() {
-    let sim = Simulation::new();
-    let sig = sim.signal("touchy", Touchy(0));
-    let done = Arc::new(AtomicU64::new(0));
-    spawn_two_step(&sim, &done, move || sig.write(Touchy(13)));
-    assert_eq!(run_expecting_panic(&sim), "update boom");
-    assert_resumes_to_completion(&sim, &done);
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let sig = sim.signal("touchy", Touchy(0));
+        let done = Arc::new(AtomicU64::new(0));
+        spawn_two_step(&sim, kind, &done, move || sig.write(Touchy(13)));
+        assert_eq!(run_expecting_panic(&sim), "update boom", "{kind:?}");
+        assert_resumes_to_completion(&sim, &done);
+    }
 }
 
 #[test]
 fn process_panic_resumed_by_another_process_names_the_process() {
-    let sim = Simulation::new();
-    let done = Arc::new(AtomicU64::new(0));
-    spawn_two_step(&sim, &done, || {});
-    sim.spawn_thread("boom", |ctx| {
-        ctx.wait_for(SimDur::ns(1));
-        panic!("kaboom");
-    });
-    assert_eq!(run_expecting_panic(&sim), "process 'boom' panicked: kaboom");
-    assert_resumes_to_completion(&sim, &done);
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let done = Arc::new(AtomicU64::new(0));
+        spawn_two_step(&sim, kind, &done, || {});
+        spawn(&sim.handle(), kind, "boom", |h| async move {
+            h.wait_for(SimDur::ns(1)).await;
+            panic!("kaboom");
+        });
+        assert_eq!(
+            run_expecting_panic(&sim),
+            "process 'boom' panicked: kaboom",
+            "{kind:?}"
+        );
+        assert_resumes_to_completion(&sim, &done);
+    }
 }
 
 #[test]
 fn drop_releases_the_methods_of_a_clocked_model() {
-    // A method closure that captures an event refers back to the kernel
-    // through it (every clock's generator does); dropping the simulation
-    // must still drop the closure.
-    let sim = Simulation::new();
-    let clk = sim.clock("clk", SimDur::ns(10));
-    let marker = Arc::new(());
-    let released = Arc::downgrade(&marker);
-    let posedge = clk.posedge().clone();
-    sim.spawn_method_no_init("edges", &[clk.posedge()], move |_| {
-        let _ = (&marker, &posedge);
-    });
-    sim.run_until(SimTime::ZERO + SimDur::ns(50));
-    drop(clk);
-    drop(sim);
-    assert!(
-        released.upgrade().is_none(),
-        "the method closure outlived its simulation"
-    );
+    // A method closure or a process body that captures an event refers
+    // back to the kernel through it (every clock's generator does);
+    // dropping the simulation must still drop both.
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let clk = sim.clock("clk", SimDur::ns(10));
+        let marker = Arc::new(());
+        let released = Arc::downgrade(&marker);
+        {
+            let (marker, posedge) = (Arc::clone(&marker), clk.posedge().clone());
+            sim.spawn_method_no_init("edges", &[clk.posedge()], move |_| {
+                let _ = (&marker, &posedge);
+            });
+        }
+        let posedge = clk.posedge().clone();
+        spawn(&sim.handle(), kind, "edge_waiter", |h| async move {
+            loop {
+                h.wait(&posedge).await;
+                let _ = &marker;
+            }
+        });
+        sim.run_until(SimTime::ZERO + SimDur::ns(50));
+        drop(clk);
+        drop(sim);
+        assert!(
+            released.upgrade().is_none(),
+            "{kind:?}: the method closure or process body outlived its simulation"
+        );
+    }
 }
 
 #[test]
 fn drop_releases_pending_signal_updates() {
-    // An update callback holds its signal, and through it the kernel.
+    // An update callback holds its signal, and through it the kernel; so
+    // does a suspended process that writes the signal.
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let marker = Arc::new(0u8);
+        let released = Arc::downgrade(&marker);
+        let sig = sim.signal("s", Arc::new(1u8));
+        let never = sim.event("never");
+        {
+            let (sig, marker) = (sig.clone(), Arc::clone(&marker));
+            spawn(&sim.handle(), kind, "writer", |h| async move {
+                h.wait(&never).await;
+                sig.write(marker);
+            });
+        }
+        sim.run();
+        sig.write(marker);
+        drop(sig);
+        drop(sim);
+        assert!(
+            released.upgrade().is_none(),
+            "{kind:?}: the pending update or the suspended writer outlived its simulation"
+        );
+    }
+}
+
+#[test]
+fn a_wait_completes_across_process_kinds() {
+    // A thread `block_on`s a wait that an async process completes, and the
+    // reverse. The waiter is dispatched twice and the notifier twice, and
+    // only the thread's dispatches resume an OS thread.
+    for (waiter, notifier) in [(Kind::Thread, Kind::Async), (Kind::Async, Kind::Thread)] {
+        let sim = Simulation::new();
+        let ev = sim.event("ev");
+        let woke = Arc::new(Mutex::new(None));
+        {
+            let (ev, woke) = (ev.clone(), Arc::clone(&woke));
+            spawn(&sim.handle(), waiter, "waiter", |h| async move {
+                h.wait(&ev).await;
+                *woke.lock().unwrap() = Some(h.now());
+            });
+        }
+        spawn(&sim.handle(), notifier, "notifier", |h| async move {
+            h.wait_for(SimDur::ns(5)).await;
+            ev.notify_delta();
+        });
+        let r = sim.run();
+        assert_eq!(r.time, SimTime::ZERO + SimDur::ns(5), "{waiter:?}");
+        assert_eq!(*woke.lock().unwrap(), Some(r.time), "{waiter:?}");
+        let a = sim.activations();
+        assert_eq!((a.threads, a.inline), (2, 2), "{waiter:?}");
+    }
+}
+
+#[test]
+fn async_wait_any_for_cancels_its_timer_when_an_event_wins() {
+    // The pending timeout would otherwise end the next wait on the same
+    // private timer at 100 ns, and hold the run open until then.
     let sim = Simulation::new();
-    let marker = Arc::new(0u8);
-    let released = Arc::downgrade(&marker);
-    let sig = sim.signal("s", Arc::new(1u8));
-    sig.write(marker);
-    drop(sig);
-    drop(sim);
-    assert!(
-        released.upgrade().is_none(),
-        "the pending update outlived its simulation"
+    let ev = sim.event("ev");
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    {
+        let (ev, seen, h) = (ev.clone(), Arc::clone(&seen), sim.handle());
+        sim.spawn_async("w", async move {
+            let won = h.wait_any_for(&[&ev], SimDur::ns(100)).await;
+            seen.lock().unwrap().push((won, ns(h.now())));
+            h.wait_for(SimDur::ns(200)).await;
+            seen.lock().unwrap().push((None, ns(h.now())));
+        });
+    }
+    ev.notify_after(SimDur::ns(10));
+    let r = sim.run();
+    assert_eq!(*seen.lock().unwrap(), vec![(Some(0), 10), (None, 210)]);
+    assert_eq!(r.time, SimTime::ZERO + SimDur::ns(210));
+}
+
+#[test]
+fn diagnose_names_a_blocked_async_process_and_its_wait() {
+    let sim = Simulation::new();
+    let never = sim.event("never");
+    let h = sim.handle();
+    h.annotate_wait(&never, "recv (awaiting a message)", None);
+    sim.spawn_async("stuck", async move { h.wait(&never).await });
+    assert_eq!(sim.run().reason, StopReason::Starved);
+    let report = sim.diagnose();
+    let stuck = report
+        .blocked
+        .iter()
+        .find(|b| b.name == "stuck")
+        .expect("the blocked async process is reported");
+    assert_eq!(stuck.waits.len(), 1);
+    assert_eq!(stuck.waits[0].event, "never");
+    assert_eq!(
+        stuck.waits[0].description.as_deref(),
+        Some("recv (awaiting a message)")
     );
+    assert!(report.to_string().contains("stuck"), "{report}");
+}
+
+#[test]
+fn odd_clock_period_makes_one_rising_edge_per_period() {
+    // The low phase is period / 2 and the high phase the rest, so a 3 ps
+    // clock rises at 1, 4, 7, … ps: ten edges in 30 ps, as many cycles as
+    // `Clock::period` counts.
+    let sim = Simulation::new();
+    let clk = sim.clock("clk", SimDur::ps(3));
+    let edges = Arc::new(Mutex::new(Vec::new()));
+    {
+        let edges = Arc::clone(&edges);
+        let pos = clk.posedge().clone();
+        sim.spawn_thread("mon", move |ctx| loop {
+            ctx.wait(&pos);
+            edges.lock().unwrap().push(ctx.now().as_ps());
+        });
+    }
+    sim.run_until(SimTime::from_ps(30));
+    assert_eq!(
+        *edges.lock().unwrap(),
+        vec![1, 4, 7, 10, 13, 16, 19, 22, 25, 28]
+    );
+    assert_eq!(clk.cycle_count(), 10);
+    assert_eq!(clk.cycles_between(SimTime::ZERO, SimTime::from_ps(30)), 10);
 }

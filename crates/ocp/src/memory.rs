@@ -4,12 +4,12 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
 
 use crate::error::OcpError;
 use crate::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
-use crate::tl::{MasterId, OcpTarget};
+use crate::tl::{MasterId, OcpFuture, OcpTarget};
 
 /// A flat memory slave with configurable access latency.
 ///
@@ -70,40 +70,42 @@ impl Memory {
 }
 
 impl OcpTarget for Memory {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         _master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let start = ctx.now();
-        let words = req.beats(8);
-        let latency = self.access_latency + self.per_word.saturating_mul(words);
-        if !latency.is_zero() {
-            ctx.wait_for(latency);
-        }
-        let timing = TxTiming {
-            start,
-            end: ctx.now(),
-            total_cycles: 0,
-            wait_cycles: 0,
-        };
-        let mut d = self.data.lock().unwrap_or_else(|e| e.into_inner());
-        let base = req.addr as usize;
-        match req.cmd {
-            OcpCommand::Read { bytes } => match d.get(base..base + bytes) {
-                Some(s) => Ok(OcpResponse::read_ok(s.to_vec(), timing)),
-                None => Ok(OcpResponse::error(timing)),
-            },
-            OcpCommand::Write { data } => {
-                let end = base + data.len();
-                if end > d.len() {
-                    return Ok(OcpResponse::error(timing));
-                }
-                d[base..end].copy_from_slice(&data);
-                Ok(OcpResponse::write_ok(timing))
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            let start = sim.now();
+            let words = req.beats(8);
+            let latency = self.access_latency + self.per_word.saturating_mul(words);
+            if !latency.is_zero() {
+                sim.wait_for(latency).await;
             }
-        }
+            let timing = TxTiming {
+                start,
+                end: sim.now(),
+                total_cycles: 0,
+                wait_cycles: 0,
+            };
+            let mut d = self.data.lock().unwrap_or_else(|e| e.into_inner());
+            let base = req.addr as usize;
+            match req.cmd {
+                OcpCommand::Read { bytes } => match d.get(base..base + bytes) {
+                    Some(s) => Ok(OcpResponse::read_ok(s.to_vec(), timing)),
+                    None => Ok(OcpResponse::error(timing)),
+                },
+                OcpCommand::Write { data } => {
+                    let end = base + data.len();
+                    if end > d.len() {
+                        return Ok(OcpResponse::error(timing));
+                    }
+                    d[base..end].copy_from_slice(&data);
+                    Ok(OcpResponse::write_ok(timing))
+                }
+            }
+        })
     }
 
     fn target_name(&self) -> String {
@@ -224,14 +226,18 @@ impl Router {
 }
 
 impl OcpTarget for Router {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    /// Forwards the decoded target's own future, so routing adds no
+    /// allocation of its own.
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         master: MasterId,
         mut req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        let (_, target) = self.decode(&mut req)?;
-        target.transact(ctx, master, req)
+    ) -> OcpFuture<'a> {
+        match self.decode(&mut req) {
+            Ok((_, target)) => target.transact(sim, master, req),
+            Err(e) => Box::pin(std::future::ready(Err(e))),
+        }
     }
 
     fn target_name(&self) -> String {

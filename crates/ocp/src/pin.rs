@@ -7,6 +7,11 @@
 //! pre-edge signal values and *drive* new values that become visible after
 //! the edge — exactly flip-flop semantics, hence race-free.
 //!
+//! The master FSM, the slave FSM and the [`OcpMonitor`] are async kernel
+//! processes: the thread holding control polls them inline on each edge,
+//! so no clock cycle costs an OS-thread handoff. The slave FSM runs the
+//! backend's [`OcpTarget::transact`] inside its own process.
+//!
 //! Handshake rules (a valid/ready discipline over OCP signal names):
 //!
 //! * A request beat transfers on an edge where `MCmd != IDLE` **and**
@@ -21,14 +26,12 @@ use std::sync::{Arc, Mutex};
 use shiptlm_kernel::clock::Clock;
 use shiptlm_kernel::event::Event;
 use shiptlm_kernel::fifo::Fifo;
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::signal::Signal;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
 
-use crate::error::OcpError;
 use crate::payload::{MCmd, OcpCommand, OcpRequest, OcpResponse, SResp, TxTiming};
-use crate::tl::{MasterId, OcpTarget};
+use crate::tl::{MasterId, OcpFuture, OcpTarget};
 
 /// Data-path word width of the pin interface, in bytes.
 pub const WORD_BYTES: usize = 8;
@@ -135,18 +138,21 @@ impl PinOcpMaster {
             resp_q: resp_q.clone(),
             name: name.to_string(),
         });
-        let posedge = clk.posedge().clone();
-        let period = clk.period();
-        let fsm_name = format!("{name}.fsm");
-        sim.spawn_thread(&fsm_name, move |ctx| {
-            master_fsm(ctx, pins, posedge, period, req_q, resp_q);
-        });
+        let fsm = master_fsm(
+            sim.clone(),
+            pins,
+            clk.posedge().clone(),
+            clk.period(),
+            req_q,
+            resp_q,
+        );
+        sim.spawn_async(&format!("{name}.fsm"), fsm);
         master
     }
 }
 
-fn master_fsm(
-    ctx: &mut ThreadCtx,
+async fn master_fsm(
+    sim: SimHandle,
     pins: OcpPins,
     posedge: Event,
     period: SimDur,
@@ -154,8 +160,8 @@ fn master_fsm(
     resp_q: Fifo<OcpResponse>,
 ) {
     loop {
-        let req = req_q.read(ctx);
-        let start = ctx.now();
+        let req = req_q.read().await;
+        let start = sim.now();
         let is_read = matches!(req.cmd, OcpCommand::Read { .. });
         let total_len = req.cmd.len();
         let beats = req.beats(WORD_BYTES);
@@ -176,7 +182,7 @@ fn master_fsm(
                 pins.mdata
                     .write(wdata.get(accepted as usize).copied().unwrap_or(0));
             }
-            ctx.wait(&posedge);
+            sim.wait(&posedge).await;
             // Sample pre-edge values: did the beat transfer on this edge?
             if pins.scmd_accept.read() && pins.mcmd.read() == req.cmd.mcmd().encode() {
                 accepted += 1;
@@ -193,7 +199,7 @@ fn master_fsm(
         let expected_words = if is_read { beats } else { 1 };
         let mut got = 0u64;
         while got < expected_words {
-            ctx.wait(&posedge);
+            sim.wait(&posedge).await;
             match SResp::decode(pins.sresp.read()) {
                 Some(SResp::Dva) => {
                     if is_read {
@@ -209,7 +215,7 @@ fn master_fsm(
             }
         }
 
-        let end = ctx.now();
+        let end = sim.now();
         let timing = TxTiming {
             start,
             end,
@@ -223,19 +229,21 @@ fn master_fsm(
         } else {
             OcpResponse::write_ok(timing)
         };
-        resp_q.write(ctx, resp);
+        resp_q.write(resp).await;
     }
 }
 
 impl OcpTarget for PinOcpMaster {
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        _sim: &'a SimHandle,
         _master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError> {
-        self.req_q.write(ctx, req);
-        Ok(self.resp_q.read(ctx))
+    ) -> OcpFuture<'a> {
+        Box::pin(async move {
+            self.req_q.write(req).await;
+            Ok(self.resp_q.read().await)
+        })
     }
 
     fn target_name(&self) -> String {
@@ -270,15 +278,20 @@ impl PinOcpSlave {
         wait_states: u64,
         forward_id: MasterId,
     ) {
-        let posedge = clk.posedge().clone();
-        sim.spawn_thread(&format!("{name}.fsm"), move |ctx| {
-            slave_fsm(ctx, pins, posedge, backend, wait_states, forward_id);
-        });
+        let fsm = slave_fsm(
+            sim.clone(),
+            pins,
+            clk.posedge().clone(),
+            backend,
+            wait_states,
+            forward_id,
+        );
+        sim.spawn_async(&format!("{name}.fsm"), fsm);
     }
 }
 
-fn slave_fsm(
-    ctx: &mut ThreadCtx,
+async fn slave_fsm(
+    sim: SimHandle,
     pins: OcpPins,
     posedge: Event,
     backend: Arc<dyn OcpTarget>,
@@ -287,7 +300,7 @@ fn slave_fsm(
 ) {
     loop {
         // Wait for a request beat to appear.
-        ctx.wait(&posedge);
+        sim.wait(&posedge).await;
         let cmd = MCmd::decode(pins.mcmd.read());
         let Some(cmd @ (MCmd::Read | MCmd::Write)) = cmd else {
             pins.scmd_accept.write(false);
@@ -314,10 +327,10 @@ fn slave_fsm(
             // Optional wait states before asserting accept.
             for _ in 0..wait_states {
                 pins.scmd_accept.write(false);
-                ctx.wait(&posedge);
+                sim.wait(&posedge).await;
             }
             pins.scmd_accept.write(true);
-            ctx.wait(&posedge);
+            sim.wait(&posedge).await;
             // The edge we just crossed had accept high and (by protocol) the
             // master still driving the beat: transfer happened.
             if cmd == MCmd::Write {
@@ -333,7 +346,7 @@ fn slave_fsm(
             MCmd::Read => OcpRequest::read(base, byte_len),
             MCmd::Idle => unreachable!(),
         };
-        let result = backend.transact(ctx, forward_id, req);
+        let result = backend.transact(&sim, forward_id, req).await;
 
         // Drive the response phase.
         match result {
@@ -341,16 +354,16 @@ fn slave_fsm(
                 for w in words_of(&resp.data) {
                     pins.sresp.write(SResp::Dva.encode());
                     pins.sdata.write(w);
-                    ctx.wait(&posedge);
+                    sim.wait(&posedge).await;
                 }
             }
             Ok(resp) if resp.is_ok() => {
                 pins.sresp.write(SResp::Dva.encode());
-                ctx.wait(&posedge);
+                sim.wait(&posedge).await;
             }
             _ => {
                 pins.sresp.write(SResp::Err.encode());
-                ctx.wait(&posedge);
+                sim.wait(&posedge).await;
             }
         }
         pins.sresp.write(SResp::Null.encode());
@@ -408,21 +421,22 @@ impl OcpMonitor {
         let log = ViolationLog::new();
         let out = log.clone();
         let posedge = clk.posedge().clone();
-        sim.spawn_thread(&format!("{name}.monitor"), move |ctx| {
+        let h = sim.clone();
+        sim.spawn_async(&format!("{name}.monitor"), async move {
             let mut prev_cmd = MCmd::Idle.encode();
             let mut prev_addr = 0u64;
             let mut prev_accept = false;
             loop {
-                ctx.wait(&posedge);
+                h.wait(&posedge).await;
                 let cmd = pins.mcmd.read();
                 let addr = pins.maddr.read();
                 let accept = pins.scmd_accept.read();
                 let resp = pins.sresp.read();
                 if MCmd::decode(cmd).is_none() {
-                    out.push(format!("illegal MCmd encoding {cmd:#x} at {}", ctx.now()));
+                    out.push(format!("illegal MCmd encoding {cmd:#x} at {}", h.now()));
                 }
                 if SResp::decode(resp).is_none() {
-                    out.push(format!("illegal SResp encoding {resp:#x} at {}", ctx.now()));
+                    out.push(format!("illegal SResp encoding {resp:#x} at {}", h.now()));
                 }
                 // A beat must be held stable until accepted.
                 let prev_valid = MCmd::decode(prev_cmd).is_some_and(|c| c != MCmd::Idle);
@@ -431,7 +445,7 @@ impl OcpMonitor {
                     if !still_same {
                         out.push(format!(
                             "request beat changed before accept at {} (MCmd {prev_cmd}->{cmd}, MAddr {prev_addr:#x}->{addr:#x})",
-                            ctx.now()
+                            h.now()
                         ));
                     }
                 }

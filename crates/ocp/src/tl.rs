@@ -1,10 +1,18 @@
-//! Transaction-level OCP interfaces: the blocking transport every CAM, slave
-//! model and wrapper implements.
+//! Transaction-level OCP interfaces: the transport every CAM, slave model
+//! and wrapper implements.
+//!
+//! [`OcpTarget::transact`] returns a future, so a transaction runs inside
+//! whichever process awaits it: an async process (the pin-level slave FSM
+//! runs the CAM transaction inside its own process) or a thread process,
+//! which reaches it through [`OcpMasterPort`], the thread-side entry.
 
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 
 use crate::error::OcpError;
@@ -20,24 +28,29 @@ impl fmt::Display for MasterId {
     }
 }
 
-/// A blocking OCP transaction target (slave, bus, bridge or router).
+/// The future of one OCP transaction, boxed so [`OcpTarget`] stays object
+/// safe: one allocation per transaction.
+pub type OcpFuture<'a> = Pin<Box<dyn Future<Output = Result<OcpResponse, OcpError>> + Send + 'a>>;
+
+/// An OCP transaction target (slave, bus, bridge or router).
 ///
-/// The call blocks the initiating process for the full transaction duration;
-/// the returned [`OcpResponse`] carries the CCATB timing annotation.
+/// The transaction suspends the process awaiting it for its full duration;
+/// the resulting [`OcpResponse`] carries the CCATB timing annotation.
 pub trait OcpTarget: Send + Sync {
-    /// Executes one transaction on behalf of `master`.
+    /// Executes one transaction on behalf of `master`, waiting and
+    /// recording through `sim` in the process that awaits the future.
     ///
     /// # Errors
     ///
-    /// Returns an [`OcpError`] when the request cannot be routed or the
+    /// Resolves to an [`OcpError`] when the request cannot be routed or the
     /// target rejects it outright (distinct from a slave `ERR` response,
     /// which is a successful transport of a failed operation).
-    fn transact(
-        &self,
-        ctx: &mut ThreadCtx,
+    fn transact<'a>(
+        &'a self,
+        sim: &'a SimHandle,
         master: MasterId,
         req: OcpRequest,
-    ) -> Result<OcpResponse, OcpError>;
+    ) -> OcpFuture<'a>;
 
     /// Human-readable target name.
     fn target_name(&self) -> String {
@@ -46,7 +59,9 @@ pub trait OcpTarget: Send + Sync {
 }
 
 /// A master-side port bound to a target — the OCP TLM interface a PE or
-/// wrapper initiates through.
+/// wrapper initiates through, and the thread-side entry to
+/// [`OcpTarget::transact`]: each call runs the transaction with
+/// [`ThreadCtx::block_on`].
 #[derive(Clone)]
 pub struct OcpMasterPort {
     id: MasterId,
@@ -80,10 +95,11 @@ impl OcpMasterPort {
     pub fn transact(&self, ctx: &mut ThreadCtx, req: OcpRequest) -> Result<OcpResponse, OcpError> {
         // Two relaxed loads on the fully-disabled fast path, one per
         // recorder.
+        let sim = ctx.sim();
         let txn = ctx.txn_enabled();
         let metrics = ctx.metrics_enabled();
         if !txn && !metrics {
-            return self.target.transact(ctx, self.id, req);
+            return ctx.block_on(self.target.transact(&sim, self.id, req));
         }
         let start = ctx.now();
         let op = match req.cmd {
@@ -91,7 +107,7 @@ impl OcpMasterPort {
             OcpCommand::Write { .. } => "write",
         };
         let bytes = req.cmd.len();
-        let result = self.target.transact(ctx, self.id, req);
+        let result = ctx.block_on(self.target.transact(&sim, self.id, req));
         if metrics {
             let m = ctx.metrics();
             let now = ctx.now();

@@ -189,3 +189,27 @@ fn pin_level_is_slower_than_tl_for_the_same_work() {
     assert_eq!(tl_time, SimTime::ZERO);
     assert!(pin_time >= SimTime::ZERO + SimDur::ns(100));
 }
+
+#[test]
+fn dropping_a_pin_level_simulation_frees_it() {
+    // When the run stops, the master FSM, the slave FSM and the monitor are
+    // suspended async processes whose futures hold pins, events and the
+    // backend, and through them the kernel. Dropping the simulation drops
+    // those futures, so both the backend and the kernel are freed.
+    let b = bench(0);
+    let port = b.port.clone();
+    b.sim.spawn_thread("pe", move |ctx| {
+        port.write(ctx, 0, vec![1; 16]).unwrap();
+        ctx.stop();
+    });
+    b.sim.run();
+    // An event's interned name is held by the kernel alone.
+    let kernel = Arc::downgrade(&b.sim.event("probe").name());
+    let backend = Arc::downgrade(&b.mem);
+    drop(b);
+    assert!(
+        backend.upgrade().is_none(),
+        "the slave FSM outlived its simulation"
+    );
+    assert!(kernel.upgrade().is_none(), "the simulation was not freed");
+}

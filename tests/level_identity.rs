@@ -68,13 +68,18 @@ fn figures(out: &MappedRun) -> Figures {
     )
 }
 
-/// The recorded figures of `(ccatb, pin-accurate, partitioned)` on `arch`.
-fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
+/// The seeded model every row runs.
+fn model() -> ModelSpec {
     let cfg = GenConfig {
         motifs: (3, 3),
         ..GenConfig::default()
     };
-    let spec = ModelSpec::random(13, &cfg);
+    ModelSpec::random(13, &cfg)
+}
+
+/// The recorded figures of `(ccatb, pin-accurate, partitioned)` on `arch`.
+fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
+    let spec = model();
     let app = spec.to_app();
     let ca = run_component_assembly(&app).expect("roles detected");
     let opts = RunOptions::with_recorder(TXN_RING);
@@ -178,4 +183,23 @@ fn noc_4x4_levels_keep_their_timing() {
             (27_285_000, 745, 13, 2980, 95, 0x0a2a8fc01e242163),
         ]
     );
+}
+
+/// Activations of the PLB pin level as the host profiler counted them when
+/// every pin FSM was a thread process: the PE processes' alone, and all.
+const PLB_PIN_PE_ACTIVATIONS: u64 = 117;
+const PLB_PIN_ACTIVATIONS: u64 = 5849;
+
+#[test]
+fn pin_level_fsms_never_resume_an_os_thread() {
+    // A count of scheduler dispatches, not a wall-clock figure: it cannot
+    // flake on a loaded host. Only the PE behaviours are thread processes;
+    // the clock, the pin FSMs and the CAM transactions they run are polled
+    // inline, and the schedule is the one the profiler counted.
+    let app = model().to_app();
+    let ca = run_component_assembly(&app).expect("roles detected");
+    let pin = run_pin_accurate(&app, &ca.roles, &ArchSpec::plb()).expect("pin-accurate run");
+    let a = pin.output.activations;
+    assert_eq!(a.threads, PLB_PIN_PE_ACTIVATIONS, "{a:?}");
+    assert_eq!(a.threads + a.inline, PLB_PIN_ACTIVATIONS, "{a:?}");
 }
