@@ -4,14 +4,21 @@
 //!
 //! The same 8-PE pipeline workload is simulated at the untimed
 //! component-assembly level, the CCATB (bus CAM) level, and the pin-accurate
-//! prototype level. The expected shape: each refinement costs roughly an
-//! order of magnitude in host simulation speed (messages per host second).
+//! prototype level. The expected shape: each refinement costs host
+//! simulation speed (messages per host second) and kernel effort (delta
+//! cycles). Results land in `BENCH_abstraction_speed.json`.
 
 use shiptlm::prelude::*;
-use shiptlm_bench::minibench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shiptlm_bench::minibench::{
+    criterion_group, criterion_main, write_json, BenchmarkId, Criterion, Throughput,
+};
 
 const STAGES: usize = 6;
 const BLOCKS: u32 = 16;
+
+/// Application messages delivered per run: every block crosses every
+/// channel of the pipeline.
+const MESSAGES: u64 = (STAGES as u64 - 1) * BLOCKS as u64;
 
 fn app(block_bytes: usize) -> AppSpec {
     workload::pipeline(STAGES, BLOCKS, block_bytes, SimDur::ZERO)
@@ -22,6 +29,7 @@ fn bench_levels(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
+    g.throughput(Throughput::Elements(MESSAGES));
 
     for &bytes in &[16usize, 256] {
         let roles = run_component_assembly(&app(bytes)).unwrap().roles;
@@ -88,6 +96,12 @@ fn bench_levels(c: &mut Criterion) {
         speeds[0] / speeds[1],
         speeds[1] / speeds[2]
     );
+
+    let out = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_abstraction_speed.json"
+    );
+    write_json("abstraction_speed", out).expect("write BENCH_abstraction_speed.json");
 }
 
 criterion_group!(benches, bench_levels);

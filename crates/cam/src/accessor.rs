@@ -12,6 +12,13 @@
 //! side, slave FSM on the accessor side) with a connection to a target bus:
 //! every transaction crosses real pins cycle by cycle before entering the
 //! communication architecture.
+//!
+//! Both FSMs (and the optional monitor) are async kernel processes, polled
+//! inline by the thread holding control: a clock edge costs no OS-thread
+//! handoff. The slave FSM awaits the bus's [`OcpTarget::transact`] inside
+//! its own process, so the CAM transaction path — arbitration, SPLIT,
+//! RETRY, NoC hops, the mailbox adapter — runs there too. Only the PE
+//! behaviour behind [`port`](Accessor::port) remains a thread process.
 
 use std::fmt;
 use std::sync::Arc;

@@ -11,8 +11,8 @@
 //! hotspot traffic piles up.
 //!
 //! **Deadlock freedom:** a packet releases the gate for hop *i* before
-//! requesting the gate for hop *i + 1*, so a thread inside the NoC holds at
-//! most one link gate at any time — the hold-and-wait condition for a
+//! requesting the gate for hop *i + 1*, so a transaction inside the NoC
+//! holds at most one link gate at any time — the hold-and-wait condition for a
 //! routing deadlock cannot arise, for any mesh size or traffic pattern.
 //! (XY routing would also be cycle-free under wormhole rules; the
 //! store-and-forward discipline makes the argument independent of the

@@ -4,13 +4,15 @@
 //! Below the CCATB model the flow adopts the Open Core Protocol; this crate
 //! provides an OCP-inspired protocol stack at two levels:
 //!
-//! * **Transaction level** ([`tl`]): the blocking [`OcpTarget`](tl::OcpTarget)
-//!   transport with [`payload`] types carrying CCATB timing annotations, plus
-//!   a [`Memory`](memory::Memory) slave and an address-map
-//!   [`Router`](memory::Router).
+//! * **Transaction level** ([`tl`]): the [`OcpTarget`](tl::OcpTarget)
+//!   transport, whose `transact` returns a future, with [`payload`] types
+//!   carrying CCATB timing annotations, plus a [`Memory`](memory::Memory)
+//!   slave and an address-map [`Router`](memory::Router). Thread processes
+//!   initiate through the blocking [`OcpMasterPort`](tl::OcpMasterPort).
 //! * **Pin level** ([`pin`]): the OCP basic signal group with synthesizable-
 //!   style master/slave FSMs and a protocol [monitor](pin::OcpMonitor) — the
-//!   level the paper's RTL *accessors* operate at.
+//!   level the paper's RTL *accessors* operate at. The FSMs are async
+//!   kernel processes, polled inline on every clock edge.
 //!
 //! ## Example
 //!
@@ -48,5 +50,5 @@ pub mod prelude {
     pub use crate::pin::{
         OcpMonitor, OcpPins, PinOcpMaster, PinOcpSlave, ViolationLog, WORD_BYTES,
     };
-    pub use crate::tl::{MasterId, OcpMasterPort, OcpTarget};
+    pub use crate::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 }
