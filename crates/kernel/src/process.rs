@@ -121,7 +121,7 @@ impl<'a> Suspend<'a> {
     }
 }
 
-/// How a [`Suspend`] ended.
+/// How a wait ended.
 pub(crate) struct Woken {
     /// The event that woke the process.
     pub(crate) cause: EventId,
@@ -135,6 +135,18 @@ impl Woken {
         ids.iter()
             .position(|i| *i == self.cause)
             .expect("woken by unregistered event")
+    }
+
+    /// The outcome of a wait on `ids` with a timeout: `None` when the
+    /// timer woke the process, else the waking event's position. An event
+    /// wake cancels the pending timeout, so it cannot end a later wait on
+    /// the same private timer.
+    pub(crate) fn before_timeout(&self, kernel: &KernelShared, ids: &[EventId]) -> Option<usize> {
+        if self.cause == self.timer {
+            return None;
+        }
+        kernel.cancel(self.timer);
+        Some(self.index(ids))
     }
 }
 
@@ -351,9 +363,7 @@ impl ThreadCtx {
 
     /// Suspends until `event` is notified.
     pub fn wait(&mut self, event: &Event) {
-        self.on_direct(Construct::EventWait);
-        let sim = self.sim();
-        self.block_on(sim.wait(event));
+        self.suspend(std::slice::from_ref(&event.id), None, Construct::EventWait);
     }
 
     /// Suspends until any of `events` fires; returns the index of the one
@@ -364,9 +374,8 @@ impl ThreadCtx {
     /// Panics if `events` is empty (the process could never wake).
     pub fn wait_any(&mut self, events: &[&Event]) -> usize {
         assert!(!events.is_empty(), "wait_any on an empty event set");
-        self.on_direct(Construct::EventWait);
-        let sim = self.sim();
-        self.block_on(sim.wait_any(events))
+        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
+        self.suspend(&ids, None, Construct::EventWait).index(&ids)
     }
 
     /// Suspends until any of `events` fires or `timeout` elapses.
@@ -379,9 +388,12 @@ impl ThreadCtx {
     pub fn wait_any_for(&mut self, events: &[&Event], timeout: SimDur) -> Option<usize> {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
-        self.on_direct(Construct::TimedWait);
-        let sim = self.sim();
-        self.block_on(sim.wait_any_for(events, timeout))
+        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
+        let woken = self.suspend(&ids, Some(Timer::After(timeout)), Construct::TimedWait);
+        let CtxInner::Kernel { kernel, .. } = &self.inner else {
+            unreachable!("a direct-backend wait disqualifies the run")
+        };
+        woken.before_timeout(kernel, &ids)
     }
 
     /// Suspends for duration `d` of simulated time.
@@ -390,9 +402,7 @@ impl ThreadCtx {
             self.wait_delta();
             return;
         }
-        self.on_direct(Construct::TimedWait);
-        let sim = self.sim();
-        self.block_on(sim.wait_for(d));
+        self.suspend(&[], Some(Timer::After(d)), Construct::TimedWait);
     }
 
     /// Suspends for one delta cycle. On the direct backend this is a plain
@@ -404,8 +414,20 @@ impl ThreadCtx {
             std::thread::yield_now();
             return;
         }
-        let sim = self.sim();
-        self.block_on(sim.wait_delta());
+        self.suspend(&[], Some(Timer::Delta), Construct::EventWait);
+    }
+
+    /// Registers a wait of this process on `ids` (and its private timer,
+    /// when `timer` is set) through the kernel path the wait futures use,
+    /// and yields until it ends. On the direct backend, `construct`
+    /// disqualifies the run instead.
+    fn suspend(&mut self, ids: &[EventId], timer: Option<Timer>, construct: Construct) -> Woken {
+        let timer = match &self.inner {
+            CtxInner::Kernel { kernel, pid, .. } => kernel.arm_wait(*pid, ids, timer),
+            CtxInner::Direct { core, .. } => core.disqualify(construct),
+        };
+        let cause = self.yield_now().expect("a wait resumed without a cause");
+        Woken { cause, timer }
     }
 
     /// Runs `fut` to completion in this thread process: the way thread code

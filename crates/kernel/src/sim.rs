@@ -399,12 +399,9 @@ impl SimHandle {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
         let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        let woken = Suspend::new(&self.kernel, &ids, Some(Timer::After(timeout))).await;
-        if woken.cause == woken.timer {
-            return None;
-        }
-        self.kernel.cancel(woken.timer);
-        Some(woken.index(&ids))
+        Suspend::new(&self.kernel, &ids, Some(Timer::After(timeout)))
+            .await
+            .before_timeout(&self.kernel, &ids)
     }
 
     /// Suspends the polling process for `d` of simulated time; a zero
