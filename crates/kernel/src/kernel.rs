@@ -204,19 +204,6 @@ struct ProcRec {
     timer: EventId,
 }
 
-impl ProcRec {
-    fn new(name: &str, kind: ProcKind, state: PState, timer: EventId) -> Self {
-        ProcRec {
-            name: Arc::from(name),
-            kind,
-            state,
-            waiting_on: Vec::new(),
-            wake_cause: None,
-            timer,
-        }
-    }
-}
-
 /// Min-heap entry for timed notifications; `seq` keeps FIFO order among
 /// identical timestamps.
 type TimedEntry = Reverse<(SimTime, u64, EventId)>;
@@ -492,18 +479,13 @@ impl KernelShared {
             Some(_) => Self::mark_delta(&mut g, own),
             None => {}
         }
+        let armed = timer.map(|_| own);
         let p = &mut g.processes[pid.0];
         p.state = PState::Waiting;
         p.wake_cause = None;
-        p.waiting_on.extend_from_slice(ids);
-        if timer.is_some() {
-            p.waiting_on.push(own);
-        }
-        for id in ids {
+        p.waiting_on.extend(ids.iter().chain(&armed));
+        for id in ids.iter().chain(&armed) {
             g.events[id.0].waiters.push(pid);
-        }
-        if timer.is_some() {
-            g.events[own.0].waiters.push(pid);
         }
         own
     }
@@ -585,12 +567,18 @@ impl KernelShared {
         let timer = self.new_event(&format!("{name}.timer"));
         let mut g = self.lock();
         let pid = ProcessId(g.processes.len());
-        let state = if ready {
-            PState::Ready
-        } else {
-            PState::Waiting
-        };
-        g.processes.push(ProcRec::new(name, kind, state, timer));
+        g.processes.push(ProcRec {
+            name: Arc::from(name),
+            kind,
+            state: if ready {
+                PState::Ready
+            } else {
+                PState::Waiting
+            },
+            waiting_on: Vec::new(),
+            wake_cause: None,
+            timer,
+        });
         for eid in sensitivity {
             g.events[eid.0].static_sensitive.push(pid);
         }

@@ -124,9 +124,9 @@ impl<'a> Suspend<'a> {
 /// How a wait ended.
 pub(crate) struct Woken {
     /// The event that woke the process.
-    pub(crate) cause: EventId,
+    cause: EventId,
     /// The process's private timer.
-    pub(crate) timer: EventId,
+    timer: EventId,
 }
 
 impl Woken {
