@@ -448,23 +448,15 @@ impl ThreadCtx {
                     let _polling = Polling::enter(kernel, *pid, cause);
                     fut.as_mut().poll(&mut cx)
                 }
-                CtxInner::Direct { .. } => fut.as_mut().poll(&mut cx),
+                CtxInner::Direct { core, .. } => match fut.as_mut().poll(&mut cx) {
+                    Poll::Pending => core.disqualify(Construct::EventWait),
+                    ready => ready,
+                },
             };
             match polled {
                 Poll::Ready(out) => return out,
-                Poll::Pending => {
-                    self.on_direct(Construct::EventWait);
-                    cause = self.yield_now();
-                }
+                Poll::Pending => cause = self.yield_now(),
             }
-        }
-    }
-
-    /// Disqualifies a direct-backend run that reached `construct`; a no-op
-    /// under the delta-cycle kernel.
-    fn on_direct(&self, construct: Construct) {
-        if let CtxInner::Direct { core, .. } = &self.inner {
-            core.disqualify(construct);
         }
     }
 

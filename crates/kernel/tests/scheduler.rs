@@ -1138,3 +1138,30 @@ fn odd_clock_period_makes_one_rising_edge_per_period() {
     assert_eq!(clk.cycle_count(), 10);
     assert_eq!(clk.cycles_between(SimTime::ZERO, SimTime::from_ps(30)), 10);
 }
+
+#[test]
+fn block_on_disqualifies_a_direct_run_only_when_the_future_suspends() {
+    // On the direct backend a future that completes on its first poll
+    // runs normally; one that suspends on a kernel wait disqualifies the
+    // run, as a blocking event wait does.
+    let sim = DirectSim::new();
+    sim.spawn_thread("ready", |ctx| {
+        let fifo = ctx.sim().fifo::<u8>("f", 1);
+        fifo.try_write(7).unwrap();
+        assert_eq!(ctx.block_on(fifo.read()), 7);
+    });
+    assert!(matches!(sim.run(), DirectOutcome::Completed));
+
+    let sim = DirectSim::new();
+    sim.spawn_thread("reader", |ctx| {
+        let fifo = ctx.sim().fifo::<u8>("f", 1);
+        ctx.block_on(fifo.read());
+    });
+    match sim.run() {
+        DirectOutcome::Disqualified(d) => {
+            assert_eq!(d.construct, Construct::EventWait);
+            assert_eq!(d.process, "reader");
+        }
+        other => panic!("expected a disqualification, got {other:?}"),
+    }
+}
