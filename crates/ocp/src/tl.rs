@@ -29,7 +29,8 @@ impl fmt::Display for MasterId {
 }
 
 /// The future of one OCP transaction, boxed so [`OcpTarget`] stays object
-/// safe: one allocation per transaction.
+/// safe: one allocation per target that runs the transaction (a
+/// [`Router`](crate::memory::Router) forwards its target's future).
 pub type OcpFuture<'a> = Pin<Box<dyn Future<Output = Result<OcpResponse, OcpError>> + Send + 'a>>;
 
 /// An OCP transaction target (slave, bus, bridge or router).
