@@ -968,20 +968,24 @@ fn update_panic_after_a_thread_yield_surfaces_with_its_payload() {
 
 #[test]
 fn process_panic_resumed_by_another_process_names_the_process() {
-    for kind in KINDS {
-        let sim = Simulation::new();
-        let done = Arc::new(AtomicU64::new(0));
-        spawn_two_step(&sim, kind, &done, || {});
-        spawn(&sim.handle(), kind, "boom", |h| async move {
-            h.wait_for(SimDur::ns(1)).await;
-            panic!("kaboom");
-        });
-        assert_eq!(
-            run_expecting_panic(&sim),
-            "process 'boom' panicked: kaboom",
-            "{kind:?}"
-        );
-        assert_resumes_to_completion(&sim, &done);
+    // Every pairing of kinds: the process that passes control to the one
+    // that panics may be a thread or an async process.
+    for stepper in KINDS {
+        for kind in KINDS {
+            let sim = Simulation::new();
+            let done = Arc::new(AtomicU64::new(0));
+            spawn_two_step(&sim, stepper, &done, || {});
+            spawn(&sim.handle(), kind, "boom", |h| async move {
+                h.wait_for(SimDur::ns(1)).await;
+                panic!("kaboom");
+            });
+            assert_eq!(
+                run_expecting_panic(&sim),
+                "process 'boom' panicked: kaboom",
+                "{stepper:?} then {kind:?}"
+            );
+            assert_resumes_to_completion(&sim, &done);
+        }
     }
 }
 
