@@ -30,7 +30,7 @@ impl Clock {
     pub(crate) fn new(kernel: Arc<KernelShared>, name: &str, period: SimDur) -> Self {
         assert!(!period.is_zero(), "clock period must be non-zero");
         assert!(
-            period.as_ps() >= Self::MIN_PERIOD.as_ps(),
+            period >= Self::MIN_PERIOD,
             "clock period below the 2 ps toggle resolution"
         );
         let signal = Signal::new(Arc::clone(&kernel), name, false);
