@@ -3,7 +3,11 @@
 //! `Backend::Auto` onto the DE path with a log-able reason, and the fallback
 //! run must be indistinguishable from an explicit DE run.
 
+use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
+
 use shiptlm::prelude::*;
+use shiptlm_testkit::prelude::*;
 
 fn de() -> RunOptions {
     RunOptions::default()
@@ -221,4 +225,77 @@ fn sweep_report_is_identical_across_backends() {
         .run()
         .expect("de sweep");
     assert_eq!(auto_report.to_string(), de_report.to_string());
+}
+
+/// FNV-1a over `fields`, each closed by a separator byte.
+fn fnv(h: &mut u64, fields: &[&str]) {
+    for field in fields {
+        for b in field.bytes().chain([0xff]) {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// What `Backend::Auto` role detection made of `app`: the backend it ran
+/// on and its fallback reason, the role error, or the panic of a PE.
+fn auto_decision(app: &AppSpec, opts: &RunOptions) -> (String, String) {
+    let opts = opts.clone().with_backend(Backend::Auto);
+    match panic::catch_unwind(AssertUnwindSafe(|| run_component_assembly_with(app, &opts))) {
+        Ok(Ok(ca)) => (
+            ca.backend.used.to_string(),
+            ca.backend.fallback.unwrap_or_default(),
+        ),
+        Ok(Err(e)) => ("error".into(), e.to_string()),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            ("panic".into(), msg)
+        }
+    }
+}
+
+#[test]
+fn auto_decides_every_case_as_recorded() {
+    // Which backend Auto picks, and why it falls back, on the 50
+    // conformance models of the default seed (as generated, and with
+    // compute stripped) and on every corpus case with its fault hook. A
+    // wait future that reaches the direct backend must keep disqualifying
+    // as the construct it is: `wait_for` as a timed wait, not as a kernel
+    // event wait. The digest covers (case, backend used, fallback
+    // construct or outcome).
+    let harness = HarnessConfig {
+        seed: 361_164_878_309,
+        ..HarnessConfig::default()
+    };
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fallbacks = 0;
+    let mut record = |case: &str, app: &AppSpec, opts: &RunOptions| {
+        let (used, reason) = auto_decision(app, opts);
+        fallbacks += usize::from(used != "direct");
+        // Which thread reaches a disqualifying construct first is a race
+        // between free-running threads, so only the construct is pinned.
+        let construct = reason.split_once(" used ").map_or(&*reason, |(_, c)| c);
+        fnv(&mut h, &[case, &used, construct]);
+    };
+    for index in 0..harness.cases {
+        let spec = ModelSpec::random(harness.case_seed(index), &harness.gen);
+        let opts = RunOptions::default().with_ship_timeout(SimDur::ms(10));
+        record(&format!("case {index}"), &spec.to_app(), &opts);
+        record(&format!("case {index} untimed"), &untimed(&spec).to_app(), &opts);
+    }
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    for (name, case) in CorpusCase::load_dir(&corpus).expect("corpus parses") {
+        let mut opts = RunOptions::default()
+            .with_ship_timeout(SimDur::ms(10))
+            .with_time_limit(SimDur::ms(100));
+        if let Some(fault) = &case.fault {
+            opts = opts.with_port_hook(fault.hook());
+        }
+        record(&name, &case.spec.to_app(), &opts);
+    }
+    assert_eq!((fallbacks, h), (30, 0x0059_7113_6ee4_0daf));
 }

@@ -1,6 +1,9 @@
-//! Exact-timing identity of the refined levels.
+//! Exact-timing identity of the untimed and refined levels.
 //!
-//! Every refined runner (CCATB, pin-accurate, HW/SW-partitioned) elaborates
+//! Each row starts with the untimed component-assembly level on the
+//! delta-cycle kernel, whose schedule no interconnect changes: it pins the
+//! order the PE behaviours run in. Every refined runner (CCATB,
+//! pin-accurate, HW/SW-partitioned) elaborates
 //! the same channel mapping; process ids and event order follow from the
 //! elaboration order, so any reordering of that step shows up as a changed
 //! simulated time or delta count. This suite pins the observable figures of
@@ -17,7 +20,8 @@ use shiptlm::prelude::*;
 use shiptlm_testkit::prelude::*;
 
 /// `(sim_time_ps, delta_cycles, messages, bytes, bus.transactions,
-/// txn_digest)`.
+/// txn_digest)`; the untimed level has no bus, so its transaction count
+/// is 0.
 type Figures = (u64, u64, u64, u64, u64, u64);
 
 /// Ring capacity of the recorder: large enough that no span is dropped.
@@ -49,22 +53,15 @@ fn txn_digest(trace: &TxnTrace) -> u64 {
     h
 }
 
-fn figures(out: &MappedRun) -> Figures {
-    let m = RunMetrics::from_log(
-        "level",
-        &out.output.log,
-        out.output.sim_time,
-        None,
-        out.output.delta_cycles,
-        0.0,
-    );
+fn figures(out: &RunOutput, transactions: u64) -> Figures {
+    let m = RunMetrics::from_log("level", &out.log, out.sim_time, None, out.delta_cycles, 0.0);
     (
-        out.output.sim_time.as_ps(),
-        out.output.delta_cycles,
+        out.sim_time.as_ps(),
+        out.delta_cycles,
         m.messages,
         m.bytes,
-        out.bus.transactions,
-        txn_digest(out.output.txn.as_ref().expect("the recorder was on")),
+        transactions,
+        txn_digest(out.txn.as_ref().expect("the recorder was on")),
     )
 }
 
@@ -77,12 +74,14 @@ fn model() -> ModelSpec {
     ModelSpec::random(13, &cfg)
 }
 
-/// The recorded figures of `(ccatb, pin-accurate, partitioned)` on `arch`.
-fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
+/// The recorded figures of `(untimed, ccatb, pin-accurate, partitioned)`
+/// on `arch`; the untimed level runs on the delta-cycle kernel.
+fn run_levels(arch: &ArchSpec) -> [Figures; 4] {
     let spec = model();
     let app = spec.to_app();
-    let ca = run_component_assembly(&app).expect("roles detected");
     let opts = RunOptions::with_recorder(TXN_RING);
+    let ca = run_component_assembly_with(&app, &opts).expect("roles detected");
+    assert_eq!(ca.backend.used, Backend::De);
     let ccatb = run_mapped_with(&app, &ca.roles, arch, &opts).expect("ccatb run");
     let pin = run_pin_accurate_with(&app, &ca.roles, arch, &opts).expect("pin-accurate run");
     let sw = run_partitioned_with(
@@ -99,14 +98,25 @@ fn run_levels(arch: &ArchSpec) -> [Figures; 3] {
             .content_equivalent(log)
             .expect("refined level matches the reference");
     }
-    [figures(&ccatb), figures(&pin), figures(&sw.mapped)]
+    let refined = |run: &MappedRun| figures(&run.output, run.bus.transactions);
+    [
+        figures(&ca.output, 0),
+        refined(&ccatb),
+        refined(&pin),
+        refined(&sw.mapped),
+    ]
 }
+
+/// The untimed level's figures: the same on every row, since no
+/// interconnect exists at that level.
+const UNTIMED: Figures = (1_183_000, 2, 13, 2980, 0, 0xa84f02366c513aa9);
 
 #[test]
 fn plb_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::plb()),
         [
+            UNTIMED,
             (5_973_000, 284, 13, 2980, 95, 0x18942bd3ed22081b),
             (9_395_000, 3009, 13, 2980, 95, 0x70c8f870c2fc1d5c),
             (10_860_000, 344, 13, 2980, 96, 0x7c85bdd3a7eccf57),
@@ -128,6 +138,7 @@ fn opb_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::opb()),
         [
+            UNTIMED,
             (37_040_000, 384, 13, 2980, 95, 0x5146fc376513f5fa),
             (43_250_000, 6678, 13, 2980, 95, 0xacc3f9c56bce8d28),
             (40_880_000, 369, 13, 2980, 95, 0x79f0711949a031a3),
@@ -140,6 +151,7 @@ fn ahb_split_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::ahb().with_split(true)),
         [
+            UNTIMED,
             (12_120_000, 552, 13, 2980, 95, 0xdc51e7d1c4188822),
             (15_345_000, 4794, 13, 2980, 95, 0xd137bfc3e49ac6ff),
             (16_830_000, 537, 13, 2980, 96, 0x996fc7806849549d),
@@ -154,6 +166,7 @@ fn ahb_retry_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::ahb().with_burst(128)),
         [
+            UNTIMED,
             (9_773_000, 284, 13, 2980, 70, 0xc06ae0be6f2957b1),
             (12_955_000, 4027, 13, 2980, 70, 0xf6538616ce4dc329),
             (13_880_000, 297, 13, 2980, 71, 0x1036b4d2dd575b7d),
@@ -166,6 +179,7 @@ fn crossbar_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::crossbar()),
         [
+            UNTIMED,
             (4_900_000, 179, 13, 2980, 95, 0x6afd798c09eb5f76),
             (9_095_000, 2901, 13, 2980, 95, 0x2b3d785cc81bb229),
             (10_120_000, 274, 13, 2980, 95, 0xb65609f4868d81ab),
@@ -178,6 +192,7 @@ fn noc_4x4_levels_keep_their_timing() {
     assert_eq!(
         run_levels(&ArchSpec::noc(4, 4)),
         [
+            UNTIMED,
             (6_375_000, 270, 13, 2980, 95, 0x229784930eea073f),
             (8_472_500, 5266, 13, 2980, 95, 0xe4c0d0b70b4e17ed),
             (27_285_000, 745, 13, 2980, 95, 0x0a2a8fc01e242163),
