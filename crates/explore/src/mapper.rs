@@ -872,6 +872,16 @@ pub fn run_pin_accurate_with(
             ),
         });
     }
+    if app.pes().is_empty() {
+        // No PE would stop the free-running clock below: an app without
+        // PEs ends at once, as on the other levels.
+        let result = opts.execute(&sim);
+        let output = RunOutput::from_run(&sim, opts, started, log, result);
+        return Ok(MappedRun {
+            output,
+            bus: interconnect.stats(),
+        });
+    }
     let clk = sim.clock("clk", period);
 
     // One pin-level accessor per master PE, attached in order of the

@@ -236,3 +236,20 @@ fn missing_role_is_a_mapping_error_not_a_panic() {
     let err = run_pin_accurate(&app, &empty, &ArchSpec::plb()).unwrap_err();
     assert!(matches!(err, MapError::Missing { .. }));
 }
+
+#[test]
+fn an_app_without_pes_ends_at_once_on_every_level() {
+    // The pin level's free-running clock stops when the last PE returns,
+    // so with no PE at all nothing used to stop it. The watchdog turns a
+    // regression into a failure instead of a hang.
+    let app = AppSpec::new("empty");
+    let opts = RunOptions::default().with_watchdog(std::time::Duration::from_secs(2));
+    let ca = run_component_assembly_with(&app, &opts).expect("untimed run");
+    let arch = ArchSpec::plb();
+    let ccatb = run_mapped_with(&app, &ca.roles, &arch, &opts).expect("ccatb run");
+    let pin = run_pin_accurate_with(&app, &ca.roles, &arch, &opts).expect("pin run");
+    for out in [&ca.output, &ccatb.output, &pin.output] {
+        assert_eq!(out.reason, shiptlm_kernel::StopReason::Starved);
+        assert_eq!(out.sim_time, SimDur::ZERO);
+    }
+}
