@@ -18,25 +18,21 @@ const BYTES: usize = 256;
 /// One source feeding `sinks` independent sinks round-robin.
 fn fanout_app(sinks: usize) -> AppSpec {
     let mut app = AppSpec::new("fanout");
-    app.add_pe("source", move || {
-        Box::new(move |ctx, ports: Vec<ShipPort>| {
-            for i in 0..BLOCKS {
-                for port in &ports {
-                    let data = workload::block(u64::from(i), BYTES);
-                    port.send(ctx, &data).unwrap();
-                }
+    app.add_pe("source", move |h, ports| async move {
+        for i in 0..BLOCKS {
+            for port in &ports {
+                let data = workload::block(u64::from(i), BYTES);
+                port.send_async(&h, &data).await.unwrap();
             }
-        })
+        }
     });
     for s in 0..sinks {
         let name = format!("sink{s}");
-        app.add_pe(&name, move || {
-            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                for i in 0..BLOCKS {
-                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                    assert_eq!(data, workload::block(u64::from(i), BYTES));
-                }
-            })
+        app.add_pe(&name, move |h, ports| async move {
+            for i in 0..BLOCKS {
+                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                assert_eq!(data, workload::block(u64::from(i), BYTES));
+            }
         });
         app.connect(&format!("f{s}"), "source", &name);
     }

@@ -73,17 +73,13 @@ fn bench_detection(c: &mut Criterion) {
 
     // Inconsistent PEs must be rejected, not mis-mapped.
     let mut bad = AppSpec::new("bad");
-    bad.add_pe("x", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            ports[0].send(ctx, &1u8).unwrap();
-            let _: u8 = ports[0].recv(ctx).unwrap();
-        })
+    bad.add_pe("x", move |h, ports| async move {
+        ports[0].send_async(&h, &1u8).await.unwrap();
+        let _: u8 = ports[0].recv_async(&h).await.unwrap();
     });
-    bad.add_pe("y", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let _: u8 = ports[0].recv(ctx).unwrap();
-            ports[0].send(ctx, &2u8).unwrap();
-        })
+    bad.add_pe("y", move |h, ports| async move {
+        let _: u8 = ports[0].recv_async(&h).await.unwrap();
+        ports[0].send_async(&h, &2u8).await.unwrap();
     });
     bad.connect("c", "x", "y");
     assert!(run_component_assembly(&bad).is_err());

@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex};
 
 use shiptlm_kernel::event::Event;
 use shiptlm_kernel::liveness::EndpointId;
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::signal::Signal;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::{SimDur, SimTime};
@@ -30,7 +29,7 @@ use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::payload::{OcpCommand, OcpRequest, OcpResponse, TxTiming};
 use shiptlm_ocp::tl::{MasterId, OcpFuture, OcpMasterPort, OcpTarget};
 use shiptlm_ship::bytes::ShipBytes;
-use shiptlm_ship::channel::{ShipEndpoint, ShipPort};
+use shiptlm_ship::channel::{ShipEndpoint, ShipFuture, ShipPort};
 use shiptlm_ship::error::ShipError;
 
 /// Total bus-address window occupied by one [`ShipSlaveAdapter`].
@@ -491,21 +490,14 @@ struct AdapterSlaveEndpoint {
     adapter: Arc<ShipSlaveAdapter>,
 }
 
-impl ShipEndpoint for AdapterSlaveEndpoint {
-    fn send_bytes(&self, _ctx: &mut ThreadCtx, _bytes: ShipBytes) -> Result<(), ShipError> {
-        Err(ShipError::Protocol(
-            "mapped slave endpoints support recv/reply only".into(),
-        ))
-    }
-
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        self.adapter
-            .sim
-            .endpoint_user(self.adapter.ep_slave, ctx.pid());
-        let start = ctx.now();
+impl AdapterSlaveEndpoint {
+    async fn recv(&self, sim: &SimHandle) -> Result<ShipBytes, ShipError> {
+        let adapter = &self.adapter;
+        adapter.sim.endpoint_user(adapter.ep_slave, sim.pid());
+        let start = sim.now();
         loop {
             {
-                let mut g = self.adapter.lock();
+                let mut g = adapter.lock();
                 if let Some((kind, bytes)) = g.rx.pop_front() {
                     if kind == MsgKind::Request {
                         g.owed_replies += 1;
@@ -513,26 +505,22 @@ impl ShipEndpoint for AdapterSlaveEndpoint {
                     let owed = g.owed_replies;
                     let depth = g.rx.len() as u64;
                     drop(g);
-                    if ctx.metrics_enabled() {
-                        ctx.metrics().gauge_set(
-                            "mbox.occupancy",
-                            &self.adapter.label,
-                            depth,
-                            ctx.now(),
-                        );
+                    if sim.metrics_enabled() {
+                        let m = sim.metrics();
+                        m.gauge_set("mbox.occupancy", &adapter.label, depth, sim.now());
                     }
-                    self.adapter.note_owed(owed);
+                    adapter.note_owed(owed);
                     // Space freed: pulse the ready sideband for any waiting
                     // master wrapper.
-                    self.adapter.rx_taken.notify_delta();
-                    self.adapter.update_sideband();
-                    if ctx.txn_enabled() {
-                        ctx.txn_record(TxnSpan {
+                    adapter.rx_taken.notify_delta();
+                    adapter.update_sideband();
+                    if sim.txn_enabled() {
+                        sim.txn_record(TxnSpan {
                             level: TxnLevel::Bus,
                             op: "mbox.drain",
-                            resource: &self.adapter.label,
+                            resource: &adapter.label,
                             start,
-                            end: ctx.now(),
+                            end: sim.now(),
                             bytes: bytes.len(),
                             ok: true,
                         });
@@ -540,32 +528,21 @@ impl ShipEndpoint for AdapterSlaveEndpoint {
                     return Ok(bytes);
                 }
             }
-            ctx.wait(&self.adapter.rx_written);
+            sim.wait(&adapter.rx_written).await;
         }
     }
 
-    fn request_bytes(
-        &self,
-        _ctx: &mut ThreadCtx,
-        _bytes: ShipBytes,
-    ) -> Result<ShipBytes, ShipError> {
-        Err(ShipError::Protocol(
-            "mapped slave endpoints support recv/reply only".into(),
-        ))
-    }
-
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
+    async fn reply(&self, sim: &SimHandle, bytes: ShipBytes) -> Result<(), ShipError> {
         if bytes.len() as u64 > regs::REPLY_WIN_END - regs::REPLY_WIN {
             return Err(ShipError::Protocol("reply exceeds reply window".into()));
         }
-        self.adapter
-            .sim
-            .endpoint_user(self.adapter.ep_slave, ctx.pid());
-        let start = ctx.now();
+        let adapter = &self.adapter;
+        adapter.sim.endpoint_user(adapter.ep_slave, sim.pid());
+        let start = sim.now();
         let owed;
         loop {
             {
-                let mut g = self.adapter.lock();
+                let mut g = adapter.lock();
                 if g.owed_replies == 0 {
                     return Err(ShipError::Protocol(
                         "reply without an outstanding request".into(),
@@ -581,23 +558,51 @@ impl ShipEndpoint for AdapterSlaveEndpoint {
                 }
             }
             // Previous reply not yet consumed: wait for the master to ack.
-            ctx.wait(&self.adapter.reply_taken);
+            sim.wait(&adapter.reply_taken).await;
         }
-        self.adapter.note_owed(owed);
-        self.adapter.reply_set.notify_delta();
-        self.adapter.update_sideband();
-        if ctx.txn_enabled() {
-            ctx.txn_record(TxnSpan {
+        adapter.note_owed(owed);
+        adapter.reply_set.notify_delta();
+        adapter.update_sideband();
+        if sim.txn_enabled() {
+            sim.txn_record(TxnSpan {
                 level: TxnLevel::Bus,
                 op: "mbox.reply",
-                resource: &self.adapter.label,
+                resource: &adapter.label,
                 start,
-                end: ctx.now(),
+                end: sim.now(),
                 bytes: bytes.len(),
                 ok: true,
             });
         }
         Ok(())
+    }
+}
+
+impl ShipEndpoint for AdapterSlaveEndpoint {
+    fn send_bytes<'a>(&'a self, _sim: &'a SimHandle, _bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async { Err(Self::unsupported()) })
+    }
+
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(self.recv(sim))
+    }
+
+    fn request_bytes<'a>(
+        &'a self,
+        _sim: &'a SimHandle,
+        _bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async { Err(Self::unsupported()) })
+    }
+
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(self.reply(sim, bytes))
+    }
+}
+
+impl AdapterSlaveEndpoint {
+    fn unsupported() -> ShipError {
+        ShipError::Protocol("mapped slave endpoints support recv/reply only".into())
     }
 }
 
@@ -663,14 +668,15 @@ impl ShipBusMasterEndpoint {
         ShipError::Protocol(format!("bus transport failed: {e}"))
     }
 
-    fn wait_status(&self, ctx: &mut ThreadCtx, mask: u32) -> Result<(), ShipError> {
-        if let Some((sim, ep)) = &self.liveness {
-            sim.endpoint_user(*ep, ctx.pid());
+    async fn wait_status(&self, sim: &SimHandle, mask: u32) -> Result<(), ShipError> {
+        if let Some((liveness, ep)) = &self.liveness {
+            liveness.endpoint_user(*ep, sim.pid());
         }
         loop {
             let status = self
                 .bus
-                .read_u32(ctx, self.base + regs::STATUS)
+                .read_u32_async(sim, self.base + regs::STATUS)
+                .await
                 .map_err(Self::bus_err)?;
             if status & mask != 0 {
                 return Ok(());
@@ -690,17 +696,17 @@ impl ShipBusMasterEndpoint {
                     // never a deadlock.
                     let guard =
                         std::cmp::max(self.cfg.poll_interval.saturating_mul(16), SimDur::us(1));
-                    let _ = ctx.wait_any_for(&[ev], guard);
+                    let _ = sim.wait_any_for(&[ev], guard).await;
                 }
                 // CPU-style fallback: timed polling.
-                None => ctx.wait_for(self.cfg.poll_interval),
+                None => sim.wait_for(self.cfg.poll_interval).await,
             }
         }
     }
 
-    fn push_message(
+    async fn push_message(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         bytes: &[u8],
         doorbell: u32,
     ) -> Result<(), ShipError> {
@@ -711,27 +717,31 @@ impl ShipBusMasterEndpoint {
                 ADAPTER_SIZE - regs::TX_WIN
             )));
         }
-        self.wait_status(ctx, STATUS_RX_SPACE)?;
+        self.wait_status(sim, STATUS_RX_SPACE).await?;
         self.bus
-            .write_u32(ctx, self.base + regs::TX_LEN, bytes.len() as u32)
+            .write_u32_async(sim, self.base + regs::TX_LEN, bytes.len() as u32)
+            .await
             .map_err(Self::bus_err)?;
         for (i, chunk) in bytes.chunks(self.cfg.burst_bytes).enumerate() {
             let addr = self.base + regs::TX_WIN + (i * self.cfg.burst_bytes) as u64;
             self.bus
-                .write(ctx, addr, chunk.to_vec())
+                .write_async(sim, addr, chunk.to_vec())
+                .await
                 .map_err(Self::bus_err)?;
         }
         self.bus
-            .write_u32(ctx, self.base + regs::DOORBELL, doorbell)
+            .write_u32_async(sim, self.base + regs::DOORBELL, doorbell)
+            .await
             .map_err(Self::bus_err)?;
         Ok(())
     }
 
-    fn pull_reply(&self, ctx: &mut ThreadCtx) -> Result<Vec<u8>, ShipError> {
-        self.wait_status(ctx, STATUS_REPLY_READY)?;
+    async fn pull_reply(&self, sim: &SimHandle) -> Result<Vec<u8>, ShipError> {
+        self.wait_status(sim, STATUS_REPLY_READY).await?;
         let len = self
             .bus
-            .read_u32(ctx, self.base + regs::REPLY_LEN)
+            .read_u32_async(sim, self.base + regs::REPLY_LEN)
+            .await
             .map_err(Self::bus_err)? as usize;
         let mut out = Vec::with_capacity(len);
         let mut off = 0;
@@ -739,71 +749,74 @@ impl ShipBusMasterEndpoint {
             let n = (len - off).min(self.cfg.burst_bytes);
             let chunk = self
                 .bus
-                .read(ctx, self.base + regs::REPLY_WIN + off as u64, n)
+                .read_async(sim, self.base + regs::REPLY_WIN + off as u64, n)
+                .await
                 .map_err(Self::bus_err)?;
             out.extend_from_slice(&chunk);
             off += n;
         }
         self.bus
-            .write_u32(ctx, self.base + regs::DOORBELL, DOORBELL_REPLY_ACK)
+            .write_u32_async(sim, self.base + regs::DOORBELL, DOORBELL_REPLY_ACK)
+            .await
             .map_err(Self::bus_err)?;
         Ok(out)
     }
-}
 
-impl ShipBusMasterEndpoint {
     /// Records one mailbox operation (level [`TxnLevel::Bus`]).
-    fn txn(&self, ctx: &ThreadCtx, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
-        if !ctx.txn_enabled() {
+    fn txn(&self, sim: &SimHandle, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
+        if !sim.txn_enabled() {
             return;
         }
-        ctx.txn_record(TxnSpan {
+        sim.txn_record(TxnSpan {
             level: TxnLevel::Bus,
             op,
             resource: &self.label,
             start,
-            end: ctx.now(),
+            end: sim.now(),
             bytes,
             ok,
         });
     }
+
+    fn unsupported() -> ShipError {
+        ShipError::Protocol("mapped master endpoints support send/request only".into())
+    }
 }
 
 impl ShipEndpoint for ShipBusMasterEndpoint {
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        let start = ctx.now();
-        let result = self.push_message(ctx, &bytes, DOORBELL_DATA);
-        self.txn(ctx, "mbox.push", start, bytes.len(), result.is_ok());
-        result
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.push_message(sim, &bytes, DOORBELL_DATA).await;
+            self.txn(sim, "mbox.push", start, bytes.len(), result.is_ok());
+            result
+        })
     }
 
-    fn recv_bytes(&self, _ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        Err(ShipError::Protocol(
-            "mapped master endpoints support send/request only".into(),
-        ))
+    fn recv_bytes<'a>(&'a self, _sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
-        let start = ctx.now();
-        let result = self.push_message(ctx, &bytes, DOORBELL_REQUEST);
-        self.txn(ctx, "mbox.push", start, bytes.len(), result.is_ok());
-        result?;
-        let start = ctx.now();
-        let result = self.pull_reply(ctx);
-        self.txn(
-            ctx,
-            "mbox.pull",
-            start,
-            result.as_ref().map_or(0, |r| r.len()),
-            result.is_ok(),
-        );
-        Ok(ShipBytes::from(result?))
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.push_message(sim, &bytes, DOORBELL_REQUEST).await;
+            self.txn(sim, "mbox.push", start, bytes.len(), result.is_ok());
+            result?;
+            let start = sim.now();
+            let result = self.pull_reply(sim).await;
+            let len = result.as_ref().map_or(0, |r| r.len());
+            self.txn(sim, "mbox.pull", start, len, result.is_ok());
+            Ok(ShipBytes::from(result?))
+        })
     }
 
-    fn reply_bytes(&self, _ctx: &mut ThreadCtx, _bytes: ShipBytes) -> Result<(), ShipError> {
-        Err(ShipError::Protocol(
-            "mapped master endpoints support send/request only".into(),
-        ))
+    fn reply_bytes<'a>(&'a self, _sim: &'a SimHandle, _bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 }
 

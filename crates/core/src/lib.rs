@@ -24,18 +24,19 @@
 //! ```
 //! use shiptlm::prelude::*;
 //!
-//! // A platform-independent application…
+//! // A platform-independent application: each PE is a future built from
+//! // its simulation handle and its ports…
 //! let mut app = AppSpec::new("hello");
-//! app.add_pe("producer", || Box::new(|ctx, ports: Vec<ShipPort>| {
+//! app.add_pe("producer", |h, ports| async move {
 //!     for i in 0..8u32 {
-//!         ports[0].send(ctx, &i).unwrap();
+//!         ports[0].send_async(&h, &i).await.unwrap();
 //!     }
-//! }));
-//! app.add_pe("consumer", || Box::new(|ctx, ports: Vec<ShipPort>| {
+//! });
+//! app.add_pe("consumer", |h, ports| async move {
 //!     for i in 0..8u32 {
-//!         assert_eq!(ports[0].recv::<u32>(ctx).unwrap(), i);
+//!         assert_eq!(ports[0].recv_async::<u32>(&h).await.unwrap(), i);
 //!     }
-//! }));
+//! });
 //! app.connect("link", "producer", "consumer");
 //!
 //! // …refined through the flow onto a PLB-like bus.

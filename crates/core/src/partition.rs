@@ -204,7 +204,7 @@ pub fn run_partitioned_with(
         }
     }
 
-    // Spawn HW PEs as kernel processes, SW PEs as RTOS tasks.
+    // Spawn HW PEs as async processes, SW PEs as RTOS tasks.
     let mut sw_index = 0u8;
     for pe in app.pes() {
         let behavior = app.behavior(&pe.name);
@@ -213,15 +213,15 @@ pub fn run_partitioned_with(
             let prio = partition.base_priority.saturating_sub(sw_index);
             sw_index += 1;
             let log = log.clone();
-            cpu.spawn_sw_pe(&pe.name, prio, bindings, move |ctx, ports| {
+            cpu.spawn_sw_pe(&pe.name, prio, bindings, move |h, ports| {
                 for p in &ports {
                     p.attach_recorder(log.clone());
                 }
-                behavior(ctx, ports);
+                behavior(h, ports)
             });
         } else {
             let ports = hw_ports.remove(&pe.name).unwrap_or_default();
-            sim.spawn_thread(&pe.name, move |ctx| behavior(ctx, ports));
+            sim.spawn_async(&pe.name, behavior(h.clone(), ports));
         }
     }
     let result = opts.execute(&sim);

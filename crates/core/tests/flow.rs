@@ -68,17 +68,15 @@ fn equivalence_violation_is_reported() {
     let mut app = AppSpec::new("buggy");
     {
         let counter = Arc::clone(&counter);
-        app.add_pe("p", move || {
+        app.add_pe("p", move |h, ports| {
             let run_idx = counter.fetch_add(1, Ordering::SeqCst);
-            Box::new(move |ctx, ports| {
-                ports[0].send(ctx, &run_idx).unwrap();
-            })
+            async move {
+                ports[0].send_async(&h, &run_idx).await.unwrap();
+            }
         });
     }
-    app.add_pe("c", || {
-        Box::new(|ctx, ports| {
-            let _: u32 = ports[0].recv(ctx).unwrap();
-        })
+    app.add_pe("c", move |h, ports| async move {
+        let _: u32 = ports[0].recv_async(&h).await.unwrap();
     });
     app.connect("ch", "p", "c");
     let err = DesignFlow::new(app, ArchSpec::plb()).run().unwrap_err();
@@ -91,8 +89,8 @@ fn equivalence_violation_is_reported() {
 #[test]
 fn mapping_failure_propagates() {
     let mut app = AppSpec::new("dead");
-    app.add_pe("a", || Box::new(|_ctx, _ports| {}));
-    app.add_pe("b", || Box::new(|_ctx, _ports| {}));
+    app.add_pe("a", |_, _| async {});
+    app.add_pe("b", |_, _| async {});
     app.connect("never", "a", "b");
     assert!(matches!(
         DesignFlow::new(app, ArchSpec::plb()).run(),

@@ -5,27 +5,33 @@
 //! target architecture. The same spec elaborates to every abstraction level.
 
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_ship::channel::ShipPort;
 
-/// A PE behaviour: runs once, communicating through its ports.
+/// What a PE runs as: a future that communicates through its ports.
+pub type PeFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// A PE behaviour: builds a fresh [`PeFuture`] per elaboration from the
+/// handle the PE waits and records through and its ports.
 ///
 /// Ports arrive in the order the PE's channels were added to the
-/// [`AppSpec`]. The same behaviour object is used at every abstraction
-/// level — only the port backing changes (paper §4's "no source change").
-pub type PeBehavior = Box<dyn FnOnce(&mut ThreadCtx, Vec<ShipPort>) + Send>;
-
-/// Factory producing a fresh behaviour per elaboration.
-pub type PeFactory = Arc<dyn Fn() -> PeBehavior + Send + Sync>;
+/// [`AppSpec`]. The same behaviour is used at every abstraction level —
+/// only the port backing changes (paper §4's "no source change"). The
+/// delta-cycle runners poll the future inline as an async process; the
+/// direct backend and RTOS tasks run it on their thread with
+/// [`ThreadCtx::block_on`](shiptlm_kernel::process::ThreadCtx::block_on).
+pub type PeBehavior = Arc<dyn Fn(SimHandle, Vec<ShipPort>) -> PeFuture + Send + Sync>;
 
 /// One processing element.
 #[derive(Clone)]
 pub struct PeSpec {
     /// PE name (unique within the app).
     pub name: String,
-    pub(crate) factory: PeFactory,
+    pub(crate) behavior: PeBehavior,
 }
 
 impl fmt::Debug for PeSpec {
@@ -51,12 +57,12 @@ pub struct ChannelSpec {
 /// use shiptlm_explore::app::AppSpec;
 ///
 /// let mut app = AppSpec::new("demo");
-/// app.add_pe("producer", || Box::new(|ctx, ports| {
-///     ports[0].send(ctx, &42u32).unwrap();
-/// }));
-/// app.add_pe("consumer", || Box::new(|ctx, ports| {
-///     let _: u32 = ports[0].recv(ctx).unwrap();
-/// }));
+/// app.add_pe("producer", |h, ports| async move {
+///     ports[0].send_async(&h, &42u32).await.unwrap();
+/// });
+/// app.add_pe("consumer", |h, ports| async move {
+///     let _: u32 = ports[0].recv_async(&h).await.unwrap();
+/// });
 /// app.connect("link", "producer", "consumer");
 /// assert_eq!(app.channels().len(), 1);
 /// ```
@@ -82,15 +88,16 @@ impl AppSpec {
         &self.name
     }
 
-    /// Adds a PE with a behaviour factory (a fresh behaviour is created per
-    /// elaboration).
+    /// Adds a PE whose behaviour builds its future from the PE's handle
+    /// and ports, once per elaboration.
     ///
     /// # Panics
     ///
     /// Panics on duplicate PE names.
-    pub fn add_pe<F>(&mut self, name: &str, factory: F)
+    pub fn add_pe<F, Fut>(&mut self, name: &str, behavior: F)
     where
-        F: Fn() -> PeBehavior + Send + Sync + 'static,
+        F: Fn(SimHandle, Vec<ShipPort>) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
     {
         assert!(
             self.pes.iter().all(|p| p.name != name),
@@ -98,7 +105,7 @@ impl AppSpec {
         );
         self.pes.push(PeSpec {
             name: name.to_string(),
-            factory: Arc::new(factory),
+            behavior: Arc::new(move |sim, ports| Box::pin(behavior(sim, ports))),
         });
     }
 
@@ -144,13 +151,13 @@ impl AppSpec {
             .collect()
     }
 
-    /// Instantiates a fresh behaviour for `pe`.
+    /// The behaviour of `pe`.
     ///
     /// # Panics
     ///
     /// Panics when the PE is unknown.
     pub fn behavior(&self, pe: &str) -> PeBehavior {
-        (self.pe(pe).expect("unknown PE").factory)()
+        Arc::clone(&self.pe(pe).expect("unknown PE").behavior)
     }
 }
 

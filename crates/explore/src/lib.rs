@@ -46,7 +46,7 @@ pub mod workload;
 
 /// Commonly used exploration items.
 pub mod prelude {
-    pub use crate::app::{AppSpec, ChannelSpec, PeBehavior, PeSpec};
+    pub use crate::app::{AppSpec, ChannelSpec, PeBehavior, PeFuture, PeSpec};
     pub use crate::arch::{build_interconnect, ArchGrid, ArchSpec, BusKind, Interconnect};
     pub use crate::mapper::{
         explore_one, run_component_assembly, run_component_assembly_with, run_mapped,

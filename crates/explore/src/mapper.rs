@@ -544,13 +544,12 @@ fn derive_roles(
     Ok(roles)
 }
 
-/// Spawns every PE of `app` in declaration order as a kernel thread that
+/// Spawns every PE of `app` in declaration order as an async process that
 /// runs its behaviour on its ports from `pe_ports`.
 fn spawn_pes(sim: &Simulation, app: &AppSpec, mut pe_ports: BTreeMap<String, Vec<ShipPort>>) {
     for pe in app.pes() {
         let ports = pe_ports.remove(&pe.name).unwrap_or_default();
-        let behavior = app.behavior(&pe.name);
-        sim.spawn_thread(&pe.name, move |ctx| behavior(ctx, ports));
+        sim.spawn_async(&pe.name, (pe.behavior)(sim.handle(), ports));
     }
 }
 
@@ -632,10 +631,15 @@ fn run_component_assembly_direct(
         hand_out(&mut pe_ports, &log, opts, &c.name, false, ends);
         channels.push(ch);
     }
+    // Each PE keeps its own OS thread here, which parks inside its SHIP
+    // calls.
     for pe in wake_order(app) {
         let ports = pe_ports.remove(&pe).unwrap_or_default();
         let behavior = app.behavior(&pe);
-        sim.spawn_thread(&pe, move |ctx| behavior(ctx, ports));
+        sim.spawn_thread(&pe, move |ctx| {
+            let h = ctx.sim();
+            ctx.block_on(behavior(h, ports));
+        });
     }
     // `time_limit` bounds *simulated* time, which the direct backend never
     // advances — an untimed model under `run_until` behaves identically.
@@ -906,12 +910,12 @@ pub fn run_pin_accurate_with(
     let remaining = Arc::new(AtomicUsize::new(app.pes().len()));
     for pe in app.pes() {
         let ports = pe_ports.remove(&pe.name).unwrap_or_default();
-        let behavior = app.behavior(&pe.name);
-        let remaining = Arc::clone(&remaining);
-        sim.spawn_thread(&pe.name, move |ctx| {
-            behavior(ctx, ports);
+        let behavior = (pe.behavior)(h.clone(), ports);
+        let (remaining, h) = (Arc::clone(&remaining), h.clone());
+        sim.spawn_async(&pe.name, async move {
+            behavior.await;
             if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                ctx.stop();
+                h.stop();
             }
         });
     }

@@ -23,7 +23,6 @@ use shiptlm_cam::wrapper::{regs, ADAPTER_SIZE};
 use shiptlm_kernel::json::Json;
 use shiptlm_kernel::rng::Rng;
 use shiptlm_kernel::time::SimDur;
-use shiptlm_ship::channel::ShipPort;
 use shiptlm_ship::serialize::ShipSerialize;
 use shiptlm_ship::wire::{ByteReader, ByteWriter, WireError};
 
@@ -503,45 +502,38 @@ impl ModelSpec {
                     compute_ns,
                 } => {
                     let src = format!("m{i}.p0");
-                    app.add_pe(&src, move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for b in 0..blocks {
-                                let data = payload(seed, i, 0, b, bytes);
-                                ports[0].send(ctx, &data).unwrap();
-                            }
-                        })
+                    app.add_pe(&src, move |h, ports| async move {
+                        for b in 0..blocks {
+                            let data = payload(seed, i, 0, b, bytes);
+                            ports[0].send_async(&h, &data).await.unwrap();
+                        }
                     });
                     for s in 1..stages - 1 {
                         let name = format!("m{i}.p{s}");
-                        app.add_pe(&name, move || {
-                            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                                for _ in 0..blocks {
-                                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                                    if compute_ns > 0 {
-                                        ctx.wait_for(SimDur::ns(compute_ns));
-                                    }
-                                    let out: Vec<u8> =
-                                        data.iter().map(|b| b.wrapping_add(1)).collect();
-                                    ports[1].send(ctx, &out).unwrap();
+                        app.add_pe(&name, move |h, ports| async move {
+                            for _ in 0..blocks {
+                                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                                if compute_ns > 0 {
+                                    h.wait_for(SimDur::ns(compute_ns)).await;
                                 }
-                            })
+                                let out: Vec<u8> = data.iter().map(|b| b.wrapping_add(1)).collect();
+                                ports[1].send_async(&h, &out).await.unwrap();
+                            }
                         });
                     }
                     let sink = format!("m{i}.p{}", stages - 1);
                     let hops = (stages - 2) as u8;
-                    app.add_pe(&sink, move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for b in 0..blocks {
-                                let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                                if checks {
-                                    let expected: Vec<u8> = payload(seed, i, 0, b, bytes)
-                                        .iter()
-                                        .map(|x| x.wrapping_add(hops))
-                                        .collect();
-                                    assert_eq!(data, expected, "pipeline m{i} corrupted block {b}");
-                                }
+                    app.add_pe(&sink, move |h, ports| async move {
+                        for b in 0..blocks {
+                            let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                            if checks {
+                                let expected: Vec<u8> = payload(seed, i, 0, b, bytes)
+                                    .iter()
+                                    .map(|x| x.wrapping_add(hops))
+                                    .collect();
+                                assert_eq!(data, expected, "pipeline m{i} corrupted block {b}");
                             }
-                        })
+                        }
                     });
                     for w in 0..stages - 1 {
                         app.connect(
@@ -553,27 +545,27 @@ impl ModelSpec {
                 }
                 Motif::Stream { ref sizes } => {
                     let sizes_tx = sizes.clone();
-                    app.add_pe(&format!("m{i}.prod"), move || {
+                    app.add_pe(&format!("m{i}.prod"), move |h, ports| {
                         let sizes = sizes_tx.clone();
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
+                        async move {
                             for (b, len) in sizes.iter().enumerate() {
                                 let data = payload(seed, i, 0, b as u32, *len);
-                                ports[0].send(ctx, &data).unwrap();
+                                ports[0].send_async(&h, &data).await.unwrap();
                             }
-                        })
+                        }
                     });
                     let sizes_rx = sizes.clone();
-                    app.add_pe(&format!("m{i}.cons"), move || {
+                    app.add_pe(&format!("m{i}.cons"), move |h, ports| {
                         let sizes = sizes_rx.clone();
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
+                        async move {
                             for (b, len) in sizes.iter().enumerate() {
-                                let data: Vec<u8> = ports[0].recv(ctx).unwrap();
+                                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
                                 if checks {
                                     let expected = payload(seed, i, 0, b as u32, *len);
                                     assert_eq!(data, expected, "stream m{i} corrupted msg {b}");
                                 }
                             }
-                        })
+                        }
                     });
                     app.connect(
                         &format!("m{i}.ch0"),
@@ -586,29 +578,25 @@ impl ModelSpec {
                     bytes,
                     compute_ns,
                 } => {
-                    app.add_pe(&format!("m{i}.client"), move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for b in 0..requests {
-                                let data = payload(seed, i, 0, b, bytes);
-                                let reply: Vec<u8> = ports[0].request(ctx, &data).unwrap();
-                                if checks {
-                                    let expected: Vec<u8> = data.iter().map(|x| x ^ 0x5A).collect();
-                                    assert_eq!(reply, expected, "rpc m{i} bad reply {b}");
-                                }
+                    app.add_pe(&format!("m{i}.client"), move |h, ports| async move {
+                        for b in 0..requests {
+                            let data = payload(seed, i, 0, b, bytes);
+                            let reply: Vec<u8> = ports[0].request_async(&h, &data).await.unwrap();
+                            if checks {
+                                let expected: Vec<u8> = data.iter().map(|x| x ^ 0x5A).collect();
+                                assert_eq!(reply, expected, "rpc m{i} bad reply {b}");
                             }
-                        })
+                        }
                     });
-                    app.add_pe(&format!("m{i}.server"), move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for _ in 0..requests {
-                                let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                                if compute_ns > 0 {
-                                    ctx.wait_for(SimDur::ns(compute_ns));
-                                }
-                                let out: Vec<u8> = data.iter().map(|x| x ^ 0x5A).collect();
-                                ports[0].reply(ctx, &out).unwrap();
+                    app.add_pe(&format!("m{i}.server"), move |h, ports| async move {
+                        for _ in 0..requests {
+                            let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                            if compute_ns > 0 {
+                                h.wait_for(SimDur::ns(compute_ns)).await;
                             }
-                        })
+                            let out: Vec<u8> = data.iter().map(|x| x ^ 0x5A).collect();
+                            ports[0].reply_async(&h, &out).await.unwrap();
+                        }
                     });
                     app.connect(
                         &format!("m{i}.ch0"),
@@ -621,30 +609,26 @@ impl ModelSpec {
                     blocks,
                     bytes,
                 } => {
-                    app.add_pe(&format!("m{i}.src"), move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for b in 0..blocks {
-                                for (c, port) in ports.iter().enumerate() {
-                                    let data = payload(seed, i, c, b, bytes);
-                                    port.send(ctx, &data).unwrap();
-                                }
+                    app.add_pe(&format!("m{i}.src"), move |h, ports| async move {
+                        for b in 0..blocks {
+                            for (c, port) in ports.iter().enumerate() {
+                                let data = payload(seed, i, c, b, bytes);
+                                port.send_async(&h, &data).await.unwrap();
                             }
-                        })
+                        }
                     });
                     for s in 0..sinks {
-                        app.add_pe(&format!("m{i}.sink{s}"), move || {
-                            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                                for b in 0..blocks {
-                                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                                    if checks {
-                                        let expected = payload(seed, i, s, b, bytes);
-                                        assert_eq!(
-                                            data, expected,
-                                            "fan-out m{i} sink {s} corrupted block {b}"
-                                        );
-                                    }
+                        app.add_pe(&format!("m{i}.sink{s}"), move |h, ports| async move {
+                            for b in 0..blocks {
+                                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                                if checks {
+                                    let expected = payload(seed, i, s, b, bytes);
+                                    assert_eq!(
+                                        data, expected,
+                                        "fan-out m{i} sink {s} corrupted block {b}"
+                                    );
                                 }
-                            })
+                            }
                         });
                     }
                     for s in 0..sinks {
@@ -661,33 +645,29 @@ impl ModelSpec {
                     bytes,
                 } => {
                     for s in 0..sources {
-                        app.add_pe(&format!("m{i}.src{s}"), move || {
-                            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                                for b in 0..blocks {
-                                    let data = payload(seed, i, s, b, bytes);
-                                    ports[0].send(ctx, &data).unwrap();
-                                }
-                            })
+                        app.add_pe(&format!("m{i}.src{s}"), move |h, ports| async move {
+                            for b in 0..blocks {
+                                let data = payload(seed, i, s, b, bytes);
+                                ports[0].send_async(&h, &data).await.unwrap();
+                            }
                         });
                     }
                     // Drained port by port: each source blocks at most on
                     // channel capacity while earlier ports drain, so the
                     // motif cannot deadlock.
-                    app.add_pe(&format!("m{i}.cons"), move || {
-                        Box::new(move |ctx, ports: Vec<ShipPort>| {
-                            for (c, port) in ports.iter().enumerate() {
-                                for b in 0..blocks {
-                                    let data: Vec<u8> = port.recv(ctx).unwrap();
-                                    if checks {
-                                        let expected = payload(seed, i, c, b, bytes);
-                                        assert_eq!(
-                                            data, expected,
-                                            "fan-in m{i} port {c} corrupted block {b}"
-                                        );
-                                    }
+                    app.add_pe(&format!("m{i}.cons"), move |h, ports| async move {
+                        for (c, port) in ports.iter().enumerate() {
+                            for b in 0..blocks {
+                                let data: Vec<u8> = port.recv_async(&h).await.unwrap();
+                                if checks {
+                                    let expected = payload(seed, i, c, b, bytes);
+                                    assert_eq!(
+                                        data, expected,
+                                        "fan-in m{i} port {c} corrupted block {b}"
+                                    );
                                 }
                             }
-                        })
+                        }
                     });
                     for s in 0..sources {
                         app.connect(

@@ -25,42 +25,36 @@ pub fn pipeline(stages: usize, blocks: u32, block_bytes: usize, compute: SimDur)
     let mut app = AppSpec::new("pipeline");
     let middle = stages - 2;
 
-    app.add_pe("source", move || {
-        Box::new(move |ctx, ports| {
-            for i in 0..blocks {
-                let data = block(i as u64, block_bytes);
-                ports[0].send(ctx, &data).unwrap();
-            }
-        })
+    app.add_pe("source", move |h, ports| async move {
+        for i in 0..blocks {
+            let data = block(i as u64, block_bytes);
+            ports[0].send_async(&h, &data).await.unwrap();
+        }
     });
     for s in 0..middle {
         let name = format!("stage{s}");
-        app.add_pe(&name, move || {
-            Box::new(move |ctx, ports| {
-                // Port order = channel declaration order: input first.
-                for _ in 0..blocks {
-                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                    if !compute.is_zero() {
-                        ctx.wait_for(compute);
-                    }
-                    let out: Vec<u8> = data.iter().map(|b| b.wrapping_add(1)).collect();
-                    ports[1].send(ctx, &out).unwrap();
+        app.add_pe(&name, move |h, ports| async move {
+            // Port order = channel declaration order: input first.
+            for _ in 0..blocks {
+                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                if !compute.is_zero() {
+                    h.wait_for(compute).await;
                 }
-            })
+                let out: Vec<u8> = data.iter().map(|b| b.wrapping_add(1)).collect();
+                ports[1].send_async(&h, &out).await.unwrap();
+            }
         });
     }
     let hops = middle as u8;
-    app.add_pe("sink", move || {
-        Box::new(move |ctx, ports| {
-            for i in 0..blocks {
-                let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                let expected: Vec<u8> = block(i as u64, block_bytes)
-                    .iter()
-                    .map(|b| b.wrapping_add(hops))
-                    .collect();
-                assert_eq!(data, expected, "pipeline corrupted block {i}");
-            }
-        })
+    app.add_pe("sink", move |h, ports| async move {
+        for i in 0..blocks {
+            let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+            let expected: Vec<u8> = block(i as u64, block_bytes)
+                .iter()
+                .map(|b| b.wrapping_add(hops))
+                .collect();
+            assert_eq!(data, expected, "pipeline corrupted block {i}");
+        }
     });
 
     // Wire them: source → stage0 → … → sink.
@@ -80,22 +74,18 @@ pub fn parallel_streams(pairs: usize, blocks: u32, block_bytes: usize) -> AppSpe
     for p in 0..pairs {
         let prod = format!("prod{p}");
         let cons = format!("cons{p}");
-        app.add_pe(&prod, move || {
-            Box::new(move |ctx, ports| {
-                for i in 0..blocks {
-                    let data = block((p as u64) << 32 | i as u64, block_bytes);
-                    ports[0].send(ctx, &data).unwrap();
-                }
-            })
+        app.add_pe(&prod, move |h, ports| async move {
+            for i in 0..blocks {
+                let data = block((p as u64) << 32 | i as u64, block_bytes);
+                ports[0].send_async(&h, &data).await.unwrap();
+            }
         });
-        app.add_pe(&cons, move || {
-            Box::new(move |ctx, ports| {
-                for i in 0..blocks {
-                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                    let expected = block((p as u64) << 32 | i as u64, block_bytes);
-                    assert_eq!(data, expected, "stream {p} corrupted block {i}");
-                }
-            })
+        app.add_pe(&cons, move |h, ports| async move {
+            for i in 0..blocks {
+                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                let expected = block((p as u64) << 32 | i as u64, block_bytes);
+                assert_eq!(data, expected, "stream {p} corrupted block {i}");
+            }
         });
         app.connect(&format!("s{p}"), &prod, &cons);
     }
@@ -110,27 +100,23 @@ pub fn rpc(clients: usize, requests: u32, req_bytes: usize, server_compute: SimD
     for c in 0..clients {
         let client = format!("client{c}");
         let server = format!("server{c}");
-        app.add_pe(&client, move || {
-            Box::new(move |ctx, ports| {
-                for i in 0..requests {
-                    let data = block((c as u64) << 32 | i as u64, req_bytes);
-                    let expected: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-                    let reply: Vec<u8> = ports[0].request(ctx, &data).unwrap();
-                    assert_eq!(reply, expected, "client {c} got a bad reply for {i}");
-                }
-            })
+        app.add_pe(&client, move |h, ports| async move {
+            for i in 0..requests {
+                let data = block((c as u64) << 32 | i as u64, req_bytes);
+                let expected: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+                let reply: Vec<u8> = ports[0].request_async(&h, &data).await.unwrap();
+                assert_eq!(reply, expected, "client {c} got a bad reply for {i}");
+            }
         });
-        app.add_pe(&server, move || {
-            Box::new(move |ctx, ports| {
-                for _ in 0..requests {
-                    let data: Vec<u8> = ports[0].recv(ctx).unwrap();
-                    if !server_compute.is_zero() {
-                        ctx.wait_for(server_compute);
-                    }
-                    let out: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-                    ports[0].reply(ctx, &out).unwrap();
+        app.add_pe(&server, move |h, ports| async move {
+            for _ in 0..requests {
+                let data: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+                if !server_compute.is_zero() {
+                    h.wait_for(server_compute).await;
                 }
-            })
+                let out: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+                ports[0].reply_async(&h, &out).await.unwrap();
+            }
         });
         app.connect(&format!("rpc{c}"), &client, &server);
     }
@@ -195,34 +181,34 @@ fn traffic_app(
 
     for (m, t) in targets.iter().enumerate() {
         let my_targets = t.clone();
-        app.add_pe(&format!("tx{m}"), move || {
+        app.add_pe(&format!("tx{m}"), move |h, ports| {
             let my_targets = my_targets.clone();
-            Box::new(move |ctx, ports| {
+            async move {
                 for r in 0..rounds {
                     let j = dest(m, r);
                     let port = my_targets.binary_search(&j).unwrap();
                     let data = block(mix(seed, m as u64, r as u64), bytes);
-                    ports[port].send(ctx, &data).unwrap();
+                    ports[port].send_async(&h, &data).await.unwrap();
                 }
-            })
+            }
         });
     }
     for (j, s) in sources.iter().enumerate() {
         let my_sources = s.clone();
-        app.add_pe(&format!("rx{j}"), move || {
+        app.add_pe(&format!("rx{j}"), move |h, ports| {
             let my_sources = my_sources.clone();
-            Box::new(move |ctx, ports| {
+            async move {
                 for r in 0..rounds {
                     for (port, &m) in my_sources.iter().enumerate() {
                         if dest(m, r) != j {
                             continue;
                         }
-                        let data: Vec<u8> = ports[port].recv(ctx).unwrap();
+                        let data: Vec<u8> = ports[port].recv_async(&h).await.unwrap();
                         let expected = block(mix(seed, m as u64, r as u64), bytes);
                         assert_eq!(data, expected, "rx{j} got bad round {r} from tx{m}");
                     }
                 }
-            })
+            }
         });
     }
     for (m, t) in targets.iter().enumerate() {
@@ -288,20 +274,16 @@ pub fn hotspot(producers: usize, blocks: u32, block_bytes: usize) -> AppSpec {
         let prod = format!("prod{p}");
         let sink = format!("sink{p}");
         let n = blocks * (p as u32 + 1);
-        app.add_pe(&prod, move || {
-            Box::new(move |ctx, ports| {
-                for i in 0..n {
-                    let data = block(i as u64, block_bytes);
-                    ports[0].send(ctx, &data).unwrap();
-                }
-            })
+        app.add_pe(&prod, move |h, ports| async move {
+            for i in 0..n {
+                let data = block(i as u64, block_bytes);
+                ports[0].send_async(&h, &data).await.unwrap();
+            }
         });
-        app.add_pe(&sink, move || {
-            Box::new(move |ctx, ports| {
-                for _ in 0..n {
-                    let _: Vec<u8> = ports[0].recv(ctx).unwrap();
-                }
-            })
+        app.add_pe(&sink, move |h, ports| async move {
+            for _ in 0..n {
+                let _: Vec<u8> = ports[0].recv_async(&h).await.unwrap();
+            }
         });
         app.connect(&format!("h{p}"), &prod, &sink);
     }

@@ -21,15 +21,11 @@ fn role_detection_direction_independent_of_declaration() {
     // Declare the channel "backwards" (consumer first): detection must still
     // find the real master.
     let mut app = AppSpec::new("reversed");
-    app.add_pe("consumer", || {
-        Box::new(|ctx, ports| {
-            let _: u32 = ports[0].recv(ctx).unwrap();
-        })
+    app.add_pe("consumer", move |h, ports| async move {
+        let _: u32 = ports[0].recv_async(&h).await.unwrap();
     });
-    app.add_pe("producer", || {
-        Box::new(|ctx, ports| {
-            ports[0].send(ctx, &5u32).unwrap();
-        })
+    app.add_pe("producer", move |h, ports| async move {
+        ports[0].send_async(&h, &5u32).await.unwrap();
     });
     app.connect("c", "consumer", "producer");
     let ca = run_component_assembly(&app).unwrap();
@@ -39,8 +35,8 @@ fn role_detection_direction_independent_of_declaration() {
 #[test]
 fn unused_channel_is_a_mapping_error() {
     let mut app = AppSpec::new("dead");
-    app.add_pe("a", || Box::new(|_ctx, _ports| {}));
-    app.add_pe("b", || Box::new(|_ctx, _ports| {}));
+    app.add_pe("a", |_, _| async {});
+    app.add_pe("b", |_, _| async {});
     app.connect("never", "a", "b");
     assert!(matches!(
         run_component_assembly(&app),
@@ -51,17 +47,13 @@ fn unused_channel_is_a_mapping_error() {
 #[test]
 fn inconsistent_usage_is_a_mapping_error() {
     let mut app = AppSpec::new("mixed");
-    app.add_pe("x", || {
-        Box::new(|ctx, ports| {
-            ports[0].send(ctx, &1u8).unwrap();
-            let _: u8 = ports[0].recv(ctx).unwrap();
-        })
+    app.add_pe("x", move |h, ports| async move {
+        ports[0].send_async(&h, &1u8).await.unwrap();
+        let _: u8 = ports[0].recv_async(&h).await.unwrap();
     });
-    app.add_pe("y", || {
-        Box::new(|ctx, ports| {
-            let _: u8 = ports[0].recv(ctx).unwrap();
-            ports[0].send(ctx, &2u8).unwrap();
-        })
+    app.add_pe("y", move |h, ports| async move {
+        let _: u8 = ports[0].recv_async(&h).await.unwrap();
+        ports[0].send_async(&h, &2u8).await.unwrap();
     });
     app.connect("c", "x", "y");
     assert!(matches!(
@@ -218,7 +210,7 @@ fn tdma_reduces_worst_case_wait_variance_vs_priority() {
 #[test]
 fn pe_and_channel_validation() {
     let mut app = AppSpec::new("v");
-    app.add_pe("a", || Box::new(|_c, _p| {}));
+    app.add_pe("a", |_, _| async {});
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         app.connect("c", "a", "ghost");
     }));

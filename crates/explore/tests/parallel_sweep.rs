@@ -86,8 +86,8 @@ fn parallel_sweep_propagates_earliest_error() {
     // no traffic, so role detection fails identically in serial and
     // parallel.
     let mut app = AppSpec::new("idle");
-    app.add_pe("a", || Box::new(|_ctx, _ports| {}));
-    app.add_pe("b", || Box::new(|_ctx, _ports| {}));
+    app.add_pe("a", |_, _| async {});
+    app.add_pe("b", |_, _| async {});
     app.connect("quiet", "a", "b");
     let serial = Sweep::new(app.clone()).archs(candidates()).run();
     let parallel = Sweep::new(app).archs(candidates()).run_parallel(4);
@@ -108,24 +108,22 @@ fn panicking_candidate_does_not_poison_the_global_pool() {
     let mut app = AppSpec::new("panicky");
     {
         let elaborations = Arc::clone(&elaborations);
-        app.add_pe("tx", move || {
+        app.add_pe("tx", move |h, ports| {
             let nth = elaborations.fetch_add(1, Ordering::SeqCst);
-            Box::new(move |ctx, ports: Vec<ShipPort>| {
+            async move {
                 for i in 0..4u32 {
                     if nth > 0 && i == 2 {
                         panic!("injected candidate panic");
                     }
-                    ports[0].send(ctx, &i).unwrap();
+                    ports[0].send_async(&h, &i).await.unwrap();
                 }
-            })
+            }
         });
     }
-    app.add_pe("rx", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for _ in 0..4 {
-                let _ = ports[0].recv::<u32>(ctx);
-            }
-        })
+    app.add_pe("rx", move |h, ports| async move {
+        for _ in 0..4 {
+            let _ = ports[0].recv_async::<u32>(&h).await;
+        }
     });
     app.connect("c", "tx", "rx");
 

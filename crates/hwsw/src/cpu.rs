@@ -2,15 +2,16 @@
 //! eSW synthesis helpers (paper §4).
 //!
 //! [`Cpu::spawn_sw_pe`] is the "SW synthesis" step: it takes a processing
-//! element behaviour written against `(&mut ThreadCtx, Vec<ShipPort>)` — the
-//! very same signature used for hardware PEs — and turns it into an RTOS
-//! task whose SHIP ports are backed by the device driver. No PE source
-//! changes are involved; only the port binding differs.
+//! element behaviour that builds its future from `(SimHandle,
+//! Vec<ShipPort>)` — the very same signature used for hardware PEs — and
+//! runs it as an RTOS task whose SHIP ports are backed by the device
+//! driver. No PE source changes are involved; only the port binding
+//! differs.
 
 use std::fmt;
+use std::future::Future;
 use std::sync::Arc;
 
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::signal::Signal;
 use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
@@ -105,11 +106,13 @@ impl Cpu {
     }
 
     /// **eSW synthesis**: runs a PE behaviour as an RTOS task with
-    /// driver-backed SHIP ports (one per binding, in order).
+    /// driver-backed SHIP ports (one per binding, in order). The task is a
+    /// thread process that runs the behaviour's future with
+    /// [`ThreadCtx::block_on`](shiptlm_kernel::process::ThreadCtx::block_on).
     ///
     /// The behaviour signature matches hardware PEs exactly, so the same
     /// function/closure can be passed here and to a hardware elaboration.
-    pub fn spawn_sw_pe<F>(
+    pub fn spawn_sw_pe<F, Fut>(
         &self,
         name: &str,
         prio: u8,
@@ -117,7 +120,8 @@ impl Cpu {
         behavior: F,
     ) -> TaskId
     where
-        F: FnOnce(&mut ThreadCtx, Vec<ShipPort>) + Send + 'static,
+        F: FnOnce(SimHandle, Vec<ShipPort>) -> Fut + Send + 'static,
+        Fut: Future<Output = ()>,
     {
         let rtos = self.rtos.clone();
         let bus = self.bus.clone();
@@ -137,7 +141,9 @@ impl Cpu {
                     ShipPort::from_endpoint(ep, &b.channel, &b.label)
                 })
                 .collect();
-            behavior(t.thread_ctx(), ports);
+            let ctx = t.thread_ctx();
+            let sim = ctx.sim();
+            ctx.block_on(behavior(sim, ports));
         })
     }
 }

@@ -18,13 +18,13 @@ use shiptlm_cam::wrapper::{
     STATUS_REPLY_READY, STATUS_RX_PENDING, STATUS_RX_SPACE,
 };
 use shiptlm_kernel::liveness::EndpointId;
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::{SimDur, SimTime};
 use shiptlm_kernel::txn::{TxnLevel, TxnSpan};
 use shiptlm_ocp::error::OcpError;
 use shiptlm_ocp::tl::OcpMasterPort;
 use shiptlm_ship::bytes::ShipBytes;
-use shiptlm_ship::channel::ShipEndpoint;
+use shiptlm_ship::channel::{ShipEndpoint, ShipFuture};
 use shiptlm_ship::error::ShipError;
 
 use crate::rtos::{Rtos, RtosSemaphore, TaskId};
@@ -123,69 +123,86 @@ impl DriverCore {
     }
 
     /// Records one driver operation (level [`TxnLevel::Driver`]).
-    fn txn(&self, ctx: &ThreadCtx, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
-        if !ctx.txn_enabled() {
+    fn txn(&self, sim: &SimHandle, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
+        if !sim.txn_enabled() {
             return;
         }
-        ctx.txn_record(TxnSpan {
+        sim.txn_record(TxnSpan {
             level: TxnLevel::Driver,
             op,
             resource: &self.label,
             start,
-            end: ctx.now(),
+            end: sim.now(),
             bytes,
             ok,
         });
     }
 
-    fn charge(&self, ctx: &mut ThreadCtx, d: SimDur) {
-        self.rtos.execute(ctx, self.task, d);
+    async fn charge(&self, d: SimDur) {
+        self.rtos.execute(self.task, d).await;
     }
 
     /// Bumps one driver-side rate counter (doorbell rings, IRQ waits,
     /// status polls). One relaxed load when metrics are off.
-    fn metric_count(&self, ctx: &ThreadCtx, family: &'static str) {
-        if !ctx.metrics_enabled() {
+    fn metric_count(&self, sim: &SimHandle, family: &'static str) {
+        if !sim.metrics_enabled() {
             return;
         }
-        ctx.metrics().counter_add(family, &self.label, 1, ctx.now());
+        sim.metrics().counter_add(family, &self.label, 1, sim.now());
     }
 
     /// Registers this driver with the liveness registry (first call) and
     /// records the calling process as its current user.
-    fn note_user(&self, ctx: &mut ThreadCtx) -> EndpointId {
-        let sim = ctx.sim();
+    fn note_user(&self, sim: &SimHandle) -> EndpointId {
         let ep = *self.ep.get_or_init(|| {
             sim.register_blocking_endpoint(&format!("sw driver @ {:#x}", self.base), self.role)
         });
-        sim.endpoint_user(ep, ctx.pid());
+        sim.endpoint_user(ep, sim.pid());
         ep
     }
 
-    fn read_u32(&self, ctx: &mut ThreadCtx, off: u64) -> Result<u32, ShipError> {
-        self.bus.read_u32(ctx, self.base + off).map_err(bus_err)
+    async fn read_u32(&self, sim: &SimHandle, off: u64) -> Result<u32, ShipError> {
+        self.bus
+            .read_u32_async(sim, self.base + off)
+            .await
+            .map_err(bus_err)
     }
 
-    fn write_u32(&self, ctx: &mut ThreadCtx, off: u64, v: u32) -> Result<(), ShipError> {
+    async fn write_u32(&self, sim: &SimHandle, off: u64, v: u32) -> Result<(), ShipError> {
         if off == regs::DOORBELL {
-            self.metric_count(ctx, "drv.doorbells");
+            self.metric_count(sim, "drv.doorbells");
         }
-        self.bus.write_u32(ctx, self.base + off, v).map_err(bus_err)
+        self.bus
+            .write_u32_async(sim, self.base + off, v)
+            .await
+            .map_err(bus_err)
+    }
+
+    /// Sleeps the task until the device may have changed state: a poll
+    /// interval, or the IRQ semaphore with a re-check guard.
+    async fn await_device(&self) {
+        match &self.cfg.notify {
+            NotifyMode::Polling { interval } => self.rtos.sleep(self.task, *interval).await,
+            NotifyMode::Irq { sem } => {
+                // IRQ-miss guard: the shared level-sensitive sideband may
+                // not re-edge for our condition; fall back to a re-check.
+                let _ = sem.take_raw_timeout(self.task, IRQ_GUARD).await;
+            }
+        }
     }
 
     /// Waits until STATUS has any bit of `mask` set. The poll/IRQ wait is
     /// recorded as a `drv.wait` span when it actually blocked.
-    fn wait_status(&self, ctx: &mut ThreadCtx, mask: u32) -> Result<(), ShipError> {
-        let ep = self.note_user(ctx);
-        let sim = ctx.sim();
-        let start = ctx.now();
+    async fn wait_status(&self, sim: &SimHandle, mask: u32) -> Result<(), ShipError> {
+        let ep = self.note_user(sim);
+        let start = sim.now();
         let mut noted = false;
         loop {
-            let status = self.read_u32(ctx, regs::STATUS)?;
+            let status = self.read_u32(sim, regs::STATUS).await?;
             if status & mask != 0 {
                 if noted {
                     sim.endpoint_note(ep, None);
-                    self.txn(ctx, "drv.wait", start, 0, true);
+                    self.txn(sim, "drv.wait", start, 0, true);
                 }
                 return Ok(());
             }
@@ -200,39 +217,39 @@ impl DriverCore {
                 sim.endpoint_note(ep, Some(what.to_string()));
                 noted = true;
             }
-            match &self.cfg.notify {
-                NotifyMode::Polling { interval } => {
-                    self.metric_count(ctx, "drv.polls");
-                    self.rtos.sleep(ctx, self.task, *interval);
-                }
-                NotifyMode::Irq { sem } => {
-                    self.metric_count(ctx, "drv.irq_waits");
-                    // IRQ-miss guard: the shared level-sensitive sideband may
-                    // not re-edge for our condition; fall back to a re-check.
-                    let _ = sem.take_raw_timeout(ctx, self.task, IRQ_GUARD);
-                }
-            }
+            self.metric_count(
+                sim,
+                match self.cfg.notify {
+                    NotifyMode::Polling { .. } => "drv.polls",
+                    NotifyMode::Irq { .. } => "drv.irq_waits",
+                },
+            );
+            self.await_device().await;
         }
     }
 
-    fn write_window(&self, ctx: &mut ThreadCtx, win: u64, bytes: &[u8]) -> Result<(), ShipError> {
+    async fn write_window(&self, sim: &SimHandle, win: u64, bytes: &[u8]) -> Result<(), ShipError> {
         for (i, chunk) in bytes.chunks(self.cfg.burst_bytes).enumerate() {
-            self.charge(ctx, self.cfg.per_chunk_overhead);
+            self.charge(self.cfg.per_chunk_overhead).await;
             let addr = self.base + win + (i * self.cfg.burst_bytes) as u64;
-            self.bus.write(ctx, addr, chunk.to_vec()).map_err(bus_err)?;
+            self.bus
+                .write_async(sim, addr, chunk.to_vec())
+                .await
+                .map_err(bus_err)?;
         }
         Ok(())
     }
 
-    fn read_window(&self, ctx: &mut ThreadCtx, win: u64, len: usize) -> Result<Vec<u8>, ShipError> {
+    async fn read_window(&self, sim: &SimHandle, win: u64, len: usize) -> Result<Vec<u8>, ShipError> {
         let mut out = Vec::with_capacity(len);
         let mut off = 0;
         while off < len {
-            self.charge(ctx, self.cfg.per_chunk_overhead);
+            self.charge(self.cfg.per_chunk_overhead).await;
             let n = (len - off).min(self.cfg.burst_bytes);
             let chunk = self
                 .bus
-                .read(ctx, self.base + win + off as u64, n)
+                .read_async(sim, self.base + win + off as u64, n)
+                .await
                 .map_err(bus_err)?;
             out.extend_from_slice(&chunk);
             off += n;
@@ -262,58 +279,64 @@ impl SwShipMaster {
         })
     }
 
-    fn push(&self, ctx: &mut ThreadCtx, bytes: &[u8], doorbell: u32) -> Result<(), ShipError> {
+    async fn push(&self, sim: &SimHandle, bytes: &[u8], doorbell: u32) -> Result<(), ShipError> {
         let c = &self.core;
-        c.charge(ctx, c.cfg.call_overhead);
-        c.wait_status(ctx, STATUS_RX_SPACE)?;
-        c.write_u32(ctx, regs::TX_LEN, bytes.len() as u32)?;
-        c.write_window(ctx, regs::TX_WIN, bytes)?;
-        c.write_u32(ctx, regs::DOORBELL, doorbell)?;
+        c.charge(c.cfg.call_overhead).await;
+        c.wait_status(sim, STATUS_RX_SPACE).await?;
+        c.write_u32(sim, regs::TX_LEN, bytes.len() as u32).await?;
+        c.write_window(sim, regs::TX_WIN, bytes).await?;
+        c.write_u32(sim, regs::DOORBELL, doorbell).await?;
         Ok(())
+    }
+
+    async fn request(&self, sim: &SimHandle, bytes: &[u8]) -> Result<ShipBytes, ShipError> {
+        self.push(sim, bytes, DOORBELL_REQUEST).await?;
+        let c = &self.core;
+        c.wait_status(sim, STATUS_REPLY_READY).await?;
+        c.charge(c.cfg.call_overhead).await;
+        let len = c.read_u32(sim, regs::REPLY_LEN).await? as usize;
+        let reply = c.read_window(sim, regs::REPLY_WIN, len).await?;
+        c.write_u32(sim, regs::DOORBELL, DOORBELL_REPLY_ACK).await?;
+        Ok(ShipBytes::from(reply))
+    }
+
+    fn unsupported() -> ShipError {
+        ShipError::Protocol("sw master endpoints support send/request only".into())
     }
 }
 
 impl ShipEndpoint for SwShipMaster {
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        let start = ctx.now();
-        let result = self.push(ctx, &bytes, DOORBELL_DATA);
-        self.core
-            .txn(ctx, "drv.send", start, bytes.len(), result.is_ok());
-        result
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.push(sim, &bytes, DOORBELL_DATA).await;
+            self.core
+                .txn(sim, "drv.send", start, bytes.len(), result.is_ok());
+            result
+        })
     }
 
-    fn recv_bytes(&self, _ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        Err(ShipError::Protocol(
-            "sw master endpoints support send/request only".into(),
-        ))
+    fn recv_bytes<'a>(&'a self, _sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
-        let start = ctx.now();
-        let result = (|| {
-            self.push(ctx, &bytes, DOORBELL_REQUEST)?;
-            let c = &self.core;
-            c.wait_status(ctx, STATUS_REPLY_READY)?;
-            c.charge(ctx, c.cfg.call_overhead);
-            let len = c.read_u32(ctx, regs::REPLY_LEN)? as usize;
-            let reply = c.read_window(ctx, regs::REPLY_WIN, len)?;
-            c.write_u32(ctx, regs::DOORBELL, DOORBELL_REPLY_ACK)?;
-            Ok(ShipBytes::from(reply))
-        })();
-        self.core.txn(
-            ctx,
-            "drv.request",
-            start,
-            bytes.len() + result.as_ref().map_or(0, |r: &ShipBytes| r.len()),
-            result.is_ok(),
-        );
-        result
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.request(sim, &bytes).await;
+            let len = bytes.len() + result.as_ref().map_or(0, |r| r.len());
+            self.core
+                .txn(sim, "drv.request", start, len, result.is_ok());
+            result
+        })
     }
 
-    fn reply_bytes(&self, _ctx: &mut ThreadCtx, _bytes: ShipBytes) -> Result<(), ShipError> {
-        Err(ShipError::Protocol(
-            "sw master endpoints support send/request only".into(),
-        ))
+    fn reply_bytes<'a>(&'a self, _sim: &'a SimHandle, _bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 }
 
@@ -347,71 +370,68 @@ impl SwShipSlave {
     }
 }
 
+impl SwShipSlave {
+    async fn recv(&self, sim: &SimHandle) -> Result<ShipBytes, ShipError> {
+        let c = &self.core;
+        c.charge(c.cfg.call_overhead).await;
+        c.wait_status(sim, STATUS_RX_PENDING).await?;
+        let len = c.read_u32(sim, regs::RX_LEN).await? as usize;
+        let bytes = c.read_window(sim, regs::RX_WIN, len).await?;
+        c.write_u32(sim, regs::DOORBELL, DOORBELL_RX_ACK).await?;
+        Ok(ShipBytes::from(bytes))
+    }
+
+    async fn reply(&self, sim: &SimHandle, bytes: &[u8]) -> Result<(), ShipError> {
+        let c = &self.core;
+        c.note_user(sim);
+        c.charge(c.cfg.call_overhead).await;
+        // Wait for the previous reply (if any) to be consumed.
+        while c.read_u32(sim, regs::STATUS).await? & STATUS_REPLY_READY != 0 {
+            c.await_device().await;
+        }
+        c.write_u32(sim, regs::SET_REPLY_LEN, bytes.len() as u32)
+            .await?;
+        c.write_window(sim, regs::REPLY_WIN, bytes).await?;
+        c.write_u32(sim, regs::DOORBELL, DOORBELL_REPLY_SET).await?;
+        Ok(())
+    }
+
+    fn unsupported() -> ShipError {
+        ShipError::Protocol("sw slave endpoints support recv/reply only".into())
+    }
+}
+
 impl ShipEndpoint for SwShipSlave {
-    fn send_bytes(&self, _ctx: &mut ThreadCtx, _bytes: ShipBytes) -> Result<(), ShipError> {
-        Err(ShipError::Protocol(
-            "sw slave endpoints support recv/reply only".into(),
-        ))
+    fn send_bytes<'a>(&'a self, _sim: &'a SimHandle, _bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        let start = ctx.now();
-        let result = (|| {
-            let c = &self.core;
-            c.charge(ctx, c.cfg.call_overhead);
-            c.wait_status(ctx, STATUS_RX_PENDING)?;
-            let len = c.read_u32(ctx, regs::RX_LEN)? as usize;
-            let bytes = c.read_window(ctx, regs::RX_WIN, len)?;
-            c.write_u32(ctx, regs::DOORBELL, DOORBELL_RX_ACK)?;
-            Ok(ShipBytes::from(bytes))
-        })();
-        self.core.txn(
-            ctx,
-            "drv.recv",
-            start,
-            result.as_ref().map_or(0, |b: &ShipBytes| b.len()),
-            result.is_ok(),
-        );
-        result
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.recv(sim).await;
+            let len = result.as_ref().map_or(0, |b| b.len());
+            self.core.txn(sim, "drv.recv", start, len, result.is_ok());
+            result
+        })
     }
 
-    fn request_bytes(
-        &self,
-        _ctx: &mut ThreadCtx,
+    fn request_bytes<'a>(
+        &'a self,
+        _sim: &'a SimHandle,
         _bytes: ShipBytes,
-    ) -> Result<ShipBytes, ShipError> {
-        Err(ShipError::Protocol(
-            "sw slave endpoints support recv/reply only".into(),
-        ))
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async { Err(Self::unsupported()) })
     }
 
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        let start = ctx.now();
-        let result = (|| {
-            let c = &self.core;
-            c.note_user(ctx);
-            c.charge(ctx, c.cfg.call_overhead);
-            // Wait for the previous reply (if any) to be consumed.
-            loop {
-                let status = c.read_u32(ctx, regs::STATUS)?;
-                if status & STATUS_REPLY_READY == 0 {
-                    break;
-                }
-                match &c.cfg.notify {
-                    NotifyMode::Polling { interval } => c.rtos.sleep(ctx, c.task, *interval),
-                    NotifyMode::Irq { sem } => {
-                        let _ = sem.take_raw_timeout(ctx, c.task, IRQ_GUARD);
-                    }
-                }
-            }
-            c.write_u32(ctx, regs::SET_REPLY_LEN, bytes.len() as u32)?;
-            c.write_window(ctx, regs::REPLY_WIN, &bytes)?;
-            c.write_u32(ctx, regs::DOORBELL, DOORBELL_REPLY_SET)?;
-            Ok(())
-        })();
-        self.core
-            .txn(ctx, "drv.reply", start, bytes.len(), result.is_ok());
-        result
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move {
+            let start = sim.now();
+            let result = self.reply(sim, &bytes).await;
+            self.core
+                .txn(sim, "drv.reply", start, bytes.len(), result.is_ok());
+            result
+        })
     }
 }
 

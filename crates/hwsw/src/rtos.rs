@@ -137,7 +137,7 @@ impl Rtos {
         self.make_ready(id);
         let rtos = self.clone();
         self.shared.sim.spawn_thread(name, move |ctx| {
-            rtos.acquire_cpu(ctx, id);
+            ctx.block_on(rtos.acquire_cpu(id));
             let mut tctx = TaskCtx {
                 ctx,
                 rtos: rtos.clone(),
@@ -192,8 +192,8 @@ impl Rtos {
         }
     }
 
-    /// Blocks until `task` owns the CPU.
-    pub(crate) fn acquire_cpu(&self, ctx: &mut ThreadCtx, task: TaskId) {
+    /// Blocks the task's process until `task` owns the CPU.
+    async fn acquire_cpu(&self, task: TaskId) {
         loop {
             let grant = {
                 let g = self.lock();
@@ -202,7 +202,7 @@ impl Rtos {
                 }
                 g.tasks[task.0].grant.clone()
             };
-            ctx.wait(&grant);
+            self.shared.sim.wait(&grant).await;
         }
     }
 
@@ -218,42 +218,38 @@ impl Rtos {
         Self::schedule_locked(&mut g);
     }
 
-    /// Blocks `task` (releasing the CPU) until `unblock` is called; used by
-    /// the RTOS sync primitives.
-    pub(crate) fn block_on(&self, ctx: &mut ThreadCtx, task: TaskId, event: &Event) {
+    /// Blocks `task` (releasing the CPU) until `event` fires; used by the
+    /// RTOS sync primitives.
+    async fn block_until(&self, task: TaskId, event: &Event) {
         self.release_cpu(task, TState::Blocked);
-        ctx.wait(event);
+        self.shared.sim.wait(event).await;
         self.make_ready(task);
-        self.acquire_cpu(ctx, task);
+        self.acquire_cpu(task).await;
     }
 
-    /// Like `block_on` but resumes after `timeout` even without the event.
-    pub(crate) fn block_on_timeout(
-        &self,
-        ctx: &mut ThreadCtx,
-        task: TaskId,
-        event: &Event,
-        timeout: SimDur,
-    ) {
+    /// Like `block_until` but resumes after `timeout` even without the
+    /// event.
+    async fn block_until_timeout(&self, task: TaskId, event: &Event, timeout: SimDur) {
         self.release_cpu(task, TState::Blocked);
-        let _ = ctx.wait_any_for(&[event], timeout);
+        let _ = self.shared.sim.wait_any_for(&[event], timeout).await;
         self.make_ready(task);
-        self.acquire_cpu(ctx, task);
+        self.acquire_cpu(task).await;
     }
 
     /// CPU-consuming, preemptible busy time (instruction execution).
-    pub(crate) fn execute(&self, ctx: &mut ThreadCtx, task: TaskId, d: SimDur) {
+    pub(crate) async fn execute(&self, task: TaskId, d: SimDur) {
         if d.is_zero() {
             return;
         }
+        let sim = &self.shared.sim;
         let mut remaining = d;
         loop {
             let preempt = self.lock().tasks[task.0].preempt.clone();
-            let t0 = ctx.now();
-            match ctx.wait_any_for(&[&preempt], remaining) {
+            let t0 = sim.now();
+            match sim.wait_any_for(&[&preempt], remaining).await {
                 None => return, // ran to completion
                 Some(_) => {
-                    let ran = ctx.now().since(t0);
+                    let ran = sim.now().since(t0);
                     remaining = if ran >= remaining {
                         return;
                     } else {
@@ -261,18 +257,24 @@ impl Rtos {
                     };
                     // Yield the CPU to the preemptor, then continue.
                     self.release_cpu(task, TState::Ready);
-                    self.acquire_cpu(ctx, task);
+                    self.acquire_cpu(task).await;
                 }
             }
         }
     }
 
     /// Sleeps for `d` of wall simulation time, releasing the CPU.
-    pub(crate) fn sleep(&self, ctx: &mut ThreadCtx, task: TaskId, d: SimDur) {
+    pub(crate) async fn sleep(&self, task: TaskId, d: SimDur) {
         self.release_cpu(task, TState::Blocked);
-        ctx.wait_for(d);
+        self.shared.sim.wait_for(d).await;
         self.make_ready(task);
-        self.acquire_cpu(ctx, task);
+        self.acquire_cpu(task).await;
+    }
+
+    /// Releases the CPU and waits to be granted it again.
+    async fn yield_cpu(&self, task: TaskId) {
+        self.release_cpu(task, TState::Ready);
+        self.acquire_cpu(task).await;
     }
 
     fn task_exit(&self, task: TaskId) {
@@ -351,20 +353,19 @@ impl<'a> TaskCtx<'a> {
 
     /// Consumes `d` of CPU time; preemptible by higher-priority tasks.
     pub fn execute(&mut self, d: SimDur) {
-        self.rtos.clone().execute(self.ctx, self.id, d);
+        self.ctx.block_on(self.rtos.execute(self.id, d));
     }
 
     /// Sleeps for `d`, releasing the CPU.
     pub fn sleep(&mut self, d: SimDur) {
-        self.rtos.clone().sleep(self.ctx, self.id, d);
+        self.ctx.block_on(self.rtos.sleep(self.id, d));
     }
 
     /// Voluntarily yields the CPU to an equal-or-higher priority ready task.
     pub fn yield_now(&mut self) {
-        let rtos = self.rtos.clone();
-        rtos.release_cpu(self.id, TState::Ready);
-        rtos.acquire_cpu(self.ctx, self.id);
+        self.ctx.block_on(self.rtos.yield_cpu(self.id));
     }
+
 }
 
 impl fmt::Debug for TaskCtx<'_> {
@@ -395,17 +396,8 @@ impl RtosSemaphore {
     /// Takes one permit, blocking (and releasing the CPU) while none are
     /// available.
     pub fn take(&self, t: &mut TaskCtx<'_>) {
-        let id = t.id;
-        let rtos = self.rtos.clone();
-        loop {
-            {
-                let mut c = self.count.lock().unwrap_or_else(|e| e.into_inner());
-                if *c > 0 {
-                    *c -= 1;
-                    return;
-                }
-            }
-            rtos.block_on(t.ctx, id, &self.freed);
+        while !self.try_take() {
+            t.ctx.block_on(self.rtos.block_until(t.id, &self.freed));
         }
     }
 
@@ -432,27 +424,14 @@ impl RtosSemaphore {
     /// Raw take with a deadline: gives up after `timeout`, returning `false`.
     /// Drivers use this as an IRQ-miss guard (a level-sensitive sideband
     /// shared by several conditions can change without a new edge).
-    pub(crate) fn take_raw_timeout(
-        &self,
-        ctx: &mut ThreadCtx,
-        id: TaskId,
-        timeout: SimDur,
-    ) -> bool {
-        {
-            let mut c = self.count.lock().unwrap_or_else(|e| e.into_inner());
-            if *c > 0 {
-                *c -= 1;
-                return true;
-            }
+    pub(crate) async fn take_raw_timeout(&self, id: TaskId, timeout: SimDur) -> bool {
+        if self.try_take() {
+            return true;
         }
-        self.rtos.block_on_timeout(ctx, id, &self.freed, timeout);
-        let mut c = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        if *c > 0 {
-            *c -= 1;
-            true
-        } else {
-            false
-        }
+        self.rtos
+            .block_until_timeout(id, &self.freed, timeout)
+            .await;
+        self.try_take()
     }
 }
 
@@ -500,7 +479,7 @@ impl RtosMutex {
     /// current owner.
     pub fn lock(&self, t: &mut TaskCtx<'_>) {
         let me = t.id;
-        let rtos = self.rtos.clone();
+        let rtos = &self.rtos;
         loop {
             {
                 let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -521,7 +500,7 @@ impl RtosMutex {
                     }
                 }
             }
-            rtos.block_on(t.ctx, me, &self.freed);
+            t.ctx.block_on(rtos.block_until(me, &self.freed));
         }
     }
 
@@ -587,18 +566,11 @@ impl<T: Send + 'static> RtosMailbox<T> {
 
     /// Receives the next message, blocking (CPU released) while empty.
     pub fn pend(&self, t: &mut TaskCtx<'_>) -> T {
-        let id = t.id;
-        let rtos = self.rtos.clone();
         loop {
-            if let Some(m) = self
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            {
+            if let Some(m) = self.try_pend() {
                 return m;
             }
-            rtos.block_on(t.ctx, id, &self.posted);
+            t.ctx.block_on(self.rtos.block_until(t.id, &self.posted));
         }
     }
 

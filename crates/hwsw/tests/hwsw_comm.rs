@@ -13,10 +13,10 @@ use shiptlm_ship::prelude::*;
 const ACC_BASE: u64 = 0x1000_0000;
 
 /// The accelerator PE behaviour — written once, used in HW and SW tests.
-fn accelerator_pe(ctx: &mut ThreadCtx, ports: Vec<ShipPort>) {
+async fn accelerator_pe(h: SimHandle, ports: Vec<ShipPort>) {
     let port = &ports[0];
     loop {
-        let Ok(data) = port.recv::<Vec<u8>>(ctx) else {
+        let Ok(data) = port.recv_async::<Vec<u8>>(&h).await else {
             return;
         };
         if data.is_empty() {
@@ -28,26 +28,26 @@ fn accelerator_pe(ctx: &mut ThreadCtx, ports: Vec<ShipPort>) {
             .enumerate()
             .map(|(i, b)| b ^ (i as u8).wrapping_mul(31).wrapping_add(7))
             .collect();
-        port.reply(ctx, &out).unwrap();
+        port.reply_async(&h, &out).await.unwrap();
     }
 }
 
 /// The control PE behaviour — also written once.
-fn control_pe(
+async fn control_pe(
     blocks: u32,
     results: Arc<Mutex<Vec<Vec<u8>>>>,
-) -> impl FnOnce(&mut ThreadCtx, Vec<ShipPort>) + Send {
-    move |ctx, ports| {
-        let port = &ports[0];
-        for i in 0..blocks {
-            let data: Vec<u8> = (0..64u8).map(|b| b.wrapping_add(i as u8)).collect();
-            // request/reply is two logical ops: the accelerator receives the
-            // request via recv and answers via reply.
-            let enc: Vec<u8> = port.request(ctx, &data).unwrap();
-            results.lock().unwrap().push(enc);
-        }
-        let _ = port.send(ctx, &Vec::<u8>::new()); // poison pill
+    h: SimHandle,
+    ports: Vec<ShipPort>,
+) {
+    let port = &ports[0];
+    for i in 0..blocks {
+        let data: Vec<u8> = (0..64u8).map(|b| b.wrapping_add(i as u8)).collect();
+        // request/reply is two logical ops: the accelerator receives the
+        // request via recv and answers via reply.
+        let enc: Vec<u8> = port.request_async(&h, &data).await.unwrap();
+        results.lock().unwrap().push(enc);
     }
+    let _ = port.send_async(&h, &Vec::<u8>::new()).await; // poison pill
 }
 
 /// Builds the HW side: PLB bus + mailbox adapter + HW accelerator PE.
@@ -90,10 +90,11 @@ fn sw_master_to_hw_slave_polling() {
     let sim = Simulation::new();
     let (bus, acc_port) = build_hw_side(&sim, None);
     // HW accelerator PE runs as a plain kernel process.
-    sim.spawn_thread("acc", move |ctx| accelerator_pe(ctx, vec![acc_port]));
+    sim.spawn_async("acc", accelerator_pe(sim.handle(), vec![acc_port]));
     // SW control task on the CPU with a polling driver.
     let cpu = Cpu::new(&sim.handle(), "cpu0", bus.master_port(MasterId(0)));
     let results = Arc::new(Mutex::new(Vec::new()));
+    let results2 = Arc::clone(&results);
     cpu.spawn_sw_pe(
         "ctl",
         3,
@@ -103,7 +104,7 @@ fn sw_master_to_hw_slave_polling() {
             ACC_BASE,
             SimDur::us(1),
         )],
-        control_pe(4, Arc::clone(&results)),
+        move |h, ports| control_pe(4, results2, h, ports),
     );
     let r = sim.run();
     assert_eq!(r.reason, StopReason::Starved);
@@ -120,19 +121,20 @@ fn sw_master_to_hw_slave_irq_driven() {
     let h = sim.handle();
     let sideband = sim.signal("irq_line", false);
     let (bus, acc_port) = build_hw_side(&sim, Some(sideband.clone()));
-    sim.spawn_thread("acc", move |ctx| accelerator_pe(ctx, vec![acc_port]));
+    sim.spawn_async("acc", accelerator_pe(sim.handle(), vec![acc_port]));
 
     let mut cpu = Cpu::new(&h, "cpu0", bus.master_port(MasterId(0)));
     cpu.attach_irq_line(sideband, SimDur::ns(500));
     let sem = cpu.irq_semaphore("acc_irq");
     let results = Arc::new(Mutex::new(Vec::new()));
+    let results2 = Arc::clone(&results);
     cpu.spawn_sw_pe(
         "ctl",
         3,
         vec![SwChannelBinding::master_irq(
             "ctl2acc", "ctl", ACC_BASE, sem,
         )],
-        control_pe(4, Arc::clone(&results)),
+        move |h, ports| control_pe(4, results2, h, ports),
     );
     let r = sim.run();
     assert_eq!(r.reason, StopReason::Starved);
@@ -149,34 +151,39 @@ fn irq_driver_is_not_slower_than_coarse_polling() {
     // workload at least as fast (they wake exactly on reply-ready).
     // A slow accelerator (30 us per block) makes the wakeup policy matter:
     // a coarse poller oversleeps, the IRQ path wakes exactly on reply-ready.
-    let slow_accelerator = |ctx: &mut ThreadCtx, port: ShipPort| loop {
-        let Ok(data) = port.recv::<Vec<u8>>(ctx) else {
-            return;
-        };
-        if data.is_empty() {
-            return;
+    async fn slow_accelerator(h: SimHandle, port: ShipPort) {
+        loop {
+            let Ok(data) = port.recv_async::<Vec<u8>>(&h).await else {
+                return;
+            };
+            if data.is_empty() {
+                return;
+            }
+            h.wait_for(SimDur::us(30)).await;
+            let out: Vec<u8> = data
+                .iter()
+                .enumerate()
+                .map(|(i, b)| b ^ (i as u8).wrapping_mul(31).wrapping_add(7))
+                .collect();
+            port.reply_async(&h, &out).await.unwrap();
         }
-        ctx.wait_for(SimDur::us(30));
-        let out: Vec<u8> = data
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b ^ (i as u8).wrapping_mul(31).wrapping_add(7))
-            .collect();
-        port.reply(ctx, &out).unwrap();
-    };
+    }
     let run = |binding: fn(&Cpu) -> SwChannelBinding, wire_irq: bool| {
         let sim = Simulation::new();
         let h = sim.handle();
         let sideband = sim.signal("irq_line", false);
         let (bus, acc_port) = build_hw_side(&sim, wire_irq.then(|| sideband.clone()));
-        sim.spawn_thread("acc", move |ctx| slow_accelerator(ctx, acc_port));
+        sim.spawn_async("acc", slow_accelerator(h.clone(), acc_port));
         let mut cpu = Cpu::new(&h, "cpu0", bus.master_port(MasterId(0)));
         if wire_irq {
             cpu.attach_irq_line(sideband, SimDur::ns(500));
         }
         let results = Arc::new(Mutex::new(Vec::new()));
         let b = binding(&cpu);
-        cpu.spawn_sw_pe("ctl", 3, vec![b], control_pe(8, Arc::clone(&results)));
+        let results2 = Arc::clone(&results);
+        cpu.spawn_sw_pe("ctl", 3, vec![b], move |h, ports| {
+            control_pe(8, results2, h, ports)
+        });
         let r = sim.run();
         assert_eq!(results.lock().unwrap().len(), 8);
         r.time
@@ -236,11 +243,11 @@ fn hw_master_to_sw_slave() {
             ACC_BASE,
             SimDur::us(1),
         )],
-        |ctx, ports| {
+        |h, ports| async move {
             let port = &ports[0];
             for _ in 0..5 {
-                let q: u32 = port.recv(ctx).unwrap();
-                port.reply(ctx, &(q * 2)).unwrap();
+                let q: u32 = port.recv_async(&h).await.unwrap();
+                port.reply_async(&h, &(q * 2)).await.unwrap();
             }
         },
     );
@@ -258,7 +265,7 @@ fn hw_sw_logs_are_content_equivalent_to_pure_hw() {
         let (bus, acc_port) = build_hw_side(&sim, None);
         let log = TransactionLog::new();
         acc_port.attach_recorder(log.clone());
-        sim.spawn_thread("acc", move |ctx| accelerator_pe(ctx, vec![acc_port]));
+        sim.spawn_async("acc", accelerator_pe(sim.handle(), vec![acc_port]));
         // HW control: master wrapper endpoint over the same bus/adapter.
         let ctl_port = ShipPort::from_endpoint(
             ShipBusMasterEndpoint::new(
@@ -271,8 +278,8 @@ fn hw_sw_logs_are_content_equivalent_to_pure_hw() {
         );
         ctl_port.attach_recorder(log.clone());
         let results = Arc::new(Mutex::new(Vec::new()));
-        let behavior = control_pe(3, Arc::clone(&results));
-        sim.spawn_thread("ctl", move |ctx| behavior(ctx, vec![ctl_port]));
+        let behavior = control_pe(3, Arc::clone(&results), sim.handle(), vec![ctl_port]);
+        sim.spawn_async("ctl", behavior);
         sim.run();
         (log, results)
     };
@@ -281,10 +288,10 @@ fn hw_sw_logs_are_content_equivalent_to_pure_hw() {
         let (bus, acc_port) = build_hw_side(&sim, None);
         let log = TransactionLog::new();
         acc_port.attach_recorder(log.clone());
-        sim.spawn_thread("acc", move |ctx| accelerator_pe(ctx, vec![acc_port]));
+        sim.spawn_async("acc", accelerator_pe(sim.handle(), vec![acc_port]));
         let cpu = Cpu::new(&sim.handle(), "cpu0", bus.master_port(MasterId(0)));
         let results = Arc::new(Mutex::new(Vec::new()));
-        let behavior = control_pe(3, Arc::clone(&results));
+        let results2 = Arc::clone(&results);
         // Recorder on the SW port: spawn_sw_pe builds ports internally, so
         // wrap the behaviour to attach the recorder first.
         let log2 = log.clone();
@@ -297,9 +304,9 @@ fn hw_sw_logs_are_content_equivalent_to_pure_hw() {
                 ACC_BASE,
                 SimDur::us(1),
             )],
-            move |ctx, ports| {
+            move |h, ports| {
                 ports[0].attach_recorder(log2);
-                behavior(ctx, ports);
+                control_pe(3, results2, h, ports)
             },
         );
         sim.run();

@@ -43,7 +43,7 @@
 //! with a synthesized [`DeadlockReport`].
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
@@ -163,6 +163,9 @@ pub struct Gate<T> {
     /// under the gate lock. A parked slot whose recorded sequence lags this
     /// value has a wakeup in flight.
     wakes: AtomicU64,
+    /// Threads asleep on `cv`; changed only under the gate lock, so a
+    /// notification with none asleep can skip the wake syscall.
+    sleepers: AtomicUsize,
 }
 
 impl<T> Gate<T> {
@@ -176,7 +179,9 @@ impl<T> Gate<T> {
     /// keeps the wake sequence consistent with the guarded state.
     pub fn notify_all(&self, _guard: &mut MutexGuard<'_, T>) {
         self.wakes.fetch_add(1, Ordering::Relaxed);
-        self.cv.notify_all();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -255,6 +260,7 @@ struct CoreState {
 enum Flag {
     TimedOut,
     Abort,
+    Woken,
 }
 
 /// Shared state of one direct-execution run: stall/abort machinery plus the
@@ -272,8 +278,8 @@ pub struct DirectCore {
     stall_mutex: Mutex<()>,
     /// Wall-clock deadline of the current run, when a watchdog is armed.
     deadline: Mutex<Option<Instant>>,
-    pub(crate) txn: TxnShared,
-    pub(crate) metrics: MetricsShared,
+    pub(crate) txn: Arc<TxnShared>,
+    pub(crate) metrics: Arc<MetricsShared>,
 }
 
 impl std::fmt::Debug for DirectCore {
@@ -299,8 +305,8 @@ impl DirectCore {
             names: Mutex::new(Vec::new()),
             stall_mutex: Mutex::new(()),
             deadline: Mutex::new(None),
-            txn: TxnShared::new(),
-            metrics: MetricsShared::new(),
+            txn: Arc::new(TxnShared::new()),
+            metrics: Arc::default(),
         })
     }
 
@@ -317,6 +323,7 @@ impl DirectCore {
             m: Mutex::new(init),
             cv: Condvar::new(),
             wakes: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
         });
         gates.push(Arc::downgrade(&g) as Weak<dyn AnyGate>);
         g
@@ -352,10 +359,11 @@ impl DirectCore {
         self.unwind()
     }
 
-    /// Abort check for non-parking yields (`wait_delta`): unwinds when the
-    /// run is being torn down, trips the watchdog when the wall budget is
-    /// spent.
-    pub(crate) fn check_abort(&self) {
+    /// A delta wait on the direct backend: a plain scheduling hint, since
+    /// qualifying models only use it for fairness, never for ordering.
+    /// Unwinds when the run is being torn down and trips the watchdog when
+    /// the wall budget is spent.
+    pub(crate) fn yield_hint(&self) {
         if self.state().abort.is_some() {
             self.unwind();
         }
@@ -363,6 +371,7 @@ impl DirectCore {
         if expired {
             self.trip_watchdog();
         }
+        std::thread::yield_now();
     }
 
     fn trip_watchdog(&self) -> ! {
@@ -472,23 +481,25 @@ impl DirectCore {
         drop(held);
     }
 
-    /// Checks this thread's park flags; `Some` deregisters the park.
-    fn flags(&self, who: usize) -> Option<Flag> {
+    /// Checks this thread's park flags and then, when `woken`, its wakeup,
+    /// under one acquisition of the core locks; `Some` deregisters the
+    /// park.
+    fn flags(&self, who: usize, woken: bool) -> Option<Flag> {
         let mut st = self.state();
         let mut slots = plock(&self.slots);
-        if std::mem::take(&mut slots[who].timed_out) {
-            if slots[who].parked.take().is_some() {
-                st.parked -= 1;
-            }
-            return Some(Flag::TimedOut);
+        let flag = if std::mem::take(&mut slots[who].timed_out) {
+            Flag::TimedOut
+        } else if st.abort.is_some() {
+            Flag::Abort
+        } else if woken {
+            Flag::Woken
+        } else {
+            return None;
+        };
+        if slots[who].parked.take().is_some() {
+            st.parked -= 1;
         }
-        if st.abort.is_some() {
-            if slots[who].parked.take().is_some() {
-                st.parked -= 1;
-            }
-            return Some(Flag::Abort);
-        }
-        None
+        Some(flag)
     }
 
     fn leave_park(&self, who: usize) {
@@ -497,10 +508,6 @@ impl DirectCore {
         if slots[who].parked.take().is_some() {
             st.parked -= 1;
         }
-    }
-
-    fn slot_seen(&self, who: usize) -> u64 {
-        plock(&self.slots)[who].seen
     }
 
     /// Parks the calling thread on `gate` until a peer notifies it or its
@@ -545,22 +552,20 @@ impl DirectCore {
             self.try_stall();
             guard = gate.lock();
         }
+        let deadline = *plock(&self.deadline);
         loop {
-            match self.flags(who) {
+            let woken = gate.wakes.load(Ordering::Relaxed) != seen;
+            match self.flags(who, woken) {
                 Some(Flag::TimedOut) => return (guard, ParkVerdict::TimedOut),
+                Some(Flag::Woken) => return (guard, ParkVerdict::Woken),
                 Some(Flag::Abort) => {
                     drop(guard);
                     self.unwind();
                 }
                 None => {}
             }
-            if gate.wakes.load(Ordering::Relaxed) != self.slot_seen(who) {
-                self.leave_park(who);
-                return (guard, ParkVerdict::Woken);
-            }
-            let deadline = *plock(&self.deadline);
-            guard = match deadline {
-                None => gate.cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
+            let timeout = match deadline {
+                None => None,
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
@@ -568,12 +573,15 @@ impl DirectCore {
                         drop(guard);
                         self.trip_watchdog();
                     }
-                    gate.cv
-                        .wait_timeout(guard, d - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
+                    Some(d - now)
                 }
             };
+            gate.sleepers.fetch_add(1, Ordering::Relaxed);
+            guard = match timeout {
+                None => gate.cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
+                Some(t) => gate.cv.wait_timeout(guard, t).unwrap_or_else(|e| e.into_inner()).0,
+            };
+            gate.sleepers.fetch_sub(1, Ordering::Relaxed);
             // Re-examine flags and the wake sequence; a spurious condvar
             // wakeup (neither set) loops back to sleep.
         }

@@ -33,11 +33,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, Weak};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::direct::{Construct, DirectCore};
 use crate::liveness::{
     BlockedProcess, DeadlockReport, EndpointId, Registry, WaitDesc, WaitForGraph,
 };
@@ -250,20 +251,21 @@ pub(crate) struct KernelShared {
     /// Wall-clock budget for a single `run` call, if configured.
     pub(crate) watchdog: Mutex<Option<Duration>>,
     /// Transaction-level trace recorder (disabled by default).
-    pub(crate) txn: TxnShared,
+    pub(crate) txn: Arc<TxnShared>,
     /// Time-resolved metrics registry (disabled by default).
-    pub(crate) metrics: MetricsShared,
+    pub(crate) metrics: Arc<MetricsShared>,
     /// Host wall-clock profiler (disabled by default).
     pub(crate) profiler: HostProfiler,
     /// Thread activations: dispatches that resume an OS thread.
     thread_activations: AtomicU64,
     /// Inline activations: method calls and async polls.
     inline_activations: AtomicU64,
-    /// Set when this kernel is the dormant companion of a direct-execution
-    /// run: constructs the direct backend cannot honour (timed
+    /// Set when this kernel is the dormant companion of one thread of a
+    /// direct-execution run: that run's core and the thread's index.
+    /// Constructs the direct backend cannot honour (timed waits and
     /// notifications, signal updates, dynamic processes) disqualify the
     /// run instead of silently queueing into a kernel that never runs.
-    pub(crate) direct_guard: OnceLock<std::sync::Weak<crate::direct::DirectCore>>,
+    direct: Option<(Weak<DirectCore>, usize)>,
     /// End-of-run channel. One slot: a run ends once, and `run` takes the
     /// message before the next run can end.
     run_end_tx: SyncSender<RunEnd>,
@@ -272,6 +274,24 @@ pub(crate) struct KernelShared {
 
 impl KernelShared {
     pub(crate) fn new() -> Arc<Self> {
+        Self::with_recorders(Arc::new(TxnShared::new()), Arc::default(), None)
+    }
+
+    /// The dormant companion of thread `index` of a direct-execution run:
+    /// it records into the run's own trace and metrics registry.
+    pub(crate) fn dormant(core: &Arc<DirectCore>, index: usize) -> Arc<Self> {
+        Self::with_recorders(
+            Arc::clone(&core.txn),
+            Arc::clone(&core.metrics),
+            Some((Arc::downgrade(core), index)),
+        )
+    }
+
+    fn with_recorders(
+        txn: Arc<TxnShared>,
+        metrics: Arc<MetricsShared>,
+        direct: Option<(Weak<DirectCore>, usize)>,
+    ) -> Arc<Self> {
         let (run_end_tx, run_end_rx) = sync_channel(1);
         Arc::new(KernelShared {
             inner: Mutex::new(Inner {
@@ -292,24 +312,37 @@ impl KernelShared {
             tracer: Mutex::new(None),
             liveness: Mutex::new(Registry::default()),
             watchdog: Mutex::new(None),
-            txn: TxnShared::new(),
-            metrics: MetricsShared::new(),
+            txn,
+            metrics,
             profiler: HostProfiler::new(),
             thread_activations: AtomicU64::new(0),
             inline_activations: AtomicU64::new(0),
-            direct_guard: OnceLock::new(),
+            direct,
             run_end_tx,
             run_end_rx: Mutex::new(run_end_rx),
         })
     }
 
+    /// The direct-execution run and thread index this kernel is the
+    /// dormant companion of, if any.
+    pub(crate) fn direct(&self) -> Option<(Arc<DirectCore>, usize)> {
+        let (core, index) = self.direct.as_ref()?;
+        Some((core.upgrade()?, *index))
+    }
+
+    /// The index of the thread this kernel is the dormant companion of,
+    /// when that thread belongs to `core`'s run. A pointer comparison: it
+    /// touches no reference count.
+    pub(crate) fn direct_thread(&self, core: &Arc<DirectCore>) -> Option<usize> {
+        let (weak, index) = self.direct.as_ref()?;
+        std::ptr::eq(weak.as_ptr(), Arc::as_ptr(core)).then_some(*index)
+    }
+
     /// Aborts the surrounding direct-execution run when this kernel is a
     /// direct run's dormant companion (no-op otherwise).
-    fn disqualify_if_direct(&self, construct: crate::direct::Construct) {
-        if let Some(weak) = self.direct_guard.get() {
-            if let Some(core) = weak.upgrade() {
-                core.disqualify(construct);
-            }
+    pub(crate) fn disqualify_if_direct(&self, construct: Construct) {
+        if let Some((core, _)) = self.direct() {
+            core.disqualify(construct);
         }
     }
 
@@ -318,6 +351,11 @@ impl KernelShared {
     }
 
     pub(crate) fn now(&self) -> SimTime {
+        // A direct run's time stands still at zero; its threads skip the
+        // lock.
+        if self.direct.is_some() {
+            return SimTime::ZERO;
+        }
         self.lock().now
     }
 
@@ -333,7 +371,7 @@ impl KernelShared {
     }
 
     pub(crate) fn request_stop(&self) {
-        self.disqualify_if_direct(crate::direct::Construct::ExplicitStop);
+        self.disqualify_if_direct(Construct::ExplicitStop);
         self.lock().stop_requested = true;
     }
 
@@ -375,7 +413,7 @@ impl KernelShared {
             self.notify_delta(id);
             return;
         }
-        self.disqualify_if_direct(crate::direct::Construct::NotifyAfter);
+        self.disqualify_if_direct(Construct::NotifyAfter);
         Self::mark_timed(&mut self.lock(), id, d);
     }
 
@@ -491,7 +529,7 @@ impl KernelShared {
     }
 
     pub(crate) fn request_update(&self, f: UpdateFn) {
-        self.disqualify_if_direct(crate::direct::Construct::SignalUpdate);
+        self.disqualify_if_direct(Construct::SignalUpdate);
         self.lock().update_requests.push(f);
     }
 
@@ -563,7 +601,7 @@ impl KernelShared {
         sensitivity: &[EventId],
         ready: bool,
     ) -> ProcessId {
-        self.disqualify_if_direct(crate::direct::Construct::DynamicProcess);
+        self.disqualify_if_direct(Construct::DynamicProcess);
         let timer = self.new_event(&format!("{name}.timer"));
         let mut g = self.lock();
         let pid = ProcessId(g.processes.len());

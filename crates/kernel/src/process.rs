@@ -194,8 +194,8 @@ enum CtxInner {
         name: Arc<str>,
         /// Lazily-built dormant kernel backing [`ThreadCtx::sim`]: objects
         /// created through it (events, signals) work as long as they never
-        /// need the event queue; the first construct that does aborts the
-        /// direct run via the kernel's `direct_guard`.
+        /// need the event queue, and the first construct that does aborts
+        /// the direct run. Its recorders are the run's own.
         sim: OnceLock<Arc<KernelShared>>,
     },
 }
@@ -205,10 +205,10 @@ enum CtxInner {
 /// A `ThreadCtx` is handed to the process body and is the only way for the
 /// process to block: [`wait`](ThreadCtx::wait), [`wait_for`](ThreadCtx::wait_for),
 /// [`wait_any`](ThreadCtx::wait_any) and [`wait_delta`](ThreadCtx::wait_delta)
-/// suspend the process and pass control to the scheduler. Blocking
-/// channel operations (SHIP calls, OCP master ports) take `&mut ThreadCtx`
-/// for the same reason; async ones (FIFO reads, CAM transactions) run
-/// through [`block_on`](ThreadCtx::block_on).
+/// suspend the process and pass control to the scheduler. Channel
+/// operations are async (FIFO reads, SHIP calls, OCP transactions); thread
+/// code awaits them through [`block_on`](ThreadCtx::block_on), which the
+/// `(ctx, …)` forms of SHIP ports and OCP master ports wrap.
 ///
 /// The same type serves both backends: under the delta-cycle kernel the
 /// blocking calls run the scheduler on the process's own thread; under the
@@ -248,16 +248,6 @@ impl ThreadCtx {
         }
     }
 
-    /// When this process runs on the direct backend, its core and thread
-    /// index — the hook direct channels use to park against the right
-    /// stall domain. `None` under the delta-cycle kernel.
-    pub fn direct_backend(&self) -> Option<(&Arc<DirectCore>, usize)> {
-        match &self.inner {
-            CtxInner::Kernel { .. } => None,
-            CtxInner::Direct { core, index, .. } => Some((core, *index)),
-        }
-    }
-
     /// Current simulated time. Always [`SimTime::ZERO`] on the direct
     /// backend — a model that qualifies for it never observes time advance
     /// under the delta-cycle kernel either.
@@ -290,19 +280,14 @@ impl ThreadCtx {
     ///
     /// On the direct backend this hands out a *dormant* kernel: creating
     /// objects through it succeeds, but the first operation that needs the
-    /// event queue (a timed notification, a signal update, a dynamic
-    /// process) disqualifies the direct run.
+    /// event queue (a timed wait or notification, a signal update, a
+    /// dynamic process) disqualifies the direct run.
     pub fn sim(&self) -> crate::sim::SimHandle {
         let kernel = match &self.inner {
             CtxInner::Kernel { kernel, .. } => Arc::clone(kernel),
-            CtxInner::Direct { core, sim, .. } => {
-                let k = sim.get_or_init(|| {
-                    let k = KernelShared::new();
-                    let _ = k.direct_guard.set(Arc::downgrade(core));
-                    k
-                });
-                Arc::clone(k)
-            }
+            CtxInner::Direct {
+                core, index, sim, ..
+            } => Arc::clone(sim.get_or_init(|| KernelShared::dormant(core, *index))),
         };
         crate::sim::SimHandle::new(kernel)
     }
@@ -410,8 +395,7 @@ impl ThreadCtx {
     /// for fairness, never for ordering.
     pub fn wait_delta(&mut self) {
         if let CtxInner::Direct { core, .. } = &self.inner {
-            core.check_abort();
-            std::thread::yield_now();
+            core.yield_hint();
             return;
         }
         self.suspend(&[], Some(Timer::Delta), Construct::EventWait);

@@ -6,6 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::clock::Clock;
+use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
 use crate::fifo::Fifo;
 use crate::kernel::{Activations, EventId, KernelShared, MethodApi, ProcessId, RunResult, Timer};
@@ -398,6 +399,7 @@ impl SimHandle {
     pub async fn wait_any_for(&self, events: &[&Event], timeout: SimDur) -> Option<usize> {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
+        self.kernel.disqualify_if_direct(Construct::TimedWait);
         let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
         Suspend::new(&self.kernel, &ids, Some(Timer::After(timeout)))
             .await
@@ -407,16 +409,46 @@ impl SimHandle {
     /// Suspends the polling process for `d` of simulated time; a zero
     /// duration waits one delta cycle.
     pub async fn wait_for(&self, d: SimDur) {
+        if d.is_zero() {
+            return self.wait_delta().await;
+        }
+        self.kernel.disqualify_if_direct(Construct::TimedWait);
         Suspend::new(&self.kernel, &[], Some(Timer::After(d))).await;
     }
 
-    /// Suspends the polling process for one delta cycle.
+    /// Suspends the polling process for one delta cycle. On the direct
+    /// backend this is a plain scheduling hint, as
+    /// [`ThreadCtx::wait_delta`] is there.
     pub async fn wait_delta(&self) {
+        if let Some((core, _)) = self.kernel.direct() {
+            return core.yield_hint();
+        }
         Suspend::new(&self.kernel, &[], Some(Timer::Delta)).await;
     }
 
+    /// The id of the process being polled; on the direct backend, the
+    /// index of the thread this handle was taken from.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a poll of one of this simulation's processes.
+    pub fn pid(&self) -> ProcessId {
+        Polling::pid(&self.kernel)
+            .or_else(|| self.kernel.direct().map(|(_, index)| ProcessId(index)))
+            .expect("pid outside a process")
+    }
+
+    /// When this handle belongs to a thread of `core`'s direct-execution
+    /// run, the thread's index: the hook direct channels use to park
+    /// against the right stall domain. `None` under the delta-cycle kernel
+    /// and for threads of other runs.
+    pub fn direct_thread(&self, core: &Arc<DirectCore>) -> Option<usize> {
+        self.kernel.direct_thread(core)
+    }
+
     /// Records a completed transaction span, stamped with the name of the
-    /// process being polled. No-op when the recorder is disabled.
+    /// process being polled (on the direct backend, of the thread this
+    /// handle was taken from). No-op when the recorder is disabled.
     ///
     /// # Panics
     ///
@@ -425,8 +457,10 @@ impl SimHandle {
         if !self.txn_enabled() {
             return;
         }
-        let pid = Polling::pid(&self.kernel).expect("txn_record outside a process");
-        let process = self.kernel.process_name(pid);
+        let process = match self.kernel.direct() {
+            Some((core, index)) => core.process_name(index),
+            None => self.kernel.process_name(self.pid()),
+        };
         self.kernel.txn.record(span.stamped(process));
     }
 

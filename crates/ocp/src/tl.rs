@@ -3,8 +3,9 @@
 //!
 //! [`OcpTarget::transact`] returns a future, so a transaction runs inside
 //! whichever process awaits it: an async process (the pin-level slave FSM
-//! runs the CAM transaction inside its own process) or a thread process,
-//! which reaches it through [`OcpMasterPort`], the thread-side entry.
+//! runs the CAM transaction inside its own process, a PE behaviour awaits
+//! [`OcpMasterPort::transact_async`]) or a thread process, which calls the
+//! `(ctx, …)` forms of [`OcpMasterPort`].
 
 use std::fmt;
 use std::future::Future;
@@ -60,9 +61,9 @@ pub trait OcpTarget: Send + Sync {
 }
 
 /// A master-side port bound to a target — the OCP TLM interface a PE or
-/// wrapper initiates through, and the thread-side entry to
-/// [`OcpTarget::transact`]: each call runs the transaction with
-/// [`ThreadCtx::block_on`].
+/// wrapper initiates through. Each call is implemented once, as a future
+/// that waits and records through a [`SimHandle`]; its `(ctx, …)` form runs
+/// that future with [`ThreadCtx::block_on`].
 #[derive(Clone)]
 pub struct OcpMasterPort {
     id: MasterId,
@@ -88,40 +89,43 @@ impl OcpMasterPort {
         self.id
     }
 
-    /// Issues a blocking transaction.
+    /// Issues a transaction, blocking the process that awaits it.
     ///
     /// # Errors
     ///
-    /// Propagates the target's [`OcpError`].
-    pub fn transact(&self, ctx: &mut ThreadCtx, req: OcpRequest) -> Result<OcpResponse, OcpError> {
+    /// Resolves to the target's [`OcpError`].
+    pub async fn transact_async(
+        &self,
+        sim: &SimHandle,
+        req: OcpRequest,
+    ) -> Result<OcpResponse, OcpError> {
         // Two relaxed loads on the fully-disabled fast path, one per
         // recorder.
-        let sim = ctx.sim();
-        let txn = ctx.txn_enabled();
-        let metrics = ctx.metrics_enabled();
+        let txn = sim.txn_enabled();
+        let metrics = sim.metrics_enabled();
         if !txn && !metrics {
-            return ctx.block_on(self.target.transact(&sim, self.id, req));
+            return self.target.transact(sim, self.id, req).await;
         }
-        let start = ctx.now();
+        let start = sim.now();
         let op = match req.cmd {
             OcpCommand::Read { .. } => "read",
             OcpCommand::Write { .. } => "write",
         };
         let bytes = req.cmd.len();
-        let result = ctx.block_on(self.target.transact(&sim, self.id, req));
+        let result = self.target.transact(sim, self.id, req).await;
         if metrics {
-            let m = ctx.metrics();
-            let now = ctx.now();
+            let m = sim.metrics();
+            let now = sim.now();
             m.counter_add("ocp.txns", &self.target_label, 1, now);
             m.counter_add("ocp.bytes", &self.target_label, bytes as u64, now);
         }
         if txn {
-            ctx.txn_record(TxnSpan {
+            sim.txn_record(TxnSpan {
                 level: TxnLevel::Ocp,
                 op,
                 resource: &self.target_label,
                 start,
-                end: ctx.now(),
+                end: sim.now(),
                 bytes,
                 ok: result.is_ok(),
             });
@@ -129,13 +133,21 @@ impl OcpMasterPort {
         result
     }
 
-    /// Convenience blocking read.
+    /// Reads `bytes` at `addr`.
     ///
     /// # Errors
     ///
-    /// Returns an [`OcpError`] on routing failure or a non-`DVA` response.
-    pub fn read(&self, ctx: &mut ThreadCtx, addr: u64, bytes: usize) -> Result<Vec<u8>, OcpError> {
-        let resp = self.transact(ctx, OcpRequest::read(addr, bytes))?;
+    /// Resolves to an [`OcpError`] on routing failure or a non-`DVA`
+    /// response.
+    pub async fn read_async(
+        &self,
+        sim: &SimHandle,
+        addr: u64,
+        bytes: usize,
+    ) -> Result<Vec<u8>, OcpError> {
+        let resp = self
+            .transact_async(sim, OcpRequest::read(addr, bytes))
+            .await?;
         if !resp.is_ok() {
             return Err(OcpError::SlaveError {
                 addr,
@@ -145,13 +157,21 @@ impl OcpMasterPort {
         Ok(resp.data)
     }
 
-    /// Convenience blocking write.
+    /// Writes `data` at `addr`.
     ///
     /// # Errors
     ///
-    /// Returns an [`OcpError`] on routing failure or a non-`DVA` response.
-    pub fn write(&self, ctx: &mut ThreadCtx, addr: u64, data: Vec<u8>) -> Result<(), OcpError> {
-        let resp = self.transact(ctx, OcpRequest::write(addr, data))?;
+    /// Resolves to an [`OcpError`] on routing failure or a non-`DVA`
+    /// response.
+    pub async fn write_async(
+        &self,
+        sim: &SimHandle,
+        addr: u64,
+        data: Vec<u8>,
+    ) -> Result<(), OcpError> {
+        let resp = self
+            .transact_async(sim, OcpRequest::write(addr, data))
+            .await?;
         if !resp.is_ok() {
             return Err(OcpError::SlaveError {
                 addr,
@@ -161,23 +181,74 @@ impl OcpMasterPort {
         Ok(())
     }
 
-    /// Blocking 32-bit register read (little-endian).
+    /// 32-bit register read (little-endian).
+    ///
+    /// # Errors
+    ///
+    /// Resolves to an [`OcpError`] on routing failure or error response.
+    pub async fn read_u32_async(&self, sim: &SimHandle, addr: u64) -> Result<u32, OcpError> {
+        let d = self.read_async(sim, addr, 4).await?;
+        Ok(u32::from_le_bytes(d[..4].try_into().expect("4-byte read")))
+    }
+
+    /// 32-bit register write (little-endian).
+    ///
+    /// # Errors
+    ///
+    /// Resolves to an [`OcpError`] on routing failure or error response.
+    pub async fn write_u32_async(
+        &self,
+        sim: &SimHandle,
+        addr: u64,
+        value: u32,
+    ) -> Result<(), OcpError> {
+        self.write_async(sim, addr, value.to_le_bytes().to_vec())
+            .await
+    }
+
+    /// [`transact_async`](Self::transact_async) from a thread process.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the target's [`OcpError`].
+    pub fn transact(&self, ctx: &mut ThreadCtx, req: OcpRequest) -> Result<OcpResponse, OcpError> {
+        ctx.block_on(self.transact_async(&ctx.sim(), req))
+    }
+
+    /// [`read_async`](Self::read_async) from a thread process.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`OcpError`] on routing failure or a non-`DVA` response.
+    pub fn read(&self, ctx: &mut ThreadCtx, addr: u64, bytes: usize) -> Result<Vec<u8>, OcpError> {
+        ctx.block_on(self.read_async(&ctx.sim(), addr, bytes))
+    }
+
+    /// [`write_async`](Self::write_async) from a thread process.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`OcpError`] on routing failure or a non-`DVA` response.
+    pub fn write(&self, ctx: &mut ThreadCtx, addr: u64, data: Vec<u8>) -> Result<(), OcpError> {
+        ctx.block_on(self.write_async(&ctx.sim(), addr, data))
+    }
+
+    /// [`read_u32_async`](Self::read_u32_async) from a thread process.
     ///
     /// # Errors
     ///
     /// Returns an [`OcpError`] on routing failure or error response.
     pub fn read_u32(&self, ctx: &mut ThreadCtx, addr: u64) -> Result<u32, OcpError> {
-        let d = self.read(ctx, addr, 4)?;
-        Ok(u32::from_le_bytes(d[..4].try_into().expect("4-byte read")))
+        ctx.block_on(self.read_u32_async(&ctx.sim(), addr))
     }
 
-    /// Blocking 32-bit register write (little-endian).
+    /// [`write_u32_async`](Self::write_u32_async) from a thread process.
     ///
     /// # Errors
     ///
     /// Returns an [`OcpError`] on routing failure or error response.
     pub fn write_u32(&self, ctx: &mut ThreadCtx, addr: u64, value: u32) -> Result<(), OcpError> {
-        self.write(ctx, addr, value.to_le_bytes().to_vec())
+        ctx.block_on(self.write_u32_async(&ctx.sim(), addr, value))
     }
 }
 

@@ -8,9 +8,16 @@
 //! the *same PE source code* runs unchanged when the channel is later mapped
 //! onto a bus (wrapper endpoints) or across the HW/SW boundary (device-driver
 //! endpoints) — the paper's central "no source change" constraint.
+//!
+//! Each call is a future that blocks the process awaiting it: an async
+//! process awaits [`ShipPort::send_async`] and its siblings, and thread code
+//! calls the `(ctx, …)` forms, which run the same futures through
+//! [`ThreadCtx::block_on`].
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 
 use shiptlm_kernel::event::Event;
@@ -133,11 +140,13 @@ impl ChanShared {
 /// let sim = Simulation::new();
 /// let channel = ShipChannel::new(&sim.handle(), "link", ShipConfig::default());
 /// let (master, slave) = channel.ports("producer", "consumer");
-/// sim.spawn_thread("producer", move |ctx| {
-///     master.send(ctx, &42u32).unwrap();
-///     let doubled: u32 = master.request(ctx, &21u32).unwrap();
+/// let h = sim.handle();
+/// sim.spawn_async("producer", async move {
+///     master.send_async(&h, &42u32).await.unwrap();
+///     let doubled: u32 = master.request_async(&h, &21u32).await.unwrap();
 ///     assert_eq!(doubled, 42);
 /// });
+/// // Thread code makes the same calls through its context.
 /// sim.spawn_thread("consumer", move |ctx| {
 ///     assert_eq!(slave.recv::<u32>(ctx).unwrap(), 42);
 ///     let q: u32 = slave.recv(ctx).unwrap();
@@ -291,12 +300,19 @@ impl fmt::Debug for ShipChannel {
     }
 }
 
+/// The future of one SHIP call, boxed so [`ShipEndpoint`] stays object
+/// safe.
+pub type ShipFuture<'a, T> = Pin<Box<dyn Future<Output = Result<T, ShipError>> + Send + 'a>>;
+
 /// Raw byte-level endpoint behaviour behind a [`ShipPort`].
 ///
 /// Implemented by the in-memory channel here, by SHIP↔OCP bus wrappers in
 /// `shiptlm-cam`, and by the eSW device-driver communication library in
 /// `shiptlm-hwsw`. PE code only ever sees [`ShipPort`], so swapping the
 /// backing endpoint never requires source changes.
+///
+/// Each call returns a future that waits and records through `sim` in the
+/// process awaiting it.
 pub trait ShipEndpoint: Send + Sync {
     /// Transfers `bytes` to the peer; blocks while the channel is full.
     ///
@@ -305,30 +321,34 @@ pub trait ShipEndpoint: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShipError`] on protocol violations.
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError>;
+    /// Resolves to a [`ShipError`] on protocol violations.
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()>;
 
     /// Receives the next message (data or request payload); blocks while
     /// empty.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShipError`] on protocol violations.
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError>;
+    /// Resolves to a [`ShipError`] on protocol violations.
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes>;
 
     /// Sends a request and blocks until the matching reply arrives.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShipError`] on protocol violations.
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError>;
+    /// Resolves to a [`ShipError`] on protocol violations.
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes>;
 
     /// Replies to the oldest outstanding request received on this end.
     ///
     /// # Errors
     ///
-    /// Returns [`ShipError::Protocol`] when no request is outstanding.
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError>;
+    /// Resolves to [`ShipError::Protocol`] when no request is outstanding.
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()>;
 }
 
 struct ChannelEndpoint {
@@ -355,18 +375,18 @@ impl ChannelEndpoint {
 
     /// Records the calling process as this side's user, so wait-for edges
     /// pointing at this endpoint resolve to a process name.
-    fn note_user(&self, ctx: &ThreadCtx) {
-        self.shared.sim.endpoint_user(self.ep(), ctx.pid());
+    fn note_user(&self, sim: &SimHandle) {
+        self.shared.sim.endpoint_user(self.ep(), sim.pid());
     }
 
     /// Simulated-time deadline for the current call, if a timeout is
     /// configured. Taken at call entry, so transport delay counts against
     /// the budget.
-    fn deadline(&self, ctx: &ThreadCtx) -> Option<SimTime> {
+    fn deadline(&self, sim: &SimHandle) -> Option<SimTime> {
         self.shared
             .config
             .timeout
-            .and_then(|t| ctx.now().checked_add(t))
+            .and_then(|t| sim.now().checked_add(t))
     }
 
     /// Queue-state snapshot embedded in timeout errors and endpoint notes.
@@ -396,22 +416,22 @@ impl ChannelEndpoint {
     }
 
     /// Blocks on `ev`, honouring the call's deadline when one is set.
-    fn wait_or_timeout(
+    async fn wait_or_timeout(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         ev: &Event,
         call: &'static str,
         deadline: Option<SimTime>,
     ) -> Result<(), ShipError> {
         let Some(dl) = deadline else {
-            ctx.wait(ev);
+            sim.wait(ev).await;
             return Ok(());
         };
-        let remaining = dl.saturating_since(ctx.now());
+        let remaining = dl.saturating_since(sim.now());
         if remaining.is_zero() {
             return Err(self.timeout_error(call));
         }
-        match ctx.wait_any_for(&[ev], remaining) {
+        match sim.wait_any_for(&[ev], remaining).await {
             Some(_) => Ok(()),
             None => Err(self.timeout_error(call)),
         }
@@ -427,17 +447,17 @@ impl ChannelEndpoint {
         self.shared.sim.endpoint_note(self.ep(), note);
     }
 
-    fn transport_delay(&self, ctx: &mut ThreadCtx, len: usize) {
+    async fn transport_delay(&self, sim: &SimHandle, len: usize) {
         let cfg = &self.shared.config;
         let d = cfg.latency + cfg.per_byte.saturating_mul(len as u64);
         if !d.is_zero() {
-            ctx.wait_for(d);
+            sim.wait_for(d).await;
         }
     }
 
-    fn push_message(
+    async fn push_message(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         msg: Message,
         call: &'static str,
         deadline: Option<SimTime>,
@@ -455,15 +475,16 @@ impl ChannelEndpoint {
                     break;
                 }
             }
-            self.wait_or_timeout(ctx, &self.shared.msg_read[dir], call, deadline)?;
+            self.wait_or_timeout(sim, &self.shared.msg_read[dir], call, deadline)
+                .await?;
         }
         self.shared.msg_written[dir].notify_delta();
         Ok(())
     }
 
-    fn pop_message(
+    async fn pop_message(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         call: &'static str,
         deadline: Option<SimTime>,
     ) -> Result<Message, ShipError> {
@@ -487,84 +508,91 @@ impl ChannelEndpoint {
                     return Ok(m);
                 }
             }
-            self.wait_or_timeout(ctx, &self.shared.msg_written[dir], call, deadline)?;
+            self.wait_or_timeout(sim, &self.shared.msg_written[dir], call, deadline)
+                .await?;
         }
     }
 }
 
 impl ShipEndpoint for ChannelEndpoint {
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        self.note_user(ctx);
-        let deadline = self.deadline(ctx);
-        self.transport_delay(ctx, bytes.len());
-        self.push_message(
-            ctx,
-            Message {
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move {
+            self.note_user(sim);
+            let deadline = self.deadline(sim);
+            self.transport_delay(sim, bytes.len()).await;
+            let msg = Message {
                 kind: MsgKind::Data,
                 bytes,
-            },
-            "send",
-            deadline,
-        )
+            };
+            self.push_message(sim, msg, "send", deadline).await
+        })
     }
 
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        self.note_user(ctx);
-        let deadline = self.deadline(ctx);
-        Ok(self.pop_message(ctx, "recv", deadline)?.bytes)
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move {
+            self.note_user(sim);
+            let deadline = self.deadline(sim);
+            Ok(self.pop_message(sim, "recv", deadline).await?.bytes)
+        })
     }
 
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
-        self.note_user(ctx);
-        let deadline = self.deadline(ctx);
-        self.transport_delay(ctx, bytes.len());
-        self.push_message(
-            ctx,
-            Message {
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move {
+            self.note_user(sim);
+            let deadline = self.deadline(sim);
+            self.transport_delay(sim, bytes.len()).await;
+            let msg = Message {
                 kind: MsgKind::Request,
                 bytes,
-            },
-            "request",
-            deadline,
-        )?;
-        // Wait for a reply travelling back to this side.
-        let my_dir = self.out_dir(); // replies-to-me are indexed by my side
-        loop {
-            {
-                let mut q = self.shared.dirs[my_dir]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                if let Some(r) = q.replies.pop_front() {
-                    return Ok(r);
+            };
+            self.push_message(sim, msg, "request", deadline).await?;
+            // Wait for a reply travelling back to this side.
+            let my_dir = self.out_dir(); // replies-to-me are indexed by my side
+            loop {
+                {
+                    let mut q = self.shared.dirs[my_dir]
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner());
+                    if let Some(r) = q.replies.pop_front() {
+                        return Ok(r);
+                    }
                 }
+                let replied = &self.shared.reply_written[my_dir];
+                self.wait_or_timeout(sim, replied, "request", deadline)
+                    .await?;
             }
-            self.wait_or_timeout(ctx, &self.shared.reply_written[my_dir], "request", deadline)?;
-        }
+        })
     }
 
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        self.note_user(ctx);
-        self.transport_delay(ctx, bytes.len());
-        // The requester lives on the opposite side; its reply queue is
-        // indexed by *its* side.
-        let peer_dir = self.in_dir();
-        let owed = {
-            let mut q = self.shared.dirs[peer_dir]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if q.owed_replies == 0 {
-                return Err(ShipError::Protocol(format!(
-                    "reply on channel '{}' without an outstanding request",
-                    self.shared.name
-                )));
-            }
-            q.owed_replies -= 1;
-            q.replies.push_back(bytes);
-            q.owed_replies
-        };
-        self.publish_owed(owed);
-        self.shared.reply_written[peer_dir].notify_delta();
-        Ok(())
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move {
+            self.note_user(sim);
+            self.transport_delay(sim, bytes.len()).await;
+            // The requester lives on the opposite side; its reply queue is
+            // indexed by *its* side.
+            let peer_dir = self.in_dir();
+            let owed = {
+                let mut q = self.shared.dirs[peer_dir]
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                if q.owed_replies == 0 {
+                    return Err(ShipError::Protocol(format!(
+                        "reply on channel '{}' without an outstanding request",
+                        self.shared.name
+                    )));
+                }
+                q.owed_replies -= 1;
+                q.replies.push_back(bytes);
+                q.owed_replies
+            };
+            self.publish_owed(owed);
+            self.shared.reply_written[peer_dir].notify_delta();
+            Ok(())
+        })
     }
 }
 
@@ -572,7 +600,8 @@ impl ShipEndpoint for ChannelEndpoint {
 ///
 /// Obtained from [`ShipChannel::ports`] (or from wrapper/driver factories at
 /// lower abstraction levels). All four calls block the calling process, per
-/// the paper.
+/// the paper: an async process awaits the `_async` forms, and thread code
+/// calls the `(ctx, …)` forms, which wrap them.
 #[derive(Clone)]
 pub struct ShipPort {
     endpoint: Arc<dyn ShipEndpoint>,
@@ -660,16 +689,16 @@ impl ShipPort {
 
     /// Records one completed call into the kernel transaction recorder
     /// (level [`TxnLevel::Ship`]). One atomic load when recording is off.
-    fn txn(&self, ctx: &ThreadCtx, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
-        if !ctx.txn_enabled() {
+    fn txn(&self, sim: &SimHandle, op: &'static str, start: SimTime, bytes: usize, ok: bool) {
+        if !sim.txn_enabled() {
             return;
         }
-        ctx.txn_record(TxnSpan {
+        sim.txn_record(TxnSpan {
             level: TxnLevel::Ship,
             op,
             resource: &self.channel,
             start,
-            end: ctx.now(),
+            end: sim.now(),
             bytes,
             ok,
         });
@@ -679,24 +708,18 @@ impl ShipPort {
     /// per-channel message/byte counters plus the time the caller spent
     /// inside the call (blocked or transferring) as a busy span. One atomic
     /// load when metrics are off.
-    fn metric(&self, ctx: &ThreadCtx, start: SimTime, bytes: usize) {
-        if !ctx.metrics_enabled() {
+    fn metric(&self, sim: &SimHandle, start: SimTime, bytes: usize) {
+        if !sim.metrics_enabled() {
             return;
         }
-        let m = ctx.metrics();
-        let now = ctx.now();
+        let m = sim.metrics();
+        let now = sim.now();
         m.counter_add("ship.messages", &self.channel, 1, now);
         m.counter_add("ship.bytes", &self.channel, bytes as u64, now);
         m.span_record("ship.blocked", &self.channel, start, now);
     }
 
-    fn record(
-        &self,
-        ctx: &ThreadCtx,
-        op: ShipOp,
-        bytes: &[u8],
-        start: shiptlm_kernel::time::SimTime,
-    ) {
+    fn record(&self, sim: &SimHandle, op: ShipOp, bytes: &[u8], start: SimTime) {
         let g = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(log) = g.as_ref() {
             log.push(TxRecord {
@@ -706,54 +729,120 @@ impl ShipPort {
                 len: bytes.len(),
                 digest: fnv1a(bytes),
                 start,
-                end: ctx.now(),
+                end: sim.now(),
             });
         }
     }
 
-    /// Sends `value` to the peer (master call). Blocks while the channel is
-    /// full.
+    /// Sends `value` to the peer (master call), waiting and recording
+    /// through `sim` in the process that awaits it. Blocks while the
+    /// channel is full.
+    ///
+    /// # Errors
+    ///
+    /// Resolves to a [`ShipError`] on protocol violations.
+    pub async fn send_async<T: ShipSerialize>(
+        &self,
+        sim: &SimHandle,
+        value: &T,
+    ) -> Result<(), ShipError> {
+        let start = sim.now();
+        let bytes = ShipBytes::from(to_wire(value));
+        self.usage.count_send();
+        // `clone` bumps the refcount; the payload itself is shared with the
+        // channel, not copied.
+        let result = self.endpoint.send_bytes(sim, bytes.clone()).await;
+        self.txn(sim, "send", start, bytes.len(), result.is_ok());
+        self.metric(sim, start, bytes.len());
+        result?;
+        self.record(sim, ShipOp::Send, &bytes, start);
+        Ok(())
+    }
+
+    /// Receives the next message (slave call), waiting and recording
+    /// through `sim`. Blocks while empty.
+    ///
+    /// # Errors
+    ///
+    /// Resolves to [`ShipError::Wire`] when the payload cannot decode as
+    /// `T`.
+    pub async fn recv_async<T: ShipSerialize>(&self, sim: &SimHandle) -> Result<T, ShipError> {
+        let start = sim.now();
+        self.usage.count_recv();
+        let result = self.endpoint.recv_bytes(sim).await;
+        let len = result.as_ref().map_or(0, |b| b.len());
+        self.txn(sim, "recv", start, len, result.is_ok());
+        self.metric(sim, start, len);
+        let bytes = result?;
+        self.record(sim, ShipOp::Recv, &bytes, start);
+        Ok(from_wire(&bytes)?)
+    }
+
+    /// Sends a request and blocks until the reply arrives (master call),
+    /// waiting and recording through `sim`.
+    ///
+    /// # Errors
+    ///
+    /// Resolves to [`ShipError::Wire`] when the reply cannot decode as `R`.
+    pub async fn request_async<Q, R>(&self, sim: &SimHandle, req: &Q) -> Result<R, ShipError>
+    where
+        Q: ShipSerialize,
+        R: ShipSerialize,
+    {
+        let start = sim.now();
+        let bytes = ShipBytes::from(to_wire(req));
+        self.usage.count_request();
+        let req_len = bytes.len();
+        let result = self.endpoint.request_bytes(sim, bytes).await;
+        let len = result.as_ref().map_or(req_len, |r| req_len + r.len());
+        self.txn(sim, "request", start, len, result.is_ok());
+        self.metric(sim, start, len);
+        let reply = result?;
+        self.record(sim, ShipOp::Request, &reply, start);
+        Ok(from_wire(&reply)?)
+    }
+
+    /// Replies to the oldest outstanding request (slave call), waiting and
+    /// recording through `sim`.
+    ///
+    /// # Errors
+    ///
+    /// Resolves to [`ShipError::Protocol`] when no request is outstanding.
+    pub async fn reply_async<T: ShipSerialize>(
+        &self,
+        sim: &SimHandle,
+        value: &T,
+    ) -> Result<(), ShipError> {
+        let start = sim.now();
+        let bytes = ShipBytes::from(to_wire(value));
+        self.usage.count_reply();
+        let result = self.endpoint.reply_bytes(sim, bytes.clone()).await;
+        self.txn(sim, "reply", start, bytes.len(), result.is_ok());
+        self.metric(sim, start, bytes.len());
+        result?;
+        self.record(sim, ShipOp::Reply, &bytes, start);
+        Ok(())
+    }
+
+    /// [`send_async`](Self::send_async) from a thread process.
     ///
     /// # Errors
     ///
     /// Returns a [`ShipError`] on protocol violations.
     pub fn send<T: ShipSerialize>(&self, ctx: &mut ThreadCtx, value: &T) -> Result<(), ShipError> {
-        let start = ctx.now();
-        let bytes = ShipBytes::from(to_wire(value));
-        self.usage.count_send();
-        // `clone` bumps the refcount; the payload itself is shared with the
-        // channel, not copied.
-        let result = self.endpoint.send_bytes(ctx, bytes.clone());
-        self.txn(ctx, "send", start, bytes.len(), result.is_ok());
-        self.metric(ctx, start, bytes.len());
-        result?;
-        self.record(ctx, ShipOp::Send, &bytes, start);
-        Ok(())
+        ctx.block_on(self.send_async(&ctx.sim(), value))
     }
 
-    /// Receives the next message (slave call). Blocks while empty.
+    /// [`recv_async`](Self::recv_async) from a thread process.
     ///
     /// # Errors
     ///
     /// Returns [`ShipError::Wire`] when the payload cannot decode as `T`.
     pub fn recv<T: ShipSerialize>(&self, ctx: &mut ThreadCtx) -> Result<T, ShipError> {
-        let start = ctx.now();
-        self.usage.count_recv();
-        let result = self.endpoint.recv_bytes(ctx);
-        self.txn(
-            ctx,
-            "recv",
-            start,
-            result.as_ref().map_or(0, |b| b.len()),
-            result.is_ok(),
-        );
-        self.metric(ctx, start, result.as_ref().map_or(0, |b| b.len()));
-        let bytes = result?;
-        self.record(ctx, ShipOp::Recv, &bytes, start);
-        Ok(from_wire(&bytes)?)
+        ctx.block_on(self.recv_async(&ctx.sim()))
     }
 
-    /// Sends a request and blocks until the reply arrives (master call).
+    /// [`request_async`](Self::request_async) from a thread process.
     ///
     /// # Errors
     ///
@@ -763,43 +852,16 @@ impl ShipPort {
         Q: ShipSerialize,
         R: ShipSerialize,
     {
-        let start = ctx.now();
-        let bytes = ShipBytes::from(to_wire(req));
-        self.usage.count_request();
-        let req_len = bytes.len();
-        let result = self.endpoint.request_bytes(ctx, bytes);
-        self.txn(
-            ctx,
-            "request",
-            start,
-            result.as_ref().map_or(req_len, |r| req_len + r.len()),
-            result.is_ok(),
-        );
-        self.metric(
-            ctx,
-            start,
-            result.as_ref().map_or(req_len, |r| req_len + r.len()),
-        );
-        let reply = result?;
-        self.record(ctx, ShipOp::Request, &reply, start);
-        Ok(from_wire(&reply)?)
+        ctx.block_on(self.request_async(&ctx.sim(), req))
     }
 
-    /// Replies to the oldest outstanding request (slave call).
+    /// [`reply_async`](Self::reply_async) from a thread process.
     ///
     /// # Errors
     ///
     /// Returns [`ShipError::Protocol`] when no request is outstanding.
     pub fn reply<T: ShipSerialize>(&self, ctx: &mut ThreadCtx, value: &T) -> Result<(), ShipError> {
-        let start = ctx.now();
-        let bytes = ShipBytes::from(to_wire(value));
-        self.usage.count_reply();
-        let result = self.endpoint.reply_bytes(ctx, bytes.clone());
-        self.txn(ctx, "reply", start, bytes.len(), result.is_ok());
-        self.metric(ctx, start, bytes.len());
-        result?;
-        self.record(ctx, ShipOp::Reply, &bytes, start);
-        Ok(())
+        ctx.block_on(self.reply_async(&ctx.sim(), value))
     }
 }
 

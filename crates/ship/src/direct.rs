@@ -6,9 +6,10 @@
 //! calls, the same per-direction bounded queues, the same request/reply
 //! accounting and the same error strings. What changes is the blocking
 //! mechanism — instead of yielding to the delta-cycle scheduler, a blocked
-//! call parks on the channel's [`Gate`] (a mutex/condvar pair) and the peer
-//! wakes it with a plain notification. No kernel runs; a message hand-off
-//! is two lock acquisitions.
+//! call parks its thread on the channel's [`Gate`] (a mutex/condvar pair)
+//! and the peer wakes it with a plain notification, so each call's future
+//! finishes within one poll. No kernel runs; a message hand-off is two lock
+//! acquisitions.
 //!
 //! Equivalence rests on the untimed level's semantics being independent of
 //! scheduling order: the cross-level checker compares per-(channel, port)
@@ -23,10 +24,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use shiptlm_kernel::direct::{Construct, DirectCore, Disqualified, Gate, ParkInfo, ParkVerdict};
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 
 use crate::bytes::ShipBytes;
-use crate::channel::{ShipConfig, ShipEndpoint, ShipPort, Side};
+use crate::channel::{ShipConfig, ShipEndpoint, ShipFuture, ShipPort, Side};
 use crate::error::ShipError;
 use crate::role::{RoleObservation, Usage};
 
@@ -194,16 +195,15 @@ impl DirectEndpoint {
     ///
     /// # Errors
     ///
-    /// Rejects contexts from other backends or other direct runs — a port
+    /// Rejects handles from other backends or other direct runs — a port
     /// smuggled across runs would park against the wrong stall domain.
-    fn who(&self, ctx: &ThreadCtx) -> Result<usize, ShipError> {
-        match ctx.direct_backend() {
-            Some((core, who)) if Arc::ptr_eq(core, &self.shared.core) => Ok(who),
-            _ => Err(ShipError::Protocol(format!(
+    fn who(&self, sim: &SimHandle) -> Result<usize, ShipError> {
+        sim.direct_thread(&self.shared.core).ok_or_else(|| {
+            ShipError::Protocol(format!(
                 "direct channel '{}' used outside its direct-execution run",
                 self.shared.name
-            ))),
-        }
+            ))
+        })
     }
 
     /// Queue-state snapshot embedded in timeout errors; same wording as the
@@ -237,11 +237,11 @@ impl DirectEndpoint {
 
     fn push_message(
         &self,
-        ctx: &mut ThreadCtx,
+        sim: &SimHandle,
         msg: (Kind, ShipBytes),
         call: &'static str,
     ) -> Result<(), ShipError> {
-        let who = self.who(ctx)?;
+        let who = self.who(sim)?;
         let dir = self.out_dir();
         let gate = &self.shared.gate;
         let mut g = gate.lock();
@@ -265,13 +265,9 @@ impl DirectEndpoint {
     }
 }
 
-impl ShipEndpoint for DirectEndpoint {
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        self.push_message(ctx, (Kind::Data, bytes), "send")
-    }
-
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        let who = self.who(ctx)?;
+impl DirectEndpoint {
+    fn recv(&self, sim: &SimHandle) -> Result<ShipBytes, ShipError> {
+        let who = self.who(sim)?;
         let dir = self.in_dir();
         let gate = &self.shared.gate;
         let mut g = gate.lock();
@@ -294,9 +290,9 @@ impl ShipEndpoint for DirectEndpoint {
         }
     }
 
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
-        self.push_message(ctx, (Kind::Request, bytes), "request")?;
-        let who = self.who(ctx)?;
+    fn request(&self, sim: &SimHandle, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
+        self.push_message(sim, (Kind::Request, bytes), "request")?;
+        let who = self.who(sim)?;
         // Replies travelling back to this side are indexed by this side.
         let my_dir = self.out_dir();
         let gate = &self.shared.gate;
@@ -316,8 +312,8 @@ impl ShipEndpoint for DirectEndpoint {
         }
     }
 
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        self.who(ctx)?;
+    fn reply(&self, sim: &SimHandle, bytes: ShipBytes) -> Result<(), ShipError> {
+        self.who(sim)?;
         // The requester lives on the opposite side; its reply queue is
         // indexed by *its* side.
         let peer_dir = self.in_dir();
@@ -333,5 +329,29 @@ impl ShipEndpoint for DirectEndpoint {
         g[peer_dir].replies.push_back(bytes);
         gate.notify_all(&mut g);
         Ok(())
+    }
+}
+
+/// Each call parks the polling thread until it can finish, so its future
+/// is ready at the first poll.
+impl ShipEndpoint for DirectEndpoint {
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move { self.push_message(sim, (Kind::Data, bytes), "send") })
+    }
+
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move { self.recv(sim) })
+    }
+
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        Box::pin(async move { self.request(sim, bytes) })
+    }
+
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(async move { self.reply(sim, bytes) })
     }
 }

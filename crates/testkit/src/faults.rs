@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shiptlm_explore::mapper::{PortHook, PortSite};
-use shiptlm_kernel::process::ThreadCtx;
+use shiptlm_kernel::sim::SimHandle;
 use shiptlm_kernel::time::SimDur;
 use shiptlm_ship::bytes::ShipBytes;
-use shiptlm_ship::channel::{ShipEndpoint, ShipPort};
+use shiptlm_ship::channel::{ShipEndpoint, ShipFuture, ShipPort};
 use shiptlm_ship::error::ShipError;
 
 use shiptlm_kernel::json::Json;
@@ -225,38 +225,48 @@ fn flip_last_byte(bytes: &ShipBytes) -> ShipBytes {
     ShipBytes::from(v)
 }
 
-impl ShipEndpoint for FaultyEndpoint {
-    fn send_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
+impl FaultyEndpoint {
+    async fn send(&self, sim: &SimHandle, bytes: ShipBytes) -> Result<(), ShipError> {
         let n = self.sends.fetch_add(1, Ordering::SeqCst);
         match self.kind {
             FaultKind::DropSend { nth } if n == nth => Ok(()),
             FaultKind::DuplicateSend { nth } if n == nth => {
-                self.inner.send_bytes(ctx, bytes.clone())?;
-                self.inner.send_bytes(ctx, bytes)
+                self.inner.send_bytes(sim, bytes.clone()).await?;
+                self.inner.send_bytes(sim, bytes).await
             }
             FaultKind::DelaySend { nth, by } if n == nth => {
                 if !by.is_zero() {
-                    ctx.wait_for(by);
+                    sim.wait_for(by).await;
                 }
-                self.inner.send_bytes(ctx, bytes)
+                self.inner.send_bytes(sim, bytes).await
             }
             FaultKind::CorruptSend { nth } if n == nth => {
-                self.inner.send_bytes(ctx, flip_last_byte(&bytes))
+                self.inner.send_bytes(sim, flip_last_byte(&bytes)).await
             }
-            _ => self.inner.send_bytes(ctx, bytes),
+            _ => self.inner.send_bytes(sim, bytes).await,
         }
     }
+}
 
-    fn recv_bytes(&self, ctx: &mut ThreadCtx) -> Result<ShipBytes, ShipError> {
-        self.inner.recv_bytes(ctx)
+impl ShipEndpoint for FaultyEndpoint {
+    fn send_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        Box::pin(self.send(sim, bytes))
     }
 
-    fn request_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<ShipBytes, ShipError> {
-        self.inner.request_bytes(ctx, bytes)
+    fn recv_bytes<'a>(&'a self, sim: &'a SimHandle) -> ShipFuture<'a, ShipBytes> {
+        self.inner.recv_bytes(sim)
     }
 
-    fn reply_bytes(&self, ctx: &mut ThreadCtx, bytes: ShipBytes) -> Result<(), ShipError> {
-        self.inner.reply_bytes(ctx, bytes)
+    fn request_bytes<'a>(
+        &'a self,
+        sim: &'a SimHandle,
+        bytes: ShipBytes,
+    ) -> ShipFuture<'a, ShipBytes> {
+        self.inner.request_bytes(sim, bytes)
+    }
+
+    fn reply_bytes<'a>(&'a self, sim: &'a SimHandle, bytes: ShipBytes) -> ShipFuture<'a, ()> {
+        self.inner.reply_bytes(sim, bytes)
     }
 }
 

@@ -31,27 +31,24 @@ fn cipher(data: &[u8], key: u32) -> Vec<u8> {
 fn build_app() -> AppSpec {
     let mut app = AppSpec::new("crypto_offload");
     // Control PE: sends plaintext, expects ciphertext back (RPC).
-    app.add_pe("control", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..BLOCKS {
-                let plain: Vec<u8> = (0..BLOCK_BYTES).map(|k| (k as u32 ^ i) as u8).collect();
-                let expected = cipher(&plain, 0xC0FF_EE00 | i);
-                let encrypted: Vec<u8> = ports[0].request(ctx, &(i, plain)).unwrap();
-                assert_eq!(encrypted, expected, "block {i} mismatch");
-            }
-        })
+    app.add_pe("control", move |h, ports| async move {
+        for i in 0..BLOCKS {
+            let plain: Vec<u8> = (0..BLOCK_BYTES).map(|k| (k as u32 ^ i) as u8).collect();
+            let expected = cipher(&plain, 0xC0FF_EE00 | i);
+            let encrypted: Vec<u8> = ports[0].request_async(&h, &(i, plain)).await.unwrap();
+            assert_eq!(encrypted, expected, "block {i} mismatch");
+        }
     });
     // Accelerator PE: hardware cipher engine with a fixed per-block latency.
-    app.add_pe("aes_engine", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for _ in 0..BLOCKS {
-                let (i, plain): (u32, Vec<u8>) = ports[0].recv(ctx).unwrap();
-                ctx.wait_for(SimDur::us(3)); // pipeline latency
-                ports[0]
-                    .reply(ctx, &cipher(&plain, 0xC0FF_EE00 | i))
-                    .unwrap();
-            }
-        })
+    app.add_pe("aes_engine", move |h, ports| async move {
+        for _ in 0..BLOCKS {
+            let (i, plain): (u32, Vec<u8>) = ports[0].recv_async(&h).await.unwrap();
+            h.wait_for(SimDur::us(3)).await; // pipeline latency
+            ports[0]
+                .reply_async(&h, &cipher(&plain, 0xC0FF_EE00 | i))
+                .await
+                .unwrap();
+        }
     });
     app.connect("ctl2aes", "control", "aes_engine");
     app

@@ -64,40 +64,32 @@ fn rle_pack(q: &[i16]) -> Vec<u8> {
 
 fn build_app() -> AppSpec {
     let mut app = AppSpec::new("jpeg_pipeline");
-    app.add_pe("camera", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..BLOCKS {
-                ports[0].send(ctx, &source_block(i)).unwrap();
-            }
-        })
+    app.add_pe("camera", move |h, ports| async move {
+        for i in 0..BLOCKS {
+            ports[0].send_async(&h, &source_block(i)).await.unwrap();
+        }
     });
-    app.add_pe("dct", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for _ in 0..BLOCKS {
-                let block: Vec<i16> = ports[0].recv(ctx).unwrap();
-                ctx.wait_for(SimDur::us(2)); // transform latency
-                ports[1].send(ctx, &dct_ish(&block)).unwrap();
-            }
-        })
+    app.add_pe("dct", move |h, ports| async move {
+        for _ in 0..BLOCKS {
+            let block: Vec<i16> = ports[0].recv_async(&h).await.unwrap();
+            h.wait_for(SimDur::us(2)).await; // transform latency
+            ports[1].send_async(&h, &dct_ish(&block)).await.unwrap();
+        }
     });
-    app.add_pe("quant", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for _ in 0..BLOCKS {
-                let coeffs: Vec<i32> = ports[0].recv(ctx).unwrap();
-                ctx.wait_for(SimDur::ns(500));
-                ports[1].send(ctx, &quantize(&coeffs)).unwrap();
-            }
-        })
+    app.add_pe("quant", move |h, ports| async move {
+        for _ in 0..BLOCKS {
+            let coeffs: Vec<i32> = ports[0].recv_async(&h).await.unwrap();
+            h.wait_for(SimDur::ns(500)).await;
+            ports[1].send_async(&h, &quantize(&coeffs)).await.unwrap();
+        }
     });
-    app.add_pe("packer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let mut total = 0usize;
-            for _ in 0..BLOCKS {
-                let q: Vec<i16> = ports[0].recv(ctx).unwrap();
-                total += rle_pack(&q).len();
-            }
-            assert!(total > 0);
-        })
+    app.add_pe("packer", move |h, ports| async move {
+        let mut total = 0usize;
+        for _ in 0..BLOCKS {
+            let q: Vec<i16> = ports[0].recv_async(&h).await.unwrap();
+            total += rle_pack(&q).len();
+        }
+        assert!(total > 0);
     });
     app.connect("cam2dct", "camera", "dct");
     app.connect("dct2q", "dct", "quant");

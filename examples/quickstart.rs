@@ -11,22 +11,18 @@ use shiptlm::prelude::*;
 fn main() -> Result<(), FlowError> {
     // 1. Describe the application: PEs + SHIP channels, no architecture yet.
     let mut app = AppSpec::new("quickstart");
-    app.add_pe("producer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..32u32 {
-                let payload: Vec<u8> = (0..64).map(|b| (b as u32 ^ i) as u8).collect();
-                ports[0].send(ctx, &(i, payload)).unwrap();
-            }
-        })
+    app.add_pe("producer", move |h, ports| async move {
+        for i in 0..32u32 {
+            let payload: Vec<u8> = (0..64).map(|b| (b as u32 ^ i) as u8).collect();
+            ports[0].send_async(&h, &(i, payload)).await.unwrap();
+        }
     });
-    app.add_pe("consumer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..32u32 {
-                let (n, payload): (u32, Vec<u8>) = ports[0].recv(ctx).unwrap();
-                assert_eq!(n, i);
-                assert_eq!(payload.len(), 64);
-            }
-        })
+    app.add_pe("consumer", move |h, ports| async move {
+        for i in 0..32u32 {
+            let (n, payload): (u32, Vec<u8>) = ports[0].recv_async(&h).await.unwrap();
+            assert_eq!(n, i);
+            assert_eq!(payload.len(), 64);
+        }
     });
     app.connect("stream", "producer", "consumer");
 

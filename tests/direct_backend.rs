@@ -81,17 +81,13 @@ fn auto_falls_back_on_timed_wait() {
 #[test]
 fn auto_falls_back_on_signal_update() {
     let mut app = AppSpec::new("signals");
-    app.add_pe("writer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let sig = ctx.sim().signal("level", 0u32);
-            sig.write(1);
-            ports[0].send(ctx, &7u32).unwrap();
-        })
+    app.add_pe("writer", move |h, ports| async move {
+        let sig = h.signal("level", 0u32);
+        sig.write(1);
+        ports[0].send_async(&h, &7u32).await.unwrap();
     });
-    app.add_pe("reader", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let _: u32 = ports[0].recv(ctx).unwrap();
-        })
+    app.add_pe("reader", move |h, ports| async move {
+        let _: u32 = ports[0].recv_async(&h).await.unwrap();
     });
     app.connect("link", "writer", "reader");
 
@@ -108,17 +104,13 @@ fn auto_falls_back_on_signal_update() {
 #[test]
 fn auto_falls_back_on_notify_after() {
     let mut app = AppSpec::new("timers");
-    app.add_pe("timer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let ev = ctx.sim().event("tick");
-            ev.notify_after(SimDur::ns(5));
-            ports[0].send(ctx, &1u8).unwrap();
-        })
+    app.add_pe("timer", move |h, ports| async move {
+        let ev = h.event("tick");
+        ev.notify_after(SimDur::ns(5));
+        ports[0].send_async(&h, &1u8).await.unwrap();
     });
-    app.add_pe("sink", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            let _: u8 = ports[0].recv(ctx).unwrap();
-        })
+    app.add_pe("sink", move |h, ports| async move {
+        let _: u8 = ports[0].recv_async(&h).await.unwrap();
     });
     app.connect("t", "timer", "sink");
 
@@ -152,23 +144,19 @@ fn direct_reports_ship_timeouts_like_de() {
     // same error shape on both backends.
     let stuck = |opts: &RunOptions| {
         let mut app = AppSpec::new("stuck");
-        app.add_pe("source", || {
-            Box::new(|ctx, ports: Vec<ShipPort>| {
-                let mut sent = 0u32;
-                loop {
-                    if ports[0].send(ctx, &sent).is_err() {
-                        break;
-                    }
-                    sent += 1;
+        app.add_pe("source", move |h, ports| async move {
+            let mut sent = 0u32;
+            loop {
+                if ports[0].send_async(&h, &sent).await.is_err() {
+                    break;
                 }
-                assert!(sent >= 16, "capacity worth of sends should succeed");
-            })
+                sent += 1;
+            }
+            assert!(sent >= 16, "capacity worth of sends should succeed");
         });
-        app.add_pe("sink", || {
-            Box::new(|ctx, ports: Vec<ShipPort>| {
-                // Observe the channel as slave, then stop draining.
-                let _: u32 = ports[0].recv(ctx).unwrap();
-            })
+        app.add_pe("sink", move |h, ports| async move {
+            // Observe the channel as slave, then stop draining.
+            let _: u32 = ports[0].recv_async(&h).await.unwrap();
         });
         app.connect("full", "source", "sink");
         run_component_assembly_with(&app, opts).expect("run completes via timeout")
@@ -189,12 +177,10 @@ fn direct_deadlock_is_diagnosed() {
     // diagnosis naming both processes instead of hanging.
     let mut app = AppSpec::new("deadlock");
     for (me, _other) in [("left", "right"), ("right", "left")] {
-        app.add_pe(me, || {
-            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                let got: Result<u32, _> = ports[0].recv(ctx);
-                // Unblocked only if the peer sends, which it never does.
-                let _ = got;
-            })
+        app.add_pe(me, move |h, ports| async move {
+            let got: Result<u32, _> = ports[0].recv_async(&h).await;
+            // Unblocked only if the peer sends, which it never does.
+            let _ = got;
         });
     }
     app.connect("lr", "left", "right");
@@ -285,7 +271,11 @@ fn auto_decides_every_case_as_recorded() {
         let spec = ModelSpec::random(harness.case_seed(index), &harness.gen);
         let opts = RunOptions::default().with_ship_timeout(SimDur::ms(10));
         record(&format!("case {index}"), &spec.to_app(), &opts);
-        record(&format!("case {index} untimed"), &untimed(&spec).to_app(), &opts);
+        record(
+            &format!("case {index} untimed"),
+            &untimed(&spec).to_app(),
+            &opts,
+        );
     }
     let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     for (name, case) in CorpusCase::load_dir(&corpus).expect("corpus parses") {

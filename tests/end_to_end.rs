@@ -13,38 +13,37 @@ fn sensor_fusion(samples: u32) -> (AppSpec, Arc<Mutex<Vec<i64>>>) {
     let results = Arc::new(Mutex::new(Vec::new()));
     let mut app = AppSpec::new("sensor_fusion");
     for s in 0..2u32 {
-        app.add_pe(&format!("sensor{s}"), move || {
-            Box::new(move |ctx, ports: Vec<ShipPort>| {
-                for i in 0..samples {
-                    let reading = i64::from(i) * (s as i64 + 1) - 5;
-                    ports[0].send(ctx, &reading).unwrap();
-                    ctx.wait_for(SimDur::us(1));
-                }
-            })
+        app.add_pe(&format!("sensor{s}"), move |h, ports| async move {
+            for i in 0..samples {
+                let reading = i64::from(i) * (s as i64 + 1) - 5;
+                ports[0].send_async(&h, &reading).await.unwrap();
+                h.wait_for(SimDur::us(1)).await;
+            }
         });
     }
     {
         let results = Arc::clone(&results);
-        app.add_pe("fusion", move || {
+        app.add_pe("fusion", move |h, ports| {
             let results = Arc::clone(&results);
-            Box::new(move |ctx, ports: Vec<ShipPort>| {
+            async move {
                 // Ports: [sensor0 in, sensor1 in, accel rpc].
                 for _ in 0..samples {
-                    let a: i64 = ports[0].recv(ctx).unwrap();
-                    let b: i64 = ports[1].recv(ctx).unwrap();
-                    let filtered: i64 = ports[2].request(ctx, &(a + b)).unwrap();
+                    let a: i64 = ports[0].recv_async(&h).await.unwrap();
+                    let b: i64 = ports[1].recv_async(&h).await.unwrap();
+                    let filtered: i64 = ports[2].request_async(&h, &(a + b)).await.unwrap();
                     results.lock().unwrap().push(filtered);
                 }
-            })
+            }
         });
     }
-    app.add_pe("accel", move || {
-        Box::new(move |ctx, ports: Vec<ShipPort>| {
-            for _ in 0..samples {
-                let x: i64 = ports[0].recv(ctx).unwrap();
-                ports[0].reply(ctx, &(x.saturating_mul(3) / 2)).unwrap();
-            }
-        })
+    app.add_pe("accel", move |h, ports| async move {
+        for _ in 0..samples {
+            let x: i64 = ports[0].recv_async(&h).await.unwrap();
+            ports[0]
+                .reply_async(&h, &(x.saturating_mul(3) / 2))
+                .await
+                .unwrap();
+        }
     });
     app.connect("s0", "sensor0", "fusion");
     app.connect("s1", "sensor1", "fusion");

@@ -200,21 +200,43 @@ fn noc_4x4_levels_keep_their_timing() {
     );
 }
 
-/// Activations of the PLB pin level as the host profiler counted them when
-/// every pin FSM was a thread process: the PE processes' alone, and all.
-const PLB_PIN_PE_ACTIVATIONS: u64 = 117;
+/// Process activations on PLB, as counted while the PE behaviours were
+/// still thread processes: the pin level and the CCATB level of the
+/// level-identity model, and a `sweep-grid` candidate.
 const PLB_PIN_ACTIVATIONS: u64 = 5849;
+const PLB_CCATB_ACTIVATIONS: u64 = 361;
+const PLB_GRID_CANDIDATE_ACTIVATIONS: u64 = 167;
+
+/// Asserts that no activation of a run resumed an OS thread and that the
+/// run made `total` activations. These are counts of scheduler dispatches,
+/// not wall-clock figures, so they cannot flake on a loaded host: the PE
+/// behaviours, the clock, the pin FSMs and the CAM transactions are all
+/// polled inline, and the schedule is the one the thread processes ran.
+fn assert_all_inline(a: Activations, total: u64) {
+    assert_eq!(a.threads, 0, "{a:?}");
+    assert_eq!(a.threads + a.inline, total, "{a:?}");
+}
 
 #[test]
 fn pin_level_fsms_never_resume_an_os_thread() {
-    // A count of scheduler dispatches, not a wall-clock figure: it cannot
-    // flake on a loaded host. Only the PE behaviours are thread processes;
-    // the clock, the pin FSMs and the CAM transactions they run are polled
-    // inline, and the schedule is the one the profiler counted.
     let app = model().to_app();
     let ca = run_component_assembly(&app).expect("roles detected");
     let pin = run_pin_accurate(&app, &ca.roles, &ArchSpec::plb()).expect("pin-accurate run");
-    let a = pin.output.activations;
-    assert_eq!(a.threads, PLB_PIN_PE_ACTIVATIONS, "{a:?}");
-    assert_eq!(a.threads + a.inline, PLB_PIN_ACTIVATIONS, "{a:?}");
+    assert_all_inline(pin.output.activations, PLB_PIN_ACTIVATIONS);
+}
+
+#[test]
+fn ccatb_pes_never_resume_an_os_thread() {
+    let app = model().to_app();
+    let ca = run_component_assembly(&app).expect("roles detected");
+    let ccatb = run_mapped(&app, &ca.roles, &ArchSpec::plb()).expect("ccatb run");
+    assert_all_inline(ccatb.output.activations, PLB_CCATB_ACTIVATIONS);
+}
+
+#[test]
+fn a_sweep_grid_candidate_never_resumes_an_os_thread() {
+    let app = workload::parallel_streams(2, 6, 64);
+    let ca = run_component_assembly(&app).expect("roles detected");
+    let candidate = run_mapped(&app, &ca.roles, &ArchSpec::plb()).expect("ccatb run");
+    assert_all_inline(candidate.output.activations, PLB_GRID_CANDIDATE_ACTIVATIONS);
 }

@@ -14,22 +14,18 @@ use shiptlm_testkit::prelude::{parse_folded, PromKind, PromText};
 
 fn quickstart_app(messages: u32) -> AppSpec {
     let mut app = AppSpec::new("quickstart");
-    app.add_pe("producer", move || {
-        Box::new(move |ctx, ports: Vec<ShipPort>| {
-            for i in 0..messages {
-                let payload: Vec<u8> = (0..64).map(|b| (b as u32 ^ i) as u8).collect();
-                ports[0].send(ctx, &(i, payload)).unwrap();
-            }
-        })
+    app.add_pe("producer", move |h, ports| async move {
+        for i in 0..messages {
+            let payload: Vec<u8> = (0..64).map(|b| (b as u32 ^ i) as u8).collect();
+            ports[0].send_async(&h, &(i, payload)).await.unwrap();
+        }
     });
-    app.add_pe("consumer", move || {
-        Box::new(move |ctx, ports: Vec<ShipPort>| {
-            for i in 0..messages {
-                let (n, payload): (u32, Vec<u8>) = ports[0].recv(ctx).unwrap();
-                assert_eq!(n, i);
-                assert_eq!(payload.len(), 64);
-            }
-        })
+    app.add_pe("consumer", move |h, ports| async move {
+        for i in 0..messages {
+            let (n, payload): (u32, Vec<u8>) = ports[0].recv_async(&h).await.unwrap();
+            assert_eq!(n, i);
+            assert_eq!(payload.len(), 64);
+        }
     });
     app.connect("stream", "producer", "consumer");
     app
@@ -104,20 +100,16 @@ fn partitioned_run_reports_doorbell_and_mailbox_series() {
     // A throttled producer, so the SW consumer actually blocks in the
     // driver (wait loops only count when they really wait).
     let mut app = AppSpec::new("throttled");
-    app.add_pe("producer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..8u32 {
-                ports[0].send(ctx, &i).unwrap();
-                ctx.wait_for(SimDur::us(5));
-            }
-        })
+    app.add_pe("producer", move |h, ports| async move {
+        for i in 0..8u32 {
+            ports[0].send_async(&h, &i).await.unwrap();
+            h.wait_for(SimDur::us(5)).await;
+        }
     });
-    app.add_pe("consumer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..8u32 {
-                assert_eq!(ports[0].recv::<u32>(ctx).unwrap(), i);
-            }
-        })
+    app.add_pe("consumer", move |h, ports| async move {
+        for i in 0..8u32 {
+            assert_eq!(ports[0].recv_async::<u32>(&h).await.unwrap(), i);
+        }
     });
     app.connect("stream", "producer", "consumer");
 
@@ -375,19 +367,15 @@ fn direct_backend_observability_is_inert() {
 #[test]
 fn report_csv_exports_escape_embedded_commas_and_quotes() {
     let mut app = AppSpec::new("escapes");
-    app.add_pe("producer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for i in 0..4u32 {
-                ports[0].send(ctx, &i).unwrap();
-            }
-        })
+    app.add_pe("producer", move |h, ports| async move {
+        for i in 0..4u32 {
+            ports[0].send_async(&h, &i).await.unwrap();
+        }
     });
-    app.add_pe("consumer", || {
-        Box::new(|ctx, ports: Vec<ShipPort>| {
-            for _ in 0..4u32 {
-                ports[0].recv::<u32>(ctx).unwrap();
-            }
-        })
+    app.add_pe("consumer", move |h, ports| async move {
+        for _ in 0..4u32 {
+            ports[0].recv_async::<u32>(&h).await.unwrap();
+        }
     });
     // A channel name with a comma and a quote must not shift CSV columns.
     app.connect("stream,\"v2\"", "producer", "consumer");
