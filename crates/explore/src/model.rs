@@ -28,8 +28,9 @@ use shiptlm_ship::wire::{ByteReader, ByteWriter, WireError};
 
 use crate::app::AppSpec;
 
-/// Most PEs one model may elaborate to. Every PE is a kernel thread; the
-/// bound matches the 1024-node cap the NoC elaborator puts on meshes.
+/// Most PEs one model may elaborate to. On the direct backend every PE is
+/// an OS thread; the bound matches the 1024-node cap the NoC elaborator
+/// puts on meshes.
 pub const MAX_PES: usize = 1024;
 
 /// Payloads travel as `Vec<u8>`, which SHIP prefixes with a `u64` length.

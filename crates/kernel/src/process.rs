@@ -205,7 +205,8 @@ enum CtxInner {
 /// A `ThreadCtx` is handed to the process body and is the only way for the
 /// process to block: [`wait`](ThreadCtx::wait), [`wait_for`](ThreadCtx::wait_for),
 /// [`wait_any`](ThreadCtx::wait_any) and [`wait_delta`](ThreadCtx::wait_delta)
-/// suspend the process and pass control to the scheduler. Channel
+/// run the [`SimHandle`](crate::sim::SimHandle) wait futures, which suspend
+/// the process and pass control to the scheduler. Channel
 /// operations are async (FIFO reads, SHIP calls, OCP transactions); thread
 /// code awaits them through [`block_on`](ThreadCtx::block_on), which the
 /// `(ctx, …)` forms of SHIP ports and OCP master ports wrap.
@@ -348,7 +349,8 @@ impl ThreadCtx {
 
     /// Suspends until `event` is notified.
     pub fn wait(&mut self, event: &Event) {
-        self.suspend(std::slice::from_ref(&event.id), None, Construct::EventWait);
+        let sim = self.sim();
+        self.block_on(sim.wait(event));
     }
 
     /// Suspends until any of `events` fires; returns the index of the one
@@ -358,9 +360,8 @@ impl ThreadCtx {
     ///
     /// Panics if `events` is empty (the process could never wake).
     pub fn wait_any(&mut self, events: &[&Event]) -> usize {
-        assert!(!events.is_empty(), "wait_any on an empty event set");
-        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        self.suspend(&ids, None, Construct::EventWait).index(&ids)
+        let sim = self.sim();
+        self.block_on(sim.wait_any(events))
     }
 
     /// Suspends until any of `events` fires or `timeout` elapses.
@@ -371,47 +372,22 @@ impl ThreadCtx {
     ///
     /// Panics if `events` is empty or `timeout` is zero.
     pub fn wait_any_for(&mut self, events: &[&Event], timeout: SimDur) -> Option<usize> {
-        assert!(!events.is_empty(), "wait_any_for on an empty event set");
-        assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
-        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        let woken = self.suspend(&ids, Some(Timer::After(timeout)), Construct::TimedWait);
-        let CtxInner::Kernel { kernel, .. } = &self.inner else {
-            unreachable!("a direct-backend wait disqualifies the run")
-        };
-        woken.before_timeout(kernel, &ids)
+        let sim = self.sim();
+        self.block_on(sim.wait_any_for(events, timeout))
     }
 
     /// Suspends for duration `d` of simulated time.
     pub fn wait_for(&mut self, d: SimDur) {
-        if d.is_zero() {
-            self.wait_delta();
-            return;
-        }
-        self.suspend(&[], Some(Timer::After(d)), Construct::TimedWait);
+        let sim = self.sim();
+        self.block_on(sim.wait_for(d));
     }
 
     /// Suspends for one delta cycle. On the direct backend this is a plain
     /// scheduling hint (plus an abort check): qualifying models only use it
     /// for fairness, never for ordering.
     pub fn wait_delta(&mut self) {
-        if let CtxInner::Direct { core, .. } = &self.inner {
-            core.yield_hint();
-            return;
-        }
-        self.suspend(&[], Some(Timer::Delta), Construct::EventWait);
-    }
-
-    /// Registers a wait of this process on `ids` (and its private timer,
-    /// when `timer` is set) through the kernel path the wait futures use,
-    /// and yields until it ends. On the direct backend, `construct`
-    /// disqualifies the run instead.
-    fn suspend(&mut self, ids: &[EventId], timer: Option<Timer>, construct: Construct) -> Woken {
-        let timer = match &self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => kernel.arm_wait(*pid, ids, timer),
-            CtxInner::Direct { core, .. } => core.disqualify(construct),
-        };
-        let cause = self.yield_now().expect("a wait resumed without a cause");
-        Woken { cause, timer }
+        let sim = self.sim();
+        self.block_on(sim.wait_delta());
     }
 
     /// Runs `fut` to completion in this thread process: the way thread code
