@@ -25,9 +25,7 @@ use std::time::Instant;
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
 use crate::kernel::{EventId, KernelShared, ProcessId, Resume, Timer};
-use crate::metrics::MetricsShared;
 use crate::time::{SimDur, SimTime};
-use crate::txn::TxnSpan;
 
 /// The process this OS thread is polling: its kernel (identity only), its
 /// id and the event that woke it, while unconsumed.
@@ -298,52 +296,6 @@ impl ThreadCtx {
         match &self.inner {
             CtxInner::Kernel { kernel, .. } => kernel.request_stop(),
             CtxInner::Direct { core, .. } => core.disqualify(Construct::ExplicitStop),
-        }
-    }
-
-    /// `true` when the transaction recorder is enabled
-    /// ([`Simulation::record_transactions`](crate::sim::Simulation::record_transactions)).
-    /// A single relaxed atomic load — instrumentation sites use it as the
-    /// zero-overhead fast path when recording is off.
-    #[inline]
-    pub fn txn_enabled(&self) -> bool {
-        match &self.inner {
-            CtxInner::Kernel { kernel, .. } => kernel.txn.is_enabled(),
-            CtxInner::Direct { core, .. } => core.txn.is_enabled(),
-        }
-    }
-
-    /// Records a completed transaction span, stamping it with this process's
-    /// name. No-op when the recorder is disabled.
-    pub fn txn_record(&self, span: TxnSpan<'_>) {
-        if !self.txn_enabled() {
-            return;
-        }
-        let (txn, process) = match &self.inner {
-            CtxInner::Kernel { kernel, pid, .. } => (&kernel.txn, kernel.process_name(*pid)),
-            CtxInner::Direct { core, index, .. } => (&core.txn, core.process_name(*index)),
-        };
-        txn.record(span.stamped(process));
-    }
-
-    /// `true` when the time-resolved metrics registry is enabled
-    /// ([`Simulation::enable_metrics`](crate::sim::Simulation::enable_metrics)).
-    /// A single relaxed atomic load — the zero-overhead fast path for
-    /// instrumentation sites when metrics are off.
-    #[inline]
-    pub fn metrics_enabled(&self) -> bool {
-        match &self.inner {
-            CtxInner::Kernel { kernel, .. } => kernel.metrics.is_enabled(),
-            CtxInner::Direct { core, .. } => core.metrics.is_enabled(),
-        }
-    }
-
-    /// The kernel's metrics registry, for recording counters, gauges, busy
-    /// spans and histogram samples from instrumented channels.
-    pub fn metrics(&self) -> &MetricsShared {
-        match &self.inner {
-            CtxInner::Kernel { kernel, .. } => &kernel.metrics,
-            CtxInner::Direct { core, .. } => &core.metrics,
         }
     }
 
