@@ -240,7 +240,12 @@ impl DriverCore {
         Ok(())
     }
 
-    async fn read_window(&self, sim: &SimHandle, win: u64, len: usize) -> Result<Vec<u8>, ShipError> {
+    async fn read_window(
+        &self,
+        sim: &SimHandle,
+        win: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, ShipError> {
         let mut out = Vec::with_capacity(len);
         let mut off = 0;
         while off < len {

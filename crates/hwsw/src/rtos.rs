@@ -365,7 +365,6 @@ impl<'a> TaskCtx<'a> {
     pub fn yield_now(&mut self) {
         self.ctx.block_on(self.rtos.yield_cpu(self.id));
     }
-
 }
 
 impl fmt::Debug for TaskCtx<'_> {

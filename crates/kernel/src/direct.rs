@@ -579,7 +579,12 @@ impl DirectCore {
             gate.sleepers.fetch_add(1, Ordering::Relaxed);
             guard = match timeout {
                 None => gate.cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
-                Some(t) => gate.cv.wait_timeout(guard, t).unwrap_or_else(|e| e.into_inner()).0,
+                Some(t) => {
+                    gate.cv
+                        .wait_timeout(guard, t)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
             };
             gate.sleepers.fetch_sub(1, Ordering::Relaxed);
             // Re-examine flags and the wake sequence; a spurious condvar
