@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use crate::event::Event;
 use crate::kernel::KernelShared;
-use crate::process::ThreadCtx;
 use crate::signal::Signal;
+use crate::sim::SimHandle;
 use crate::time::{SimDur, SimTime};
 
 /// A 50%-duty-cycle clock.
@@ -15,9 +15,11 @@ use crate::time::{SimDur, SimTime};
 /// The clock starts low; the first rising edge occurs after half a period,
 /// rounded down to whole picoseconds, and the high phase lasts the rest of
 /// the period, so an odd period still makes one rising edge per period.
-/// Cycle-accurate models synchronize on [`posedge`](Clock::posedge) (usually
-/// through [`wait_cycles`](Clock::wait_cycles)) and may convert elapsed time
-/// to cycles with [`cycles_between`](Clock::cycles_between).
+/// An async process named `<name>.gen` drives it: it awaits the clock's
+/// `<name>.tick` event and toggles the level on each one. Cycle-accurate
+/// models synchronize on [`posedge`](Clock::posedge) (usually through
+/// [`wait_cycles`](Clock::wait_cycles)) and may convert elapsed time to
+/// cycles with [`cycles_between`](Clock::cycles_between).
 pub struct Clock {
     signal: Signal<bool>,
     posedge: Event,
@@ -41,34 +43,27 @@ impl Clock {
 
         let low = period / 2;
         let high = period - low;
-        let sig = signal.clone();
-        let pos = posedge.clone();
-        let neg = negedge.clone();
-        let tick_for_method = tick.clone();
+        let sim = SimHandle::new(Arc::clone(&kernel));
+        let (sig, pos, neg) = (signal.clone(), posedge.clone(), negedge.clone());
         let edges = Arc::clone(&rising_edges);
-        let mut level = false;
-        kernel.spawn_method(
-            &format!("{name}.gen"),
-            &[tick.id()],
-            true,
-            Box::new(move |api| {
-                if api.cause().is_none() {
-                    // Initialization: schedule the first rising edge.
-                    tick_for_method.notify_after(low);
-                    return;
-                }
+        let generator = async move {
+            tick.notify_after(low);
+            let mut level = false;
+            loop {
+                sim.wait(&tick).await;
                 level = !level;
                 sig.write(level);
                 if level {
                     edges.fetch_add(1, Ordering::Relaxed);
                     pos.notify_delta();
-                    tick_for_method.notify_after(high);
+                    tick.notify_after(high);
                 } else {
                     neg.notify_delta();
-                    tick_for_method.notify_after(low);
+                    tick.notify_after(low);
                 }
-            }),
-        );
+            }
+        };
+        kernel.spawn_async(&format!("{name}.gen"), Box::pin(generator));
 
         Clock {
             signal,
@@ -113,10 +108,10 @@ impl Clock {
         self.rising_edges.load(Ordering::Relaxed)
     }
 
-    /// Suspends the calling thread process for `n` rising edges.
-    pub fn wait_cycles(&self, ctx: &mut ThreadCtx, n: u64) {
+    /// Suspends the polling process for `n` rising edges.
+    pub async fn wait_cycles(&self, sim: &SimHandle, n: u64) {
         for _ in 0..n {
-            ctx.wait(&self.posedge);
+            sim.wait(&self.posedge).await;
         }
     }
 

@@ -18,8 +18,9 @@ struct FifoShared<T> {
 }
 
 /// A bounded FIFO with async read/write for processes and non-blocking
-/// variants for methods. A thread process awaits the async operations
-/// through [`ThreadCtx::block_on`](crate::process::ThreadCtx::block_on).
+/// variants for code outside a process. A thread process awaits the async
+/// operations through
+/// [`ThreadCtx::block_on`](crate::process::ThreadCtx::block_on).
 ///
 /// Cloning yields another handle to the same channel; a typical module keeps
 /// one clone per port.

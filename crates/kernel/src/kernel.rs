@@ -11,18 +11,17 @@
 //! 4. **Time advance** — otherwise pop the earliest timed notifications and
 //!    advance [`SimTime`].
 //!
-//! There are three process kinds. A *method* is a callback, an *async*
-//! process is a future, and a *thread* process is a real OS thread. Exactly
-//! one OS thread holds control at any instant, so the simulation is fully
-//! deterministic. The scheduler loop runs on whichever thread holds
-//! control: the caller of `run` until the first thread process is due, then
-//! each thread process as it yields or terminates. The holder calls methods,
-//! polls async processes and runs update callbacks inline, at the runnable
-//! queue position where they are due, and resumes the next due thread
-//! process directly. So only a thread activation costs an OS handoff, and
-//! none when the yielding thread is itself the next one due. The holder at
-//! the end of a run reports how it ended on a one-slot channel that `run`
-//! blocks on.
+//! There are two process kinds. An *async* process is a future, and a
+//! *thread* process is a real OS thread. Exactly one OS thread holds
+//! control at any instant, so the simulation is fully deterministic. The
+//! scheduler loop runs on whichever thread holds control: the caller of
+//! `run` until the first thread process is due, then each thread process as
+//! it yields or terminates. The holder polls async processes and runs
+//! update callbacks inline, at the runnable queue position where they are
+//! due, and resumes the next due thread process directly. So only a thread
+//! activation costs an OS handoff, and none when the yielding thread is
+//! itself the next one due. The holder at the end of a run reports how it
+//! ended on a one-slot channel that `run` blocks on.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -53,7 +52,7 @@ use crate::txn::TxnShared;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub(crate) usize);
 
-/// Identifies a process (thread, method or async) inside the kernel.
+/// Identifies a process (thread or async) inside the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId(pub(crate) usize);
 
@@ -90,8 +89,7 @@ impl fmt::Display for StopReason {
 pub struct Activations {
     /// Thread-process activations: each one resumes an OS thread.
     pub threads: u64,
-    /// Method calls and async polls, run inline by the thread holding
-    /// control.
+    /// Async-process polls, run inline by the thread holding control.
     pub inline: u64,
 }
 
@@ -115,7 +113,7 @@ enum RunEnd {
     Done(RunResult),
     /// A thread process panicked; the message `run` re-raises.
     ProcessPanicked(String),
-    /// A method process or update callback panicked on a process thread;
+    /// An async process or update callback panicked on a process thread;
     /// `run` re-raises its payload as if it had run there.
     Panicked(Box<dyn Any + Send>),
 }
@@ -147,10 +145,8 @@ struct KillToken;
 struct EventRec {
     /// Interned: handed out as `Arc` clones, never re-allocated per query.
     name: Arc<str>,
-    /// Threads dynamically waiting on this event.
+    /// Processes waiting on this event, in registration order.
     waiters: Vec<ProcessId>,
-    /// Methods statically sensitive to this event.
-    static_sensitive: Vec<ProcessId>,
     /// Pending delta notification?
     delta_pending: bool,
     /// Earliest pending timed notification, if any.
@@ -159,14 +155,10 @@ struct EventRec {
 
 enum ProcKind {
     Thread(ThreadLink),
-    /// `None` while the callback runs and after teardown.
-    Method(Option<MethodFn>),
     /// `None` while the future is polled, after it finished and after
     /// teardown.
     Async(Option<AsyncBody>),
 }
-
-pub(crate) type MethodFn = Box<dyn FnMut(&mut MethodApi) + Send>;
 
 pub(crate) type AsyncBody = Pin<Box<dyn Future<Output = ()> + Send>>;
 
@@ -258,7 +250,7 @@ pub(crate) struct KernelShared {
     pub(crate) profiler: HostProfiler,
     /// Thread activations: dispatches that resume an OS thread.
     thread_activations: AtomicU64,
-    /// Inline activations: method calls and async polls.
+    /// Inline activations: async polls.
     inline_activations: AtomicU64,
     /// Set when this kernel is the dormant companion of one thread of a
     /// direct-execution run: that run's core and the thread's index.
@@ -381,7 +373,6 @@ impl KernelShared {
         g.events.push(EventRec {
             name: Arc::from(name),
             waiters: Vec::new(),
-            static_sensitive: Vec::new(),
             delta_pending: false,
             timed_at: None,
         });
@@ -449,40 +440,19 @@ impl KernelShared {
         }
     }
 
-    /// Fires `id`: wakes dynamic waiters and triggers static-sensitive
-    /// methods, moving them into the runnable set.
+    /// Fires `id`: wakes its waiters in registration order, moving them
+    /// into the runnable set.
     ///
-    /// Allocation-free on the hot path: both process lists are moved out,
-    /// iterated, and moved back so their capacity is reused across fires.
-    /// This is sound because `wake` only touches process state, `waiters`
-    /// lists and the runnable queue — never `static_sensitive` — and the
-    /// kernel lock is held throughout, so nothing else can repopulate the
-    /// vectors mid-loop.
+    /// Allocation-free on the hot path: the waiter list is moved out,
+    /// drained, and moved back so its capacity is reused across fires.
+    /// `wake` only deregisters, and the kernel lock is held throughout, so
+    /// nothing can repopulate the list mid-loop.
     fn fire(g: &mut Inner, id: EventId) {
         let mut waiters = std::mem::take(&mut g.events[id.0].waiters);
         for pid in waiters.drain(..) {
             Self::wake(g, pid, Some(id));
         }
-        // `wake` may have re-registered nothing on this event (it only
-        // deregisters), so the slot is empty and takes the capacity back.
-        let slot = &mut g.events[id.0].waiters;
-        if slot.is_empty() {
-            *slot = waiters;
-        }
-
-        let methods = std::mem::take(&mut g.events[id.0].static_sensitive);
-        for &pid in &methods {
-            Self::wake(g, pid, Some(id));
-        }
-        let slot = &mut g.events[id.0].static_sensitive;
-        if slot.is_empty() {
-            *slot = methods;
-        } else {
-            // A method registered itself mid-fire (not possible today, but
-            // cheap to stay correct about): keep both sets.
-            let appended = std::mem::replace(slot, methods);
-            slot.extend(appended);
-        }
+        g.events[id.0].waiters = waiters;
     }
 
     fn wake(g: &mut Inner, pid: ProcessId, cause: Option<EventId>) {
@@ -543,7 +513,7 @@ impl KernelShared {
             resume_tx: Some(resume_tx),
             join: None,
         };
-        let pid = self.add_process(name, ProcKind::Thread(link), &[], true);
+        let pid = self.add_process(name, ProcKind::Thread(link));
         let kernel = Arc::clone(self);
         let join = std::thread::Builder::new()
             .name(name.to_string())
@@ -577,30 +547,13 @@ impl KernelShared {
         pid
     }
 
-    pub(crate) fn spawn_method(
-        self: &Arc<Self>,
-        name: &str,
-        sensitivity: &[EventId],
-        initialize: bool,
-        f: MethodFn,
-    ) -> ProcessId {
-        self.add_process(name, ProcKind::Method(Some(f)), sensitivity, initialize)
-    }
-
     pub(crate) fn spawn_async(self: &Arc<Self>, name: &str, body: AsyncBody) -> ProcessId {
-        self.add_process(name, ProcKind::Async(Some(body)), &[], true)
+        self.add_process(name, ProcKind::Async(Some(body)))
     }
 
-    /// Adds a process with its private timer, statically sensitive to
-    /// `sensitivity`; `ready` makes it runnable at once (SystemC default
+    /// Adds a runnable process with its private timer (SystemC default
     /// initialization: during a run it joins the current evaluate phase).
-    fn add_process(
-        &self,
-        name: &str,
-        kind: ProcKind,
-        sensitivity: &[EventId],
-        ready: bool,
-    ) -> ProcessId {
+    fn add_process(&self, name: &str, kind: ProcKind) -> ProcessId {
         self.disqualify_if_direct(Construct::DynamicProcess);
         let timer = self.new_event(&format!("{name}.timer"));
         let mut g = self.lock();
@@ -608,21 +561,12 @@ impl KernelShared {
         g.processes.push(ProcRec {
             name: Arc::from(name),
             kind,
-            state: if ready {
-                PState::Ready
-            } else {
-                PState::Waiting
-            },
+            state: PState::Ready,
             waiting_on: Vec::new(),
             wake_cause: None,
             timer,
         });
-        for eid in sensitivity {
-            g.events[eid.0].static_sensitive.push(pid);
-        }
-        if ready {
-            g.runnable.push_back(pid);
-        }
+        g.runnable.push_back(pid);
         pid
     }
 
@@ -669,10 +613,10 @@ impl KernelShared {
         }
     }
 
-    /// The scheduler loop, run by the thread holding control. Runs methods
-    /// and update callbacks inline and returns when a thread process is due
-    /// or the run ends. It always resumes inside the evaluate phase, the
-    /// only place it leaves before the run ends.
+    /// The scheduler loop, run by the thread holding control. Polls async
+    /// processes and runs update callbacks inline and returns when a thread
+    /// process is due or the run ends. It always resumes inside the
+    /// evaluate phase, the only place it leaves before the run ends.
     fn schedule(self: &Arc<Self>) -> Next {
         loop {
             // --- Phase 1: evaluate ----------------------------------------
@@ -705,12 +649,6 @@ impl KernelShared {
                             let tx = tx.clone();
                             self.thread_activations.fetch_add(1, Ordering::Relaxed);
                             return Next::Resume { pid, cause, tx };
-                        }
-                    }
-                    ProcKind::Method(slot) => {
-                        if let Some(f) = slot.take() {
-                            drop(g);
-                            self.run_method(pid, f, cause);
                         }
                     }
                     ProcKind::Async(slot) => {
@@ -815,22 +753,6 @@ impl KernelShared {
             drop(g);
             self.profiler.record_phase(PHASE_ADVANCE, probe);
         }
-    }
-
-    /// Runs one activation of a method process on the thread holding
-    /// control.
-    fn run_method(self: &Arc<Self>, pid: ProcessId, mut f: MethodFn, cause: Option<EventId>) {
-        self.inline_activations.fetch_add(1, Ordering::Relaxed);
-        let probe = self.profiler.start();
-        let mut api = MethodApi {
-            kernel: Arc::clone(self),
-            cause,
-        };
-        f(&mut api);
-        if let ProcKind::Method(slot) = &mut self.lock().processes[pid.0].kind {
-            *slot = Some(f);
-        }
-        self.record_activation(pid, probe);
     }
 
     /// Polls async process `pid` once on the thread holding control, with
@@ -948,9 +870,8 @@ impl KernelShared {
         format!("process '{name}' panicked: {msg}")
     }
 
-    /// Kills and joins every live process thread, and drops every method
-    /// closure, async body and pending update callback. Called on
-    /// simulation drop.
+    /// Kills and joins every live process thread, and drops every async
+    /// body and pending update callback. Called on simulation drop.
     ///
     /// Each thread is parked either in its initial `recv` (never dispatched)
     /// or inside `yield_now` waiting for a resume. `Resume::Kill` unwinds it
@@ -958,12 +879,11 @@ impl KernelShared {
     /// well guarantees the `recv` errors out even if the kill message could
     /// not be buffered, so teardown can never hang on a live thread.
     ///
-    /// Closures and futures that capture an `Event` or `Signal` (every
-    /// `Clock`'s and every pin FSM's do) hold this kernel through them, a
+    /// Futures that capture an `Event` or `Signal` (every `Clock`'s
+    /// generator and every pin FSM do) hold this kernel through them, a
     /// reference cycle that only dropping them breaks.
     pub(crate) fn teardown(&self) {
         type LinkParts = (Option<SyncSender<Resume>>, Option<JoinHandle<()>>);
-        let mut methods: Vec<MethodFn> = Vec::new();
         let mut bodies: Vec<AsyncBody> = Vec::new();
         let (links, updates): (Vec<LinkParts>, Vec<UpdateFn>) = {
             let mut g = self.lock();
@@ -974,10 +894,6 @@ impl KernelShared {
                     p.state = PState::Terminated;
                     match &mut p.kind {
                         ProcKind::Thread(link) => (link.resume_tx.take(), link.join.take()),
-                        ProcKind::Method(slot) => {
-                            methods.extend(slot.take());
-                            (None, None)
-                        }
                         ProcKind::Async(slot) => {
                             bodies.extend(slot.take());
                             (None, None)
@@ -988,7 +904,6 @@ impl KernelShared {
             (links, std::mem::take(&mut g.update_requests))
         };
         // Dropped outside the kernel lock, which their captures may take.
-        drop(methods);
         drop(bodies);
         drop(updates);
         // First wave: send kills / drop senders without joining, so sibling
@@ -1137,33 +1052,5 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "unknown panic payload".to_string()
-    }
-}
-
-/// API handed to method-process callbacks.
-pub struct MethodApi {
-    kernel: Arc<KernelShared>,
-    cause: Option<EventId>,
-}
-
-impl MethodApi {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now()
-    }
-
-    /// The event that triggered this activation, if any (none on the
-    /// initialization call).
-    pub fn cause(&self) -> Option<EventId> {
-        self.cause
-    }
-}
-
-impl fmt::Debug for MethodApi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MethodApi")
-            .field("now", &self.now())
-            .field("cause", &self.cause)
-            .finish()
     }
 }

@@ -9,14 +9,15 @@
 //!
 //! * [`Simulation`](sim::Simulation) — elaboration and run control;
 //! * [`Event`](event::Event) — immediate/delta/timed notifications;
-//! * three process kinds: method processes with static sensitivity,
-//!   async processes ([`spawn_async`](sim::Simulation::spawn_async)) that
-//!   await the wait futures of a [`SimHandle`](sim::SimHandle), and thread
-//!   processes with blocking [`wait`](process::ThreadCtx::wait) semantics.
-//!   The thread holding control calls methods and polls async processes
-//!   inline; only a thread activation costs an OS handoff, and
+//! * two process kinds: async processes
+//!   ([`spawn_async`](sim::Simulation::spawn_async)) that await the wait
+//!   futures of a [`SimHandle`](sim::SimHandle), and thread processes with
+//!   blocking [`wait`](process::ThreadCtx::wait) semantics. The thread
+//!   holding control polls async processes inline; only a thread
+//!   activation costs an OS handoff, and
 //!   [`ThreadCtx::block_on`](process::ThreadCtx::block_on) lets thread code
-//!   await async APIs;
+//!   await async APIs. Every process the library spawns (clock generators,
+//!   pin FSMs, PE behaviours, RTOS tasks) is async;
 //! * [`Signal`](signal::Signal) (request/update), [`Fifo`](fifo::Fifo),
 //!   [`Clock`](clock::Clock), [`SimMutex`](sync::SimMutex) and
 //!   [`SimSemaphore`](sync::SimSemaphore);
@@ -71,7 +72,7 @@ pub mod time;
 pub mod trace;
 pub mod txn;
 
-pub use kernel::{Activations, EventId, MethodApi, ProcessId, RunResult, StopReason};
+pub use kernel::{Activations, EventId, ProcessId, RunResult, StopReason};
 
 /// Commonly used kernel items.
 pub mod prelude {
@@ -92,5 +93,5 @@ pub mod prelude {
     pub use crate::sync::{SimMutex, SimSemaphore};
     pub use crate::time::{SimDur, SimTime};
     pub use crate::txn::{TxnEvent, TxnLevel, TxnOutcome, TxnSpan, TxnTrace};
-    pub use crate::{Activations, EventId, MethodApi, ProcessId, RunResult, StopReason};
+    pub use crate::{Activations, EventId, ProcessId, RunResult, StopReason};
 }

@@ -9,7 +9,7 @@ use crate::clock::Clock;
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
 use crate::fifo::Fifo;
-use crate::kernel::{Activations, EventId, KernelShared, MethodApi, ProcessId, RunResult, Timer};
+use crate::kernel::{Activations, EventId, KernelShared, ProcessId, RunResult, Timer};
 use crate::liveness::{DeadlockReport, EndpointId};
 use crate::metrics::{HostProfile, MetricsShared, MetricsSnapshot};
 use crate::process::{Polling, Suspend, ThreadCtx};
@@ -69,8 +69,8 @@ impl Simulation {
     }
 
     /// Process activations so far: thread activations, each of which
-    /// resumes an OS thread, and inline ones (method calls and async
-    /// polls). Two relaxed counters, always on.
+    /// resumes an OS thread, and inline ones (async polls). Two relaxed
+    /// counters, always on.
     pub fn activations(&self) -> Activations {
         self.kernel.activations()
     }
@@ -121,26 +121,6 @@ impl Simulation {
         F: Future<Output = ()> + Send + 'static,
     {
         self.kernel.spawn_async(name, Box::pin(body))
-    }
-
-    /// Spawns a method process triggered whenever any event in `sensitivity`
-    /// fires. The callback is also invoked once at initialization.
-    pub fn spawn_method<F>(&self, name: &str, sensitivity: &[&Event], cb: F) -> ProcessId
-    where
-        F: FnMut(&mut MethodApi) + Send + 'static,
-    {
-        let ids: Vec<_> = sensitivity.iter().map(|e| e.id).collect();
-        self.kernel.spawn_method(name, &ids, true, Box::new(cb))
-    }
-
-    /// Like [`spawn_method`](Self::spawn_method) but without the
-    /// initialization call (SystemC `dont_initialize`).
-    pub fn spawn_method_no_init<F>(&self, name: &str, sensitivity: &[&Event], cb: F) -> ProcessId
-    where
-        F: FnMut(&mut MethodApi) + Send + 'static,
-    {
-        let ids: Vec<_> = sensitivity.iter().map(|e| e.id).collect();
-        self.kernel.spawn_method(name, &ids, false, Box::new(cb))
     }
 
     /// A cloneable handle usable from process bodies or helper structs.

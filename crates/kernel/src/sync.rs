@@ -5,7 +5,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
-use crate::process::ThreadCtx;
 use crate::sim::SimHandle;
 
 struct SemShared {
@@ -13,9 +12,9 @@ struct SemShared {
     freed: Event,
 }
 
-/// A counting semaphore for thread processes.
+/// A counting semaphore for simulated processes.
 ///
-/// `acquire` suspends the calling process while the count is zero; `release`
+/// `acquire` suspends the polling process while the count is zero; `release`
 /// wakes all waiters (they re-contend deterministically in wake order).
 #[derive(Clone)]
 pub struct SimSemaphore {
@@ -38,17 +37,11 @@ impl SimSemaphore {
         *self.shared.count.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Takes one permit, blocking while none are available.
-    pub fn acquire(&self, ctx: &mut ThreadCtx) {
-        loop {
-            {
-                let mut g = self.shared.count.lock().unwrap_or_else(|e| e.into_inner());
-                if *g > 0 {
-                    *g -= 1;
-                    return;
-                }
-            }
-            ctx.wait(&self.shared.freed);
+    /// Takes one permit, suspending the polling process while none are
+    /// available.
+    pub async fn acquire(&self, sim: &SimHandle) {
+        while !self.try_acquire() {
+            sim.wait(&self.shared.freed).await;
         }
     }
 
@@ -81,7 +74,7 @@ impl fmt::Debug for SimSemaphore {
     }
 }
 
-/// A mutual-exclusion lock for thread processes, built on a binary
+/// A mutual-exclusion lock for simulated processes, built on a binary
 /// [`SimSemaphore`].
 #[derive(Clone, Debug)]
 pub struct SimMutex {
@@ -96,9 +89,10 @@ impl SimMutex {
         }
     }
 
-    /// Acquires the lock, blocking while another process holds it.
-    pub fn lock(&self, ctx: &mut ThreadCtx) {
-        self.sem.acquire(ctx);
+    /// Acquires the lock, suspending the polling process while another
+    /// process holds it.
+    pub async fn lock(&self, sim: &SimHandle) {
+        self.sem.acquire(sim).await;
     }
 
     /// Attempts to acquire without blocking.
@@ -134,11 +128,12 @@ mod tests {
             let sem = sem.clone();
             let active = StdArc::clone(&active);
             let peak = StdArc::clone(&peak);
-            sim.spawn_thread(&format!("p{i}"), move |ctx| {
-                sem.acquire(ctx);
+            let h = sim.handle();
+            sim.spawn_async(&format!("p{i}"), async move {
+                sem.acquire(&h).await;
                 let a = active.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(a, Ordering::SeqCst);
-                ctx.wait_for(SimDur::ns(10));
+                h.wait_for(SimDur::ns(10)).await;
                 active.fetch_sub(1, Ordering::SeqCst);
                 sem.release();
             });
@@ -173,10 +168,11 @@ mod tests {
         for i in 0..3u32 {
             let m = m.clone();
             let order = StdArc::clone(&order);
-            sim.spawn_thread(&format!("t{i}"), move |ctx| {
-                m.lock(ctx);
-                order.lock().unwrap().push((i, ctx.now()));
-                ctx.wait_for(SimDur::ns(5));
+            let h = sim.handle();
+            sim.spawn_async(&format!("t{i}"), async move {
+                m.lock(&h).await;
+                order.lock().unwrap().push((i, h.now()));
+                h.wait_for(SimDur::ns(5)).await;
                 m.unlock();
             });
         }

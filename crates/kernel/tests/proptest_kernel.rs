@@ -147,14 +147,15 @@ fn semaphore_conserves_permits() {
         for i in 0..procs {
             let sem = sem.clone();
             let active = Arc::clone(&active);
-            sim.spawn_thread(&format!("p{i}"), move |ctx| {
-                sem.acquire(ctx);
+            let h = sim.handle();
+            sim.spawn_async(&format!("p{i}"), async move {
+                sem.acquire(&h).await;
                 {
                     let mut g = active.lock().unwrap();
                     g.0 += 1;
                     g.1 = g.1.max(g.0);
                 }
-                ctx.wait_for(SimDur::ns(hold_ns));
+                h.wait_for(SimDur::ns(hold_ns)).await;
                 active.lock().unwrap().0 -= 1;
                 sem.release();
             });

@@ -247,10 +247,12 @@ fn signal_changed_event_fires_only_on_change() {
     let sig = sim.signal("s", 5u32);
     let changes = Arc::new(AtomicU64::new(0));
     {
-        let ev = sig.changed_event();
-        let changes = Arc::clone(&changes);
-        sim.spawn_method_no_init("mon", &[&ev], move |_| {
-            changes.fetch_add(1, Ordering::SeqCst);
+        let (ev, changes, h) = (sig.changed_event(), Arc::clone(&changes), sim.handle());
+        sim.spawn_async("mon", async move {
+            loop {
+                h.wait(&ev).await;
+                changes.fetch_add(1, Ordering::SeqCst);
+            }
         });
     }
     {
@@ -382,17 +384,14 @@ fn wait_cycles_counts_posedges() {
     let clk = sim.clock("clk", SimDur::ns(4));
     let t_end = Arc::new(Mutex::new(SimTime::ZERO));
     {
-        let t = Arc::clone(&t_end);
-        let pos = clk.posedge().clone();
-        sim.spawn_thread("p", move |ctx| {
+        let (t, h) = (Arc::clone(&t_end), sim.handle());
+        sim.spawn_async("p", async move {
             // Align to first edge then count 5 more.
-            ctx.wait(&pos);
-            let start = ctx.now();
-            for _ in 0..5 {
-                ctx.wait(&pos);
-            }
-            *t.lock().unwrap() = ctx.now();
-            assert_eq!(ctx.now().since(start), SimDur::ns(20));
+            clk.wait_cycles(&h, 1).await;
+            let start = h.now();
+            clk.wait_cycles(&h, 5).await;
+            *t.lock().unwrap() = h.now();
+            assert_eq!(h.now().since(start), SimDur::ns(20));
         });
     }
     sim.run_until(SimTime::ZERO + SimDur::ns(100));
@@ -477,46 +476,6 @@ fn dynamic_spawn_during_run() {
     let r = sim.run();
     assert_eq!(count.load(Ordering::SeqCst), 1);
     assert_eq!(r.time, SimTime::ZERO + SimDur::ns(10));
-}
-
-#[test]
-fn method_process_triggers_on_static_sensitivity() {
-    let sim = Simulation::new();
-    let ev = sim.event("tick");
-    let count = Arc::new(AtomicU64::new(0));
-    {
-        let count = Arc::clone(&count);
-        sim.spawn_method_no_init("m", &[&ev], move |_api| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    {
-        let ev = ev.clone();
-        sim.spawn_thread("driver", move |ctx| {
-            for _ in 0..4 {
-                ev.notify_delta();
-                ctx.wait_for(SimDur::ns(1));
-            }
-        });
-    }
-    sim.run();
-    assert_eq!(count.load(Ordering::SeqCst), 4);
-}
-
-#[test]
-fn method_initialization_call_runs_once() {
-    let sim = Simulation::new();
-    let ev = sim.event("never");
-    let count = Arc::new(AtomicU64::new(0));
-    {
-        let count = Arc::clone(&count);
-        sim.spawn_method("m", &[&ev], move |api| {
-            assert!(api.cause().is_none());
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    sim.run();
-    assert_eq!(count.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -759,10 +718,12 @@ fn ns(t: SimTime) -> u64 {
 
 #[test]
 fn dispatch_order_is_pinned() {
-    // Every thread or async and method activation, in order. Covers
-    // immediate, delta and timed notifications, a process resuming itself
-    // after `wait_delta`, a dynamic spawn, and a `run_until` that pauses
-    // the run while processes are mid-flight and then resumes it.
+    // Every process activation, in order. Covers immediate, delta and
+    // timed notifications, a process resuming itself after `wait_delta`, a
+    // dynamic spawn, and a `run_until` that pauses the run while processes
+    // are mid-flight and then resumes it. `m` re-registers on `delta`
+    // before `b` does at 10 and 20 ns (`b` woke on `imm` in between), and a
+    // fire wakes its waiters in registration order.
     for kind in KINDS {
         assert_eq!(
             dispatch_log(kind),
@@ -776,8 +737,8 @@ fn dispatch_order_is_pinned() {
                 "a1@10",
                 "b.imm@10",
                 "a1.delta@10",
-                "b.delta@10",
                 "m.delta@10",
+                "b.delta@10",
                 "spawner@12",
                 "child@12",
                 "b.imm@12",
@@ -789,8 +750,8 @@ fn dispatch_order_is_pinned() {
                 "a2@20",
                 "b.imm@20",
                 "a2.delta@20",
-                "b.delta@20",
                 "m.delta@20",
+                "b.delta@20",
                 "m.timed@25",
                 "a.end@30",
                 "end.Starved@30 deltas=14",
@@ -801,7 +762,7 @@ fn dispatch_order_is_pinned() {
 }
 
 /// The activation log of the dispatch-order model with its processes of
-/// `kind` (the method stays a method).
+/// `kind`.
 fn dispatch_log(kind: Kind) -> Vec<String> {
     let sim = Simulation::new();
     let h = sim.handle();
@@ -834,14 +795,13 @@ fn dispatch_log(kind: Kind) -> Vec<String> {
         });
     }
     {
-        let (delta_id, push) = (delta.id(), push.clone());
-        sim.spawn_method("m", &[&delta, &timed], move |api| {
-            let cause = match api.cause() {
-                None => "init",
-                Some(c) if c == delta_id => "delta",
-                Some(_) => "timed",
-            };
-            push(&format!("m.{cause}@{}", ns(api.now())));
+        let push = push.clone();
+        spawn(&h, kind, "m", |h| async move {
+            push(&format!("m.init@{}", ns(h.now())));
+            loop {
+                let which = h.wait_any(&[&delta, &timed]).await;
+                push(&format!("m.{}@{}", ["delta", "timed"][which], ns(h.now())));
+            }
         });
     }
     {
@@ -926,22 +886,6 @@ fn assert_resumes_to_completion(sim: &Simulation, done: &AtomicU64) {
     assert_eq!(done.load(Ordering::SeqCst), 1);
 }
 
-#[test]
-fn method_panic_after_a_thread_yield_surfaces_with_its_payload() {
-    for kind in KINDS {
-        let sim = Simulation::new();
-        let kick = sim.event("kick");
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let kick = kick.clone();
-            spawn_two_step(&sim, kind, &done, move || kick.notify_delta());
-        }
-        sim.spawn_method_no_init("m", &[&kick], |_| panic!("method boom"));
-        assert_eq!(run_expecting_panic(&sim), "method boom", "{kind:?}");
-        assert_resumes_to_completion(&sim, &done);
-    }
-}
-
 /// A signal value whose comparison panics on 13: the update phase compares
 /// the written value with the current one.
 #[derive(Clone, Debug)]
@@ -991,18 +935,21 @@ fn process_panic_resumed_by_another_process_names_the_process() {
 
 #[test]
 fn drop_releases_the_methods_of_a_clocked_model() {
-    // A method closure or a process body that captures an event refers
-    // back to the kernel through it (every clock's generator does);
-    // dropping the simulation must still drop both.
+    // A process body that captures an event refers back to the kernel
+    // through it (every clock's generator does); dropping the simulation
+    // must still drop it, whatever its kind.
     for kind in KINDS {
         let sim = Simulation::new();
         let clk = sim.clock("clk", SimDur::ns(10));
         let marker = Arc::new(());
         let released = Arc::downgrade(&marker);
         {
-            let (marker, posedge) = (Arc::clone(&marker), clk.posedge().clone());
-            sim.spawn_method_no_init("edges", &[clk.posedge()], move |_| {
-                let _ = (&marker, &posedge);
+            let (marker, posedge, h) = (Arc::clone(&marker), clk.posedge().clone(), sim.handle());
+            sim.spawn_async("edges", async move {
+                loop {
+                    h.wait(&posedge).await;
+                    let _ = &marker;
+                }
             });
         }
         let posedge = clk.posedge().clone();
@@ -1017,7 +964,7 @@ fn drop_releases_the_methods_of_a_clocked_model() {
         drop(sim);
         assert!(
             released.upgrade().is_none(),
-            "{kind:?}: the method closure or process body outlived its simulation"
+            "{kind:?}: a process body outlived its simulation"
         );
     }
 }
