@@ -21,8 +21,9 @@ pub type PeFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 /// Ports arrive in the order the PE's channels were added to the
 /// [`AppSpec`]. The same behaviour is used at every abstraction level —
 /// only the port backing changes (paper §4's "no source change"). The
-/// delta-cycle runners poll the future inline as an async process; the
-/// direct backend and RTOS tasks run it on their thread with
+/// delta-cycle runners poll the future inline as an async process, and an
+/// RTOS task (a SW PE) awaits it the same way; the direct backend runs it
+/// on the PE's thread with
 /// [`ThreadCtx::block_on`](shiptlm_kernel::process::ThreadCtx::block_on).
 pub type PeBehavior = Arc<dyn Fn(SimHandle, Vec<ShipPort>) -> PeFuture + Send + Sync>;
 

@@ -4,9 +4,9 @@
 //! [`Cpu::spawn_sw_pe`] is the "SW synthesis" step: it takes a processing
 //! element behaviour that builds its future from `(SimHandle,
 //! Vec<ShipPort>)` — the very same signature used for hardware PEs — and
-//! runs it as an RTOS task whose SHIP ports are backed by the device
-//! driver. No PE source changes are involved; only the port binding
-//! differs.
+//! runs that future as an RTOS task whose SHIP ports are backed by the
+//! device driver. A HW PE and its SW form are both async kernel processes;
+//! no PE source changes are involved, only the port binding differs.
 
 use std::fmt;
 use std::future::Future;
@@ -61,7 +61,7 @@ impl Cpu {
     pub fn new(sim: &SimHandle, name: &str, bus: OcpMasterPort) -> Self {
         Cpu {
             sim: sim.clone(),
-            rtos: Rtos::new(sim, name),
+            rtos: Rtos::new(sim),
             bus,
             irq: None,
             name: name.to_string(),
@@ -106,9 +106,8 @@ impl Cpu {
     }
 
     /// **eSW synthesis**: runs a PE behaviour as an RTOS task with
-    /// driver-backed SHIP ports (one per binding, in order). The task is a
-    /// thread process that runs the behaviour's future with
-    /// [`ThreadCtx::block_on`](shiptlm_kernel::process::ThreadCtx::block_on).
+    /// driver-backed SHIP ports (one per binding, in order). The task's
+    /// future is the behaviour's own, awaited directly.
     ///
     /// The behaviour signature matches hardware PEs exactly, so the same
     /// function/closure can be passed here and to a hardware elaboration.
@@ -121,7 +120,7 @@ impl Cpu {
     ) -> TaskId
     where
         F: FnOnce(SimHandle, Vec<ShipPort>) -> Fut + Send + 'static,
-        Fut: Future<Output = ()>,
+        Fut: Future<Output = ()> + Send + 'static,
     {
         let rtos = self.rtos.clone();
         let bus = self.bus.clone();
@@ -141,9 +140,7 @@ impl Cpu {
                     ShipPort::from_endpoint(ep, &b.channel, &b.label)
                 })
                 .collect();
-            let ctx = t.thread_ctx();
-            let sim = ctx.sim();
-            ctx.block_on(behavior(sim, ports));
+            behavior(t.sim().clone(), ports)
         })
     }
 }

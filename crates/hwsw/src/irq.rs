@@ -25,22 +25,24 @@ pub struct IrqController {
 }
 
 impl IrqController {
-    /// Spawns the controller on `line`. `isr_latency` models interrupt entry
-    /// overhead before handlers run.
+    /// Spawns the controller on `line` as an async process named
+    /// `<name>.irq`. `isr_latency` models interrupt entry overhead before
+    /// handlers run.
     pub fn spawn(sim: &SimHandle, name: &str, line: Signal<bool>, isr_latency: SimDur) -> Self {
         let handlers: Arc<Mutex<Vec<IrqHandler>>> = Arc::new(Mutex::new(Vec::new()));
         let fired = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&handlers);
         let f = Arc::clone(&fired);
-        sim.spawn_thread(&format!("{name}.irq"), move |ctx| {
+        let s = sim.clone();
+        sim.spawn_async(&format!("{name}.irq"), async move {
             let changed = line.changed_event();
             loop {
-                ctx.wait(&changed);
+                s.wait(&changed).await;
                 if !line.read() {
                     continue; // falling edge
                 }
                 if !isr_latency.is_zero() {
-                    ctx.wait_for(isr_latency);
+                    s.wait_for(isr_latency).await;
                 }
                 f.fetch_add(1, Ordering::Relaxed);
                 let mut hs = h.lock().unwrap_or_else(|e| e.into_inner());

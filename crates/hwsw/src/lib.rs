@@ -12,6 +12,10 @@
 //!   [`Cpu::spawn_sw_pe`](cpu::Cpu::spawn_sw_pe), which runs unchanged PE
 //!   source as an RTOS task with driver-backed SHIP ports.
 //!
+//! RTOS tasks and the interrupt controller are async kernel processes, as
+//! HW PEs are: every blocking RTOS call is an `async fn` that task code
+//! awaits.
+//!
 //! The HW adapter half of the interface lives in
 //! [`shiptlm_cam::wrapper::ShipSlaveAdapter`] — the same mailbox used for
 //! HW↔HW channel mapping, with its sideband wired to the CPU's interrupt

@@ -1,20 +1,25 @@
 //! A small RTOS simulator: priority-preemptive tasks on one CPU.
 //!
-//! The paper's eSW generation (§4, following Herrera et al. [3]) replaces
-//! SystemC library elements "for behaviourally equivalent procedures based on
-//! RTOS functions". This module provides those RTOS functions: tasks with
-//! static priorities, preemptive scheduling, sleeping and CPU-time
-//! accounting. Exactly one task runs at any simulated instant; a
-//! higher-priority task becoming ready preempts the running one at its next
-//! preemption point (every [`TaskCtx::execute`] chunk is preemptible).
+//! The paper's eSW generation (§4, following Herrera et al., its
+//! reference 3) replaces SystemC library elements "for behaviourally
+//! equivalent procedures based on RTOS functions". This module provides
+//! those RTOS functions: tasks with static priorities, preemptive
+//! scheduling, sleeping and CPU-time accounting. Exactly one task runs at
+//! any simulated instant; a higher-priority task becoming ready preempts
+//! the running one at its next preemption point (every
+//! [`TaskCtx::execute`] chunk is preemptible).
+//!
+//! A task is an async kernel process: its body is a future, and every
+//! blocking RTOS call (`execute`, `sleep`, `yield_now`, semaphore takes,
+//! mutex locks, mailbox pends) is an `async fn` that it awaits.
 
 use std::fmt;
+use std::future::Future;
 use std::sync::{Arc, Mutex};
 
 use shiptlm_kernel::event::Event;
-use shiptlm_kernel::process::ThreadCtx;
 use shiptlm_kernel::sim::SimHandle;
-use shiptlm_kernel::time::SimDur;
+use shiptlm_kernel::time::{SimDur, SimTime};
 
 /// Identifies a task within one [`Rtos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,9 +70,9 @@ pub struct RtosStats {
 /// use shiptlm_hwsw::rtos::Rtos;
 ///
 /// let sim = Simulation::new();
-/// let rtos = Rtos::new(&sim.handle(), "os");
-/// rtos.spawn_task("worker", 1, |t| {
-///     t.execute(SimDur::us(5));
+/// let rtos = Rtos::new(&sim.handle());
+/// rtos.spawn_task("worker", 1, |t| async move {
+///     t.execute(SimDur::us(5)).await;
 /// });
 /// sim.run();
 /// assert!(rtos.stats().ctx_switches >= 1);
@@ -78,9 +83,8 @@ pub struct Rtos {
 }
 
 impl Rtos {
-    /// Creates an RTOS with no tasks. `name` prefixes kernel object names.
-    pub fn new(sim: &SimHandle, name: &str) -> Self {
-        let _ = name;
+    /// Creates an RTOS with no tasks.
+    pub fn new(sim: &SimHandle) -> Self {
         Rtos {
             shared: Arc::new(RtosShared {
                 sim: sim.clone(),
@@ -114,10 +118,13 @@ impl Rtos {
     }
 
     /// Spawns a task with the given static priority (higher value wins).
-    /// The task starts ready and runs when the scheduler grants the CPU.
-    pub fn spawn_task<F>(&self, name: &str, prio: u8, body: F) -> TaskId
+    /// The task starts ready; when the scheduler first grants it the CPU,
+    /// `body` builds the task's future from its [`TaskCtx`], and the task's
+    /// async process runs that future to completion.
+    pub fn spawn_task<F, Fut>(&self, name: &str, prio: u8, body: F) -> TaskId
     where
-        F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
+        F: FnOnce(TaskCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
     {
         let id = {
             let mut g = self.lock();
@@ -136,14 +143,13 @@ impl Rtos {
         };
         self.make_ready(id);
         let rtos = self.clone();
-        self.shared.sim.spawn_thread(name, move |ctx| {
-            ctx.block_on(rtos.acquire_cpu(id));
-            let mut tctx = TaskCtx {
-                ctx,
+        self.shared.sim.spawn_async(name, async move {
+            rtos.acquire_cpu(id).await;
+            body(TaskCtx {
                 rtos: rtos.clone(),
                 id,
-            };
-            body(&mut tctx);
+            })
+            .await;
             rtos.task_exit(id);
         });
         id
@@ -319,13 +325,12 @@ impl fmt::Debug for Rtos {
 
 /// Execution context of an RTOS task: the handle task bodies program
 /// against.
-pub struct TaskCtx<'a> {
-    ctx: &'a mut ThreadCtx,
+pub struct TaskCtx {
     rtos: Rtos,
     id: TaskId,
 }
 
-impl<'a> TaskCtx<'a> {
+impl TaskCtx {
     /// This task's id.
     pub fn id(&self) -> TaskId {
         self.id
@@ -336,38 +341,38 @@ impl<'a> TaskCtx<'a> {
         &self.rtos
     }
 
-    /// The underlying kernel process context.
+    /// The handle of the simulation the task runs in.
     ///
-    /// Needed when calling kernel-level blocking APIs (e.g. SHIP ports)
-    /// from task code; the CPU stays held for the duration, which models a
+    /// Needed when awaiting kernel-level async APIs (e.g. SHIP ports) from
+    /// task code; the CPU stays held for the duration, which models a
     /// stalled CPU (MMIO) — use RTOS primitives for waits that should let
     /// other tasks run.
-    pub fn thread_ctx(&mut self) -> &mut ThreadCtx {
-        self.ctx
+    pub fn sim(&self) -> &SimHandle {
+        &self.rtos.shared.sim
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> shiptlm_kernel::time::SimTime {
-        self.ctx.now()
+    pub fn now(&self) -> SimTime {
+        self.sim().now()
     }
 
     /// Consumes `d` of CPU time; preemptible by higher-priority tasks.
-    pub fn execute(&mut self, d: SimDur) {
-        self.ctx.block_on(self.rtos.execute(self.id, d));
+    pub async fn execute(&self, d: SimDur) {
+        self.rtos.execute(self.id, d).await;
     }
 
     /// Sleeps for `d`, releasing the CPU.
-    pub fn sleep(&mut self, d: SimDur) {
-        self.ctx.block_on(self.rtos.sleep(self.id, d));
+    pub async fn sleep(&self, d: SimDur) {
+        self.rtos.sleep(self.id, d).await;
     }
 
     /// Voluntarily yields the CPU to an equal-or-higher priority ready task.
-    pub fn yield_now(&mut self) {
-        self.ctx.block_on(self.rtos.yield_cpu(self.id));
+    pub async fn yield_now(&self) {
+        self.rtos.yield_cpu(self.id).await;
     }
 }
 
-impl fmt::Debug for TaskCtx<'_> {
+impl fmt::Debug for TaskCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaskCtx").field("id", &self.id).finish()
     }
@@ -394,9 +399,9 @@ impl RtosSemaphore {
 
     /// Takes one permit, blocking (and releasing the CPU) while none are
     /// available.
-    pub fn take(&self, t: &mut TaskCtx<'_>) {
+    pub async fn take(&self, t: &TaskCtx) {
         while !self.try_take() {
-            t.ctx.block_on(self.rtos.block_until(t.id, &self.freed));
+            self.rtos.block_until(t.id, &self.freed).await;
         }
     }
 
@@ -476,7 +481,7 @@ impl RtosMutex {
 
     /// Acquires the lock; while blocked, donates this task's priority to the
     /// current owner.
-    pub fn lock(&self, t: &mut TaskCtx<'_>) {
+    pub async fn lock(&self, t: &TaskCtx) {
         let me = t.id;
         let rtos = &self.rtos;
         loop {
@@ -499,7 +504,7 @@ impl RtosMutex {
                     }
                 }
             }
-            t.ctx.block_on(rtos.block_until(me, &self.freed));
+            rtos.block_until(me, &self.freed).await;
         }
     }
 
@@ -508,7 +513,7 @@ impl RtosMutex {
     /// # Panics
     ///
     /// Panics when called by a task that does not hold the lock.
-    pub fn unlock(&self, t: &mut TaskCtx<'_>) {
+    pub async fn unlock(&self, t: &TaskCtx) {
         let me = t.id;
         let base = {
             let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -519,7 +524,7 @@ impl RtosMutex {
         self.rtos.set_priority(me, base);
         self.freed.notify_delta();
         // Let a released higher-priority waiter claim the lock immediately.
-        t.yield_now();
+        t.yield_now().await;
     }
 
     /// The current owner, if any.
@@ -564,12 +569,12 @@ impl<T: Send + 'static> RtosMailbox<T> {
     }
 
     /// Receives the next message, blocking (CPU released) while empty.
-    pub fn pend(&self, t: &mut TaskCtx<'_>) -> T {
+    pub async fn pend(&self, t: &TaskCtx) -> T {
         loop {
             if let Some(m) = self.try_pend() {
                 return m;
             }
-            t.ctx.block_on(self.rtos.block_until(t.id, &self.posted));
+            self.rtos.block_until(t.id, &self.posted).await;
         }
     }
 

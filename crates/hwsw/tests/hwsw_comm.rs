@@ -143,6 +143,8 @@ fn sw_master_to_hw_slave_irq_driven() {
         cpu.irq().unwrap().count() >= 1,
         "the sideband must have interrupted the CPU"
     );
+    // The SW PE's RTOS task and the IRQ controller are async processes.
+    assert_eq!(sim.activations().threads, 0, "{:?}", sim.activations());
 }
 
 #[test]

@@ -19,12 +19,12 @@ fn log() -> (
 #[test]
 fn one_task_runs_to_completion() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let done = Arc::new(Mutex::new(None));
     {
         let done = Arc::clone(&done);
-        rtos.spawn_task("t", 1, move |t| {
-            t.execute(SimDur::us(7));
+        rtos.spawn_task("t", 1, move |t| async move {
+            t.execute(SimDur::us(7)).await;
             *done.lock().unwrap() = Some(t.now());
         });
     }
@@ -36,10 +36,10 @@ fn one_task_runs_to_completion() {
 fn cpu_is_exclusive_tasks_serialize() {
     // Two equal-priority tasks each needing 10 us of CPU: total 20 us.
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     for i in 0..2 {
-        rtos.spawn_task(&format!("t{i}"), 1, move |t| {
-            t.execute(SimDur::us(10));
+        rtos.spawn_task(&format!("t{i}"), 1, move |t| async move {
+            t.execute(SimDur::us(10)).await;
         });
     }
     let r = sim.run();
@@ -49,22 +49,22 @@ fn cpu_is_exclusive_tasks_serialize() {
 #[test]
 fn higher_priority_preempts_running_task() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let (events, push) = log();
     {
         let push = push.clone();
-        rtos.spawn_task("low", 1, move |t| {
+        rtos.spawn_task("low", 1, move |t| async move {
             push("low:start");
-            t.execute(SimDur::us(100));
+            t.execute(SimDur::us(100)).await;
             push(&format!("low:done@{}", t.now()));
         });
     }
     {
         let push = push.clone();
-        rtos.spawn_task("high", 5, move |t| {
-            t.sleep(SimDur::us(10)); // let low start
+        rtos.spawn_task("high", 5, move |t| async move {
+            t.sleep(SimDur::us(10)).await; // let low start
             push(&format!("high:woke@{}", t.now()));
-            t.execute(SimDur::us(20));
+            t.execute(SimDur::us(20)).await;
             push(&format!("high:done@{}", t.now()));
         });
     }
@@ -87,19 +87,19 @@ fn higher_priority_preempts_running_task() {
 #[test]
 fn equal_priority_does_not_preempt() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let (events, push) = log();
     {
         let push = push.clone();
-        rtos.spawn_task("a", 1, move |t| {
-            t.execute(SimDur::us(50));
+        rtos.spawn_task("a", 1, move |t| async move {
+            t.execute(SimDur::us(50)).await;
             push(&format!("a:done@{}", t.now()));
         });
     }
     {
         let push = push.clone();
-        rtos.spawn_task("b", 1, move |t| {
-            t.execute(SimDur::us(10));
+        rtos.spawn_task("b", 1, move |t| async move {
+            t.execute(SimDur::us(10)).await;
             push(&format!("b:done@{}", t.now()));
         });
     }
@@ -114,19 +114,19 @@ fn equal_priority_does_not_preempt() {
 #[test]
 fn sleep_releases_cpu_to_others() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let (events, push) = log();
     {
         let push = push.clone();
-        rtos.spawn_task("sleeper", 5, move |t| {
-            t.sleep(SimDur::us(30));
+        rtos.spawn_task("sleeper", 5, move |t| async move {
+            t.sleep(SimDur::us(30)).await;
             push(&format!("sleeper:woke@{}", t.now()));
         });
     }
     {
         let push = push.clone();
-        rtos.spawn_task("worker", 1, move |t| {
-            t.execute(SimDur::us(10));
+        rtos.spawn_task("worker", 1, move |t| async move {
+            t.execute(SimDur::us(10)).await;
             push(&format!("worker:done@{}", t.now()));
         });
     }
@@ -142,24 +142,24 @@ fn sleep_releases_cpu_to_others() {
 fn semaphore_blocks_and_wakes_with_cpu_release() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let rtos = Rtos::new(&h, "os");
+    let rtos = Rtos::new(&h);
     let sem = RtosSemaphore::new(&h, &rtos, "sem", 0);
     let (events, push) = log();
     {
         let (sem, push) = (sem.clone(), push.clone());
-        rtos.spawn_task("waiter", 5, move |t| {
+        rtos.spawn_task("waiter", 5, move |t| async move {
             push("waiter:taking");
-            sem.take(t);
+            sem.take(&t).await;
             push(&format!("waiter:got@{}", t.now()));
         });
     }
     {
         let push = push.clone();
-        rtos.spawn_task("giver", 1, move |t| {
-            t.execute(SimDur::us(25));
+        rtos.spawn_task("giver", 1, move |t| async move {
+            t.execute(SimDur::us(25)).await;
             push("giver:giving");
             sem.give();
-            t.execute(SimDur::us(5));
+            t.execute(SimDur::us(5)).await;
         });
     }
     sim.run();
@@ -174,21 +174,21 @@ fn semaphore_blocks_and_wakes_with_cpu_release() {
 fn mailbox_passes_typed_messages() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let rtos = Rtos::new(&h, "os");
+    let rtos = Rtos::new(&h);
     let mbox: RtosMailbox<(u32, String)> = RtosMailbox::new(&h, &rtos, "mb");
     let got = Arc::new(Mutex::new(Vec::new()));
     {
         let (mbox, got) = (mbox.clone(), Arc::clone(&got));
-        rtos.spawn_task("rx", 5, move |t| {
+        rtos.spawn_task("rx", 5, move |t| async move {
             for _ in 0..3 {
-                let m = mbox.pend(t);
+                let m = mbox.pend(&t).await;
                 got.lock().unwrap().push(m);
             }
         });
     }
-    rtos.spawn_task("tx", 1, move |t| {
+    rtos.spawn_task("tx", 1, move |t| async move {
         for i in 0..3u32 {
-            t.execute(SimDur::us(5));
+            t.execute(SimDur::us(5)).await;
             mbox.post((i, format!("m{i}")));
         }
     });
@@ -204,19 +204,19 @@ fn preempted_work_conserves_total_cpu_time() {
     // Low needs exactly 40us CPU; high steals 3 x 10us. Low must end at
     // 40 + 30 = 70us.
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let low_done = Arc::new(Mutex::new(SimTime::ZERO));
     {
         let low_done = Arc::clone(&low_done);
-        rtos.spawn_task("low", 1, move |t| {
-            t.execute(SimDur::us(40));
+        rtos.spawn_task("low", 1, move |t| async move {
+            t.execute(SimDur::us(40)).await;
             *low_done.lock().unwrap() = t.now();
         });
     }
-    rtos.spawn_task("high", 9, move |t| {
+    rtos.spawn_task("high", 9, move |t| async move {
         for _ in 0..3 {
-            t.sleep(SimDur::us(5));
-            t.execute(SimDur::us(10));
+            t.sleep(SimDur::us(5)).await;
+            t.execute(SimDur::us(10)).await;
         }
     });
     sim.run();
@@ -226,14 +226,14 @@ fn preempted_work_conserves_total_cpu_time() {
 #[test]
 fn yield_now_rotates_equal_priority() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let (events, push) = log();
     for name in ["a", "b"] {
         let push = push.clone();
-        rtos.spawn_task(name, 1, move |t| {
+        rtos.spawn_task(name, 1, move |t| async move {
             for i in 0..3 {
                 push(&format!("{name}{i}"));
-                t.yield_now();
+                t.yield_now().await;
             }
         });
     }
@@ -245,10 +245,10 @@ fn yield_now_rotates_equal_priority() {
 #[test]
 fn stats_count_switches() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     for i in 0..3 {
-        rtos.spawn_task(&format!("t{i}"), 1, move |t| {
-            t.execute(SimDur::us(1));
+        rtos.spawn_task(&format!("t{i}"), 1, move |t| async move {
+            t.execute(SimDur::us(1)).await;
         });
     }
     sim.run();
@@ -262,35 +262,35 @@ fn mutex_priority_inheritance_bounds_inversion() {
     // its critical section before medium gets any CPU.
     let sim = Simulation::new();
     let h = sim.handle();
-    let rtos = Rtos::new(&h, "os");
+    let rtos = Rtos::new(&h);
     let m = RtosMutex::new(&h, &rtos, "m");
     let (events, push) = log();
     {
         let (m, push) = (m.clone(), push.clone());
-        rtos.spawn_task("low", 1, move |t| {
-            m.lock(t);
+        rtos.spawn_task("low", 1, move |t| async move {
+            m.lock(&t).await;
             push("low:locked");
-            t.execute(SimDur::us(40)); // critical section
+            t.execute(SimDur::us(40)).await; // critical section
             push(&format!("low:unlock@{}", t.now()));
-            m.unlock(t);
+            m.unlock(&t).await;
         });
     }
     {
         let push = push.clone();
-        rtos.spawn_task("medium", 5, move |t| {
-            t.sleep(SimDur::us(5)); // let low take the lock
-            t.execute(SimDur::us(30));
+        rtos.spawn_task("medium", 5, move |t| async move {
+            t.sleep(SimDur::us(5)).await; // let low take the lock
+            t.execute(SimDur::us(30)).await;
             push(&format!("medium:done@{}", t.now()));
         });
     }
     {
         let (m, push) = (m.clone(), push.clone());
-        rtos.spawn_task("high", 9, move |t| {
-            t.sleep(SimDur::us(2)); // let low take the lock first
+        rtos.spawn_task("high", 9, move |t| async move {
+            t.sleep(SimDur::us(2)).await; // let low take the lock first
             push("high:wants-lock");
-            m.lock(t);
+            m.lock(&t).await;
             push(&format!("high:locked@{}", t.now()));
-            m.unlock(t);
+            m.unlock(&t).await;
         });
     }
     sim.run();
@@ -307,16 +307,16 @@ fn mutex_priority_inheritance_bounds_inversion() {
 fn mutex_without_contention_is_transparent() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let rtos = Rtos::new(&h, "os");
+    let rtos = Rtos::new(&h);
     let m = RtosMutex::new(&h, &rtos, "m");
     let done = Arc::new(AtomicU64::new(0));
     {
         let (m, done) = (m.clone(), Arc::clone(&done));
-        rtos.spawn_task("t", 1, move |t| {
+        rtos.spawn_task("t", 1, move |t| async move {
             for _ in 0..5 {
-                m.lock(t);
-                t.execute(SimDur::us(1));
-                m.unlock(t);
+                m.lock(&t).await;
+                t.execute(SimDur::us(1)).await;
+                m.unlock(&t).await;
             }
             done.store(t.now().as_ps(), Ordering::SeqCst);
         });
@@ -331,10 +331,10 @@ fn mutex_without_contention_is_transparent() {
 fn mutex_unlock_by_non_owner_panics() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let rtos = Rtos::new(&h, "os");
+    let rtos = Rtos::new(&h);
     let m = RtosMutex::new(&h, &rtos, "m");
-    rtos.spawn_task("t", 1, move |t| {
-        m.unlock(t);
+    rtos.spawn_task("t", 1, move |t| async move {
+        m.unlock(&t).await;
     });
     sim.run();
 }
@@ -342,25 +342,25 @@ fn mutex_unlock_by_non_owner_panics() {
 #[test]
 fn set_priority_reorders_ready_queue() {
     let sim = Simulation::new();
-    let rtos = Rtos::new(&sim.handle(), "os");
+    let rtos = Rtos::new(&sim.handle());
     let (events, push) = log();
     let rtos2 = rtos.clone();
     {
         let push = push.clone();
-        rtos.spawn_task("a", 5, move |t| {
+        rtos.spawn_task("a", 5, move |t| async move {
             // Demote ourselves mid-run; b should finish first afterwards.
-            t.execute(SimDur::us(5));
+            t.execute(SimDur::us(5)).await;
             let me = t.id();
             t.rtos().set_priority(me, 1);
-            t.yield_now();
-            t.execute(SimDur::us(5));
+            t.yield_now().await;
+            t.execute(SimDur::us(5)).await;
             push(&format!("a:done@{}", t.now()));
         });
     }
     {
         let push = push.clone();
-        rtos2.spawn_task("b", 3, move |t| {
-            t.execute(SimDur::us(5));
+        rtos2.spawn_task("b", 3, move |t| async move {
+            t.execute(SimDur::us(5)).await;
             push(&format!("b:done@{}", t.now()));
         });
     }

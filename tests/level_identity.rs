@@ -201,17 +201,21 @@ fn noc_4x4_levels_keep_their_timing() {
 }
 
 /// Process activations on PLB, as counted while the PE behaviours were
-/// still thread processes: the pin level and the CCATB level of the
-/// level-identity model, and a `sweep-grid` candidate.
+/// still thread processes: the pin level, the CCATB level and the
+/// partitioned run of the level-identity model, and a `sweep-grid`
+/// candidate. The partitioned run's count is that of the run whose RTOS
+/// tasks were thread processes.
 const PLB_PIN_ACTIVATIONS: u64 = 5849;
 const PLB_CCATB_ACTIVATIONS: u64 = 361;
+const PLB_PARTITIONED_ACTIVATIONS: u64 = 351;
 const PLB_GRID_CANDIDATE_ACTIVATIONS: u64 = 167;
 
 /// Asserts that no activation of a run resumed an OS thread and that the
 /// run made `total` activations. These are counts of scheduler dispatches,
 /// not wall-clock figures, so they cannot flake on a loaded host: the PE
 /// behaviours, the clock, the pin FSMs and the CAM transactions are all
-/// polled inline, and the schedule is the one the thread processes ran.
+/// polled inline, and so are the RTOS tasks the SW PEs run as; the schedule
+/// is the one the thread processes ran.
 fn assert_all_inline(a: Activations, total: u64) {
     assert_eq!(a.threads, 0, "{a:?}");
     assert_eq!(a.threads + a.inline, total, "{a:?}");
@@ -231,6 +235,17 @@ fn ccatb_pes_never_resume_an_os_thread() {
     let ca = run_component_assembly(&app).expect("roles detected");
     let ccatb = run_mapped(&app, &ca.roles, &ArchSpec::plb()).expect("ccatb run");
     assert_all_inline(ccatb.output.activations, PLB_CCATB_ACTIVATIONS);
+}
+
+#[test]
+fn a_partitioned_run_never_resumes_an_os_thread() {
+    let spec = model();
+    let app = spec.to_app();
+    let ca = run_component_assembly(&app).expect("roles detected");
+    let partition = Partition::software(sw_candidates(&spec));
+    let sw =
+        run_partitioned(&app, &ca.roles, &ArchSpec::plb(), &partition).expect("partitioned run");
+    assert_all_inline(sw.mapped.output.activations, PLB_PARTITIONED_ACTIVATIONS);
 }
 
 #[test]
