@@ -41,7 +41,8 @@ pub struct Partition {
     pub sw: BTreeSet<String>,
     /// Status polling interval of the SW drivers.
     pub poll_interval: SimDur,
-    /// Priority assigned to the first SW task; later ones get lower values.
+    /// Priority assigned to the first SW task; each later one gets one
+    /// less, down to 0.
     pub base_priority: u8,
 }
 
@@ -211,7 +212,7 @@ pub fn run_partitioned_with(
         if partition.sw.contains(&pe.name) {
             let bindings = sw_bindings.remove(&pe.name).unwrap_or_default();
             let prio = partition.base_priority.saturating_sub(sw_index);
-            sw_index += 1;
+            sw_index = sw_index.saturating_add(1);
             let log = log.clone();
             cpu.spawn_sw_pe(&pe.name, prio, bindings, move |h, ports| {
                 for p in &ports {

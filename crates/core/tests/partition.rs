@@ -163,3 +163,24 @@ fn missing_role_is_a_partition_error_not_a_panic() {
     assert!(matches!(err, PartitionError::Roles(_)));
     assert!(err.to_string().contains("role map misses channel"));
 }
+
+#[test]
+fn more_sw_pes_than_priority_levels_run_to_completion() {
+    // Every SW task past `base_priority` runs at priority 0, however many
+    // there are: the runner's `u8` task counter must not overflow at the
+    // 257th.
+    let names: Vec<String> = (0..257).map(|i| format!("pe{i}")).collect();
+    let mut app = AppSpec::new("many_sw");
+    for name in &names {
+        app.add_pe(name, |_h, _ports| async {});
+    }
+    let sw = run_partitioned(
+        &app,
+        &RoleMap::default(),
+        &ArchSpec::plb(),
+        &Partition::software(&names),
+    )
+    .unwrap();
+    assert_eq!(sw.mapped.output.sim_time, SimDur::ZERO);
+    assert_eq!(sw.rtos.ctx_switches, 257);
+}
