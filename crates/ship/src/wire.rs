@@ -27,11 +27,6 @@ pub enum WireError {
     InvalidValue(String),
     /// Bytes were left over after a complete top-level decode.
     TrailingBytes(usize),
-    /// The requested serde operation is not supported by the non-self-
-    /// describing SHIP format (e.g. `deserialize_any`).
-    Unsupported(&'static str),
-    /// Custom error raised by a serde implementation.
-    Custom(String),
 }
 
 impl fmt::Display for WireError {
@@ -44,10 +39,6 @@ impl fmt::Display for WireError {
             WireError::BadLength(n) => write!(f, "implausible length prefix {n}"),
             WireError::InvalidValue(s) => write!(f, "invalid encoded value: {s}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
-            WireError::Unsupported(what) => {
-                write!(f, "unsupported by the ship wire format: {what}")
-            }
-            WireError::Custom(s) => f.write_str(s),
         }
     }
 }
