@@ -473,10 +473,10 @@ impl ArchGrid {
         }
     }
 
-    /// The full interconnect-family grid: the [`exploration_default`]
-    /// (ArchGrid::exploration_default) axes over all five topology families
-    /// — PLB, OPB, crossbar, AHB (with and without SPLIT-capable slaves)
-    /// and 4×4 / 8×8 meshes. 7 topology points × 3 arbitration × 4 clocks
+    /// The full interconnect-family grid: the
+    /// [`exploration_default`](ArchGrid::exploration_default) axes over all
+    /// five topology families — PLB, OPB, crossbar, AHB (with and without
+    /// SPLIT-capable slaves) and 4×4 / 8×8 meshes. 7 topology points × 3 arbitration × 4 clocks
     /// × 6 bursts × 3 depths × 2 polls = 3024 candidates.
     pub fn interconnect_families() -> Self {
         ArchGrid {

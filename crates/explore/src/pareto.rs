@@ -3,7 +3,7 @@
 //! Architecture exploration rarely has a single winner: a crossbar may be
 //! fastest but cost the most wires; TDMA bounds worst-case latency but
 //! wastes bandwidth. [`pareto_front`] extracts the non-dominated subset of a
-//! [`Report`](crate::metrics::Report) under caller-chosen objectives, and
+//! [`Report`] under caller-chosen objectives, and
 //! [`ParetoSet`] maintains the same non-dominated subset *incrementally* —
 //! the archive a pruning sweep streams candidate cost vectors into.
 //!

@@ -17,9 +17,10 @@
 //!   (evaluate / update / delta-notify / time-advance) and per-process
 //!   activation time, exported as folded stacks for flamegraph rendering.
 //!
-//! Both follow the [`TxnShared`](crate::txn::TxnShared) discipline: when
-//! disabled (the default) every instrumented operation costs exactly one
-//! relaxed atomic load.
+//! Both follow the transaction recorder's discipline
+//! ([`Simulation::record_transactions`](crate::sim::Simulation::record_transactions)):
+//! when disabled (the default) every instrumented operation costs exactly
+//! one relaxed atomic load.
 //!
 //! Exports: [`MetricsSnapshot::to_prometheus`] (text exposition format),
 //! [`MetricsSnapshot::to_timeseries_csv`] (one row per window), and

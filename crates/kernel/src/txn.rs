@@ -99,9 +99,8 @@ pub struct TxnEvent {
     pub outcome: TxnOutcome,
 }
 
-/// A span handed to [`ThreadCtx::txn_record`](crate::process::ThreadCtx::txn_record)
-/// or [`SimHandle::txn_record`](crate::sim::SimHandle::txn_record); the
-/// recording process is filled in automatically.
+/// A span handed to [`SimHandle::txn_record`](crate::sim::SimHandle::txn_record);
+/// the recording process is filled in automatically.
 #[derive(Debug)]
 pub struct TxnSpan<'a> {
     /// Abstraction level / trace category.
