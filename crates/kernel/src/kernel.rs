@@ -339,6 +339,8 @@ impl KernelShared {
     }
 
     pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        #[cfg(test)]
+        tests::LOCKS.set(tests::LOCKS.get() + 1);
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -1052,5 +1054,80 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "unknown panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::hint::black_box;
+
+    use crate::sim::Simulation;
+
+    thread_local! {
+        /// Kernel-lock acquisitions made on this thread.
+        pub(super) static LOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Kernel locks `f` takes on this thread.
+    fn locks_during(f: impl FnOnce()) -> u64 {
+        let before = LOCKS.get();
+        f();
+        LOCKS.get() - before
+    }
+
+    /// Two async processes ping-pong `rounds` times over two events: the
+    /// kernel locks the run takes, and the activations it makes.
+    fn ping_pong(rounds: u64) -> (u64, u64) {
+        let sim = Simulation::new();
+        let (ping, pong) = (sim.event("ping"), sim.event("pong"));
+        let (ping2, pong2) = (ping.clone(), pong.clone());
+        let (ha, hb) = (sim.handle(), sim.handle());
+        sim.spawn_async("a", async move {
+            for _ in 0..rounds {
+                ping.notify_delta();
+                ha.wait(&pong).await;
+            }
+        });
+        sim.spawn_async("b", async move {
+            for _ in 0..rounds {
+                hb.wait(&ping2).await;
+                pong2.notify_delta();
+            }
+        });
+        let locks = locks_during(|| {
+            sim.run();
+        });
+        (locks, sim.activations().inline)
+    }
+
+    /// Between two polls the scheduler takes its lock once; the activation
+    /// itself takes one for its wait and one for its notification.
+    #[test]
+    fn an_async_activation_takes_three_kernel_locks() {
+        let (short_locks, short_activations) = ping_pong(100);
+        let (long_locks, long_activations) = ping_pong(1_000);
+        let (locks, activations) = (
+            long_locks - short_locks,
+            long_activations - short_activations,
+        );
+        assert_eq!(
+            locks,
+            3 * activations,
+            "{:.2} kernel locks per activation",
+            locks as f64 / activations as f64
+        );
+    }
+
+    #[test]
+    fn now_takes_no_kernel_lock() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let locks = locks_during(|| {
+            for _ in 0..1_000 {
+                black_box(h.now());
+            }
+        });
+        assert_eq!(locks, 0);
     }
 }

@@ -430,6 +430,36 @@ fn stop_from_process() {
     assert_eq!(r.time, SimTime::ZERO + SimDur::ns(42));
 }
 
+/// `stop()` takes effect at the end of the current delta cycle, even in a
+/// model whose every delta wakes the next one.
+#[test]
+fn stop_ends_a_run_that_never_runs_out_of_deltas() {
+    for kind in KINDS {
+        let sim = Simulation::new();
+        let again = sim.event("again");
+        spawn(&sim.handle(), kind, "spinner", |h| async move {
+            loop {
+                again.notify_delta();
+                h.wait(&again).await;
+            }
+        });
+        spawn(&sim.handle(), kind, "stopper", |h| async move {
+            h.wait_delta().await;
+            h.stop();
+        });
+        // Bounds the run if `stop()` is ignored.
+        sim.set_watchdog(Some(std::time::Duration::from_millis(500)));
+        let r = sim.run();
+        assert_eq!(r.reason, StopReason::Stopped, "{kind:?}");
+        assert_eq!(r.time, SimTime::ZERO, "{kind:?}");
+        assert!(
+            sim.delta_count() <= 3,
+            "{kind:?}: stopped after {} deltas",
+            sim.delta_count()
+        );
+    }
+}
+
 /// A run's reported end time is the kernel's current time whatever stopped
 /// it — a process stop with a free-running clock still ticking, the time
 /// limit, or starvation — so runners may report either.
