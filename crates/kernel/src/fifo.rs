@@ -80,8 +80,7 @@ impl<T: Send + 'static> Fifo<T> {
             if let Some(v) = self.try_read() {
                 return v;
             }
-            let written = std::slice::from_ref(&self.shared.data_written);
-            Suspend::new(&self.shared.kernel, written, None).await;
+            Suspend::new(&self.shared.kernel, [self.shared.data_written], None).await;
         }
     }
 
@@ -93,8 +92,7 @@ impl<T: Send + 'static> Fifo<T> {
                 Ok(()) => return,
                 Err(back) => {
                     v = back;
-                    let read = std::slice::from_ref(&self.shared.data_read);
-                    Suspend::new(&self.shared.kernel, read, None).await;
+                    Suspend::new(&self.shared.kernel, [self.shared.data_read], None).await;
                 }
             }
         }

@@ -16,12 +16,22 @@
 //! control at any instant, so the simulation is fully deterministic. The
 //! scheduler loop runs on whichever thread holds control: the caller of
 //! `run` until the first thread process is due, then each thread process as
-//! it yields or terminates. The holder polls async processes and runs
-//! update callbacks inline, at the runnable queue position where they are
-//! due, and resumes the next due thread process directly. So only a thread
+//! it yields or terminates. The holder polls async processes and applies
+//! updates inline, at the runnable queue position where they are due, and resumes the next due thread process directly. So only a thread
 //! activation costs an OS handoff, and none when the yielding thread is
 //! itself the next one due. The holder at the end of a run reports how it
 //! ended on a one-slot channel that `run` blocks on.
+//!
+//! Locking. Between two polls the scheduler takes the kernel lock once:
+//! under that one guard it re-slots or retires the polled body, pops the
+//! next runnable process and, once the queue is empty, runs the update,
+//! delta-notification, stop and time-advance steps. It lets go of the guard
+//! only to poll a process, to drop a finished body and to resume a thread
+//! process. The clock is an atomic that only the scheduler writes, so
+//! reading the time takes no lock. A channel update is typed, not a boxed
+//! closure: the update phase applies it under the guard, so an update must
+//! not call back into the kernel. Calls a process makes inside a poll (a
+//! wait, a notification, an update request) take the lock themselves.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -32,7 +42,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,7 +123,7 @@ enum RunEnd {
     Done(RunResult),
     /// A thread process panicked; the message `run` re-raises.
     ProcessPanicked(String),
-    /// An async process or update callback panicked on a process thread;
+    /// An async process or an update panicked on a process thread;
     /// `run` re-raises its payload as if it had run there.
     Panicked(Box<dyn Any + Send>),
 }
@@ -201,9 +211,14 @@ struct ProcRec {
 /// identical timestamps.
 type TimedEntry = Reverse<(SimTime, u64, EventId)>;
 
-/// A deferred update callback, run in the update phase (SystemC
-/// `request_update` / `update` pattern).
-pub(crate) type UpdateFn = Box<dyn FnOnce(&KernelShared) + Send>;
+/// A channel with a write pending for the update phase (SystemC
+/// `request_update` / `update`). The scheduler applies it under its guard,
+/// so it must not call back into the kernel.
+pub(crate) trait Update: Send + Sync {
+    /// Makes the pending write visible at time `now`; returns the event to
+    /// notify in the next delta when the value changed.
+    fn update(&self, now: SimTime) -> Option<EventId>;
+}
 
 /// The state of the current run, kept here because the threads that drive
 /// the run take turns.
@@ -216,7 +231,6 @@ struct RunState {
 }
 
 pub(crate) struct Inner {
-    now: SimTime,
     delta_count: u64,
     started: bool,
     stop_requested: bool,
@@ -227,16 +241,20 @@ pub(crate) struct Inner {
     delta_queue: Vec<EventId>,
     timed: BinaryHeap<TimedEntry>,
     timed_seq: u64,
-    update_requests: Vec<UpdateFn>,
+    update_requests: Vec<Arc<dyn Update>>,
     run: RunState,
     /// Swapped with `delta_queue` each delta cycle so the queue's
     /// allocation is reused instead of dropped per cycle.
     delta_scratch: Vec<EventId>,
+    /// The same for `update_requests`.
+    update_scratch: Vec<Arc<dyn Update>>,
 }
 
 /// Kernel state shared between the scheduler, process contexts and channels.
 pub(crate) struct KernelShared {
     pub(crate) inner: Mutex<Inner>,
+    /// Current simulated time in picoseconds. Only the scheduler writes it.
+    now: AtomicU64,
     pub(crate) tracer: Mutex<Option<VcdTracer>>,
     /// Liveness edge metadata (endpoints, event annotations).
     pub(crate) liveness: Mutex<Registry>,
@@ -287,7 +305,6 @@ impl KernelShared {
         let (run_end_tx, run_end_rx) = sync_channel(1);
         Arc::new(KernelShared {
             inner: Mutex::new(Inner {
-                now: SimTime::ZERO,
                 delta_count: 0,
                 started: false,
                 stop_requested: false,
@@ -300,7 +317,9 @@ impl KernelShared {
                 update_requests: Vec::new(),
                 run: RunState::default(),
                 delta_scratch: Vec::new(),
+                update_scratch: Vec::new(),
             }),
+            now: AtomicU64::new(0),
             tracer: Mutex::new(None),
             liveness: Mutex::new(Registry::default()),
             watchdog: Mutex::new(None),
@@ -344,13 +363,15 @@ impl KernelShared {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Current simulated time. A direct run's dormant kernel never runs, so
+    /// its time stands still at zero.
     pub(crate) fn now(&self) -> SimTime {
-        // A direct run's time stands still at zero; its threads skip the
-        // lock.
-        if self.direct.is_some() {
-            return SimTime::ZERO;
-        }
-        self.lock().now
+        SimTime::from_ps(self.now.load(Ordering::Relaxed))
+    }
+
+    /// Sets the clock; called only by the scheduler, under its guard.
+    fn set_now(&self, t: SimTime) {
+        self.now.store(t.as_ps(), Ordering::Relaxed);
     }
 
     pub(crate) fn delta_count(&self) -> u64 {
@@ -407,14 +428,14 @@ impl KernelShared {
             return;
         }
         self.disqualify_if_direct(Construct::NotifyAfter);
-        Self::mark_timed(&mut self.lock(), id, d);
+        Self::mark_timed(&mut self.lock(), self.now(), id, d);
     }
 
-    fn mark_timed(g: &mut Inner, id: EventId, d: SimDur) {
+    fn mark_timed(g: &mut Inner, now: SimTime, id: EventId, d: SimDur) {
         // Saturate instead of panicking: SimTime::MAX is the documented
         // "infinite horizon", so an overflowing notification simply lands
         // there (and never fires within any finite run).
-        let at = g.now.checked_add(d).unwrap_or(SimTime::MAX);
+        let at = now.checked_add(d).unwrap_or(SimTime::MAX);
         // SystemC keeps a single pending notification per event; an earlier
         // one overrides a later one.
         match g.events[id.0].timed_at {
@@ -458,18 +479,24 @@ impl KernelShared {
     }
 
     fn wake(g: &mut Inner, pid: ProcessId, cause: Option<EventId>) {
-        let p = &mut g.processes[pid.0];
+        let Inner {
+            processes,
+            events,
+            runnable,
+            ..
+        } = g;
+        let p = &mut processes[pid.0];
         if p.state != PState::Waiting {
             return;
         }
         p.state = PState::Ready;
         p.wake_cause = cause;
-        let waiting = std::mem::take(&mut p.waiting_on);
-        // Deregister from every other event of a `wait_any` group.
-        for eid in waiting {
-            g.events[eid.0].waiters.retain(|w| *w != pid);
+        // Deregister from every other event of a `wait_any` group. Drained
+        // in place, so the next wait reuses the list's allocation.
+        for eid in p.waiting_on.drain(..) {
+            events[eid.0].waiters.retain(|w| *w != pid);
         }
-        g.runnable.push_back(pid);
+        runnable.push_back(pid);
     }
 
     /// Registers a dynamic wait of `pid` on each event in `ids` and, when
@@ -479,30 +506,34 @@ impl KernelShared {
     pub(crate) fn arm_wait(
         &self,
         pid: ProcessId,
-        ids: &[EventId],
+        ids: impl Iterator<Item = EventId>,
         timer: Option<Timer>,
     ) -> EventId {
         let mut g = self.lock();
         let own = g.processes[pid.0].timer;
         match timer {
-            Some(Timer::After(d)) if !d.is_zero() => Self::mark_timed(&mut g, own, d),
+            Some(Timer::After(d)) if !d.is_zero() => {
+                Self::mark_timed(&mut g, self.now(), own, d);
+            }
             Some(_) => Self::mark_delta(&mut g, own),
             None => {}
         }
-        let armed = timer.map(|_| own);
-        let p = &mut g.processes[pid.0];
+        let Inner {
+            processes, events, ..
+        } = &mut *g;
+        let p = &mut processes[pid.0];
         p.state = PState::Waiting;
         p.wake_cause = None;
-        p.waiting_on.extend(ids.iter().chain(&armed));
-        for id in ids.iter().chain(&armed) {
-            g.events[id.0].waiters.push(pid);
+        for id in ids.chain(timer.map(|_| own)) {
+            p.waiting_on.push(id);
+            events[id.0].waiters.push(pid);
         }
         own
     }
 
-    pub(crate) fn request_update(&self, f: UpdateFn) {
+    pub(crate) fn request_update(&self, update: Arc<dyn Update>) {
         self.disqualify_if_direct(Construct::SignalUpdate);
-        self.lock().update_requests.push(f);
+        self.lock().update_requests.push(update);
     }
 
     pub(crate) fn spawn_thread(
@@ -587,17 +618,15 @@ impl KernelShared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map(|budget| Instant::now() + budget);
-        {
-            let mut g = self.lock();
-            g.started = true;
-            g.stop_requested = false;
-            g.run = RunState {
-                limit,
-                deadline,
-                evaluate_probe: self.profiler.start(),
-            };
-        }
-        let (cause, tx) = match self.schedule() {
+        let mut g = self.lock();
+        g.started = true;
+        g.stop_requested = false;
+        g.run = RunState {
+            limit,
+            deadline,
+            evaluate_probe: self.profiler.start(),
+        };
+        let (cause, tx) = match self.schedule(g) {
             Next::End(result) => return result,
             Next::Resume { cause, tx, .. } => (cause, tx),
         };
@@ -615,26 +644,21 @@ impl KernelShared {
         }
     }
 
-    /// The scheduler loop, run by the thread holding control. Polls async
-    /// processes and runs update callbacks inline and returns when a thread
-    /// process is due or the run ends. It always resumes inside the
-    /// evaluate phase, the only place it leaves before the run ends.
-    fn schedule(self: &Arc<Self>) -> Next {
+    /// The scheduler loop, run by the thread holding control with the
+    /// kernel guard `g`. Polls async processes and applies updates inline
+    /// and returns when a thread process is due or the run ends. It holds
+    /// the guard from one poll to the next (see the module doc). It always
+    /// resumes inside the evaluate phase, the only place it leaves before
+    /// the run ends.
+    fn schedule<'a>(self: &'a Arc<Self>, mut g: MutexGuard<'a, Inner>) -> Next {
         loop {
             // --- Phase 1: evaluate ----------------------------------------
-            let probe = loop {
-                let mut g = self.lock();
-                if let Some(dl) = g.run.deadline {
-                    if Instant::now() >= dl {
-                        return Next::End(RunResult {
-                            time: g.now,
-                            reason: StopReason::Watchdog,
-                        });
-                    }
+            if let Some(dl) = g.run.deadline {
+                if Instant::now() >= dl {
+                    return self.end(StopReason::Watchdog);
                 }
-                let Some(pid) = g.runnable.pop_front() else {
-                    break g.run.evaluate_probe.take();
-                };
+            }
+            if let Some(pid) = g.runnable.pop_front() {
                 let p = &mut g.processes[pid.0];
                 if p.state == PState::Terminated {
                     continue;
@@ -656,70 +680,62 @@ impl KernelShared {
                     ProcKind::Async(slot) => {
                         if let Some(body) = slot.take() {
                             drop(g);
-                            self.poll_async(pid, body, cause);
+                            g = self.poll_async(pid, body, cause);
                         }
                     }
                 }
-            };
+                continue;
+            }
+            let probe = g.run.evaluate_probe.take();
             self.profiler.record_phase(PHASE_EVALUATE, probe);
 
             // --- Phase 2: update ------------------------------------------
             let probe = self.profiler.start();
-            let updates = {
-                let mut g = self.lock();
-                std::mem::take(&mut g.update_requests)
-            };
-            for u in updates {
-                u(self);
+            let now = self.now();
+            let mut updates = std::mem::take(&mut g.update_scratch);
+            std::mem::swap(&mut g.update_requests, &mut updates);
+            for u in updates.drain(..) {
+                if let Some(changed) = u.update(now) {
+                    Self::mark_delta(&mut g, changed);
+                }
             }
+            g.update_scratch = updates;
             self.profiler.record_phase(PHASE_UPDATE, probe);
 
             // --- Phase 3: delta notification ------------------------------
             let probe = self.profiler.start();
-            let woke = {
-                let mut g = self.lock();
-                let mut promoted = std::mem::take(&mut g.delta_scratch);
-                std::mem::swap(&mut g.delta_queue, &mut promoted);
-                for id in promoted.drain(..) {
-                    if g.events[id.0].delta_pending {
-                        g.events[id.0].delta_pending = false;
-                        Self::fire(&mut g, id);
-                    }
+            let mut promoted = std::mem::take(&mut g.delta_scratch);
+            std::mem::swap(&mut g.delta_queue, &mut promoted);
+            for id in promoted.drain(..) {
+                if g.events[id.0].delta_pending {
+                    g.events[id.0].delta_pending = false;
+                    Self::fire(&mut g, id);
                 }
-                g.delta_scratch = promoted;
-                if g.runnable.is_empty() {
-                    false
-                } else {
-                    g.delta_count += 1;
-                    g.run.evaluate_probe = self.profiler.start();
-                    true
-                }
-            };
+            }
+            g.delta_scratch = promoted;
+            let woke = !g.runnable.is_empty();
+            if woke {
+                g.delta_count += 1;
+                g.run.evaluate_probe = self.profiler.start();
+            }
             self.profiler.record_phase(PHASE_DELTA, probe);
+            // A stop ends the run at the end of the delta cycle that asked
+            // for it; the processes this step woke stay runnable for the
+            // next run.
+            if g.stop_requested {
+                return self.end(StopReason::Stopped);
+            }
             if woke {
                 continue;
-            }
-
-            if self.lock().stop_requested {
-                return Next::End(RunResult {
-                    time: self.now(),
-                    reason: StopReason::Stopped,
-                });
             }
 
             // --- Phase 4: time advance ------------------------------------
             // Early returns (starvation / time limit) skip the probe close;
             // a final partial phase is noise for a profile anyway.
             let probe = self.profiler.start();
-            let mut g = self.lock();
             let target = loop {
                 match g.timed.peek() {
-                    None => {
-                        return Next::End(RunResult {
-                            time: g.now,
-                            reason: StopReason::Starved,
-                        })
-                    }
+                    None => return self.end(StopReason::Starved),
                     Some(Reverse((t, _, id))) => {
                         // Skip entries whose notification was cancelled or
                         // overridden by an earlier one.
@@ -732,14 +748,11 @@ impl KernelShared {
             };
             if let Some(lim) = g.run.limit {
                 if target > lim {
-                    g.now = lim;
-                    return Next::End(RunResult {
-                        time: lim,
-                        reason: StopReason::TimeLimit,
-                    });
+                    self.set_now(lim);
+                    return self.end(StopReason::TimeLimit);
                 }
             }
-            g.now = target;
+            self.set_now(target);
             g.delta_count += 1;
             while let Some(Reverse((t, _, id))) = g.timed.peek().copied() {
                 if t > target {
@@ -752,17 +765,30 @@ impl KernelShared {
                 }
             }
             g.run.evaluate_probe = self.profiler.start();
-            drop(g);
             self.profiler.record_phase(PHASE_ADVANCE, probe);
         }
     }
 
+    /// The end of a run at the current time.
+    fn end(&self, reason: StopReason) -> Next {
+        Next::End(RunResult {
+            time: self.now(),
+            reason,
+        })
+    }
+
     /// Polls async process `pid` once on the thread holding control, with
-    /// `cause` as the event that woke it. A pending body goes back to its
-    /// slot; a finished one is dropped outside the kernel lock. A panic
-    /// ends the process and re-raises as `process '<name>' panicked: …`,
-    /// the message a thread process's panic reaches `run` with.
-    fn poll_async(self: &Arc<Self>, pid: ProcessId, mut body: AsyncBody, cause: Option<EventId>) {
+    /// `cause` as the event that woke it, and returns the kernel guard. A
+    /// pending body goes back to its slot; a finished one is dropped
+    /// outside the kernel lock. A panic ends the process and re-raises as
+    /// `process '<name>' panicked: …`, the message a thread process's panic
+    /// reaches `run` with.
+    fn poll_async(
+        self: &Arc<Self>,
+        pid: ProcessId,
+        mut body: AsyncBody,
+        cause: Option<EventId>,
+    ) -> MutexGuard<'_, Inner> {
         self.inline_activations.fetch_add(1, Ordering::Relaxed);
         let probe = self.profiler.start();
         let polled = {
@@ -779,18 +805,21 @@ impl KernelShared {
                     if let ProcKind::Async(slot) = &mut p.kind {
                         *slot = Some(body);
                     }
-                    return;
+                    return g;
                 }
                 drop(g);
                 "suspended without a kernel wait".to_string()
             }
             Ok(Poll::Ready(())) => {
-                self.lock().processes[pid.0].state = PState::Terminated;
-                return;
+                // Dropped outside the kernel lock, which its captures may
+                // take.
+                drop(body);
+                let mut g = self.lock();
+                g.processes[pid.0].state = PState::Terminated;
+                return g;
             }
             Err(payload) => panic_message(&*payload),
         };
-        // Dropped outside the kernel lock, which its captures may take.
         drop(body);
         panic!("{}", self.end_process(pid, &failure));
     }
@@ -807,8 +836,8 @@ impl KernelShared {
     /// control because it has just registered a wait or terminated, and
     /// passes control to the next due process, or to `run` when the run
     /// ends.
-    fn pass_control(self: &Arc<Self>, me: ProcessId) -> Control {
-        let end = match panic::catch_unwind(AssertUnwindSafe(|| self.schedule())) {
+    fn pass_control(self: &Arc<Self>, me: ProcessId, g: MutexGuard<'_, Inner>) -> Control {
+        let end = match panic::catch_unwind(AssertUnwindSafe(|| self.schedule(g))) {
             Ok(Next::Resume { pid, cause, .. }) if pid == me => return Control::Kept(cause),
             Ok(Next::Resume { cause, tx, .. }) => {
                 tx.send(Resume::Go(cause)).expect("process thread vanished");
@@ -834,7 +863,7 @@ impl KernelShared {
         me: ProcessId,
         resume_rx: &Receiver<Resume>,
     ) -> Option<EventId> {
-        if let Control::Kept(cause) = self.pass_control(me) {
+        if let Control::Kept(cause) = self.pass_control(me, self.lock()) {
             return cause;
         }
         match resume_rx.recv() {
@@ -850,9 +879,10 @@ impl KernelShared {
     /// Ends process `me`, whose body has returned, and passes control on
     /// for the last time.
     pub(crate) fn exit_process(self: &Arc<Self>, me: ProcessId) {
-        self.lock().processes[me.0].state = PState::Terminated;
+        let mut g = self.lock();
+        g.processes[me.0].state = PState::Terminated;
         // A terminated process is never due, so control always leaves.
-        self.pass_control(me);
+        self.pass_control(me, g);
     }
 
     /// Ends the run with the panic of process `me`, which held control.
@@ -873,7 +903,7 @@ impl KernelShared {
     }
 
     /// Kills and joins every live process thread, and drops every async
-    /// body and pending update callback. Called on simulation drop.
+    /// body and pending update. Called on simulation drop.
     ///
     /// Each thread is parked either in its initial `recv` (never dispatched)
     /// or inside `yield_now` waiting for a resume. `Resume::Kill` unwinds it
@@ -887,7 +917,7 @@ impl KernelShared {
     pub(crate) fn teardown(&self) {
         type LinkParts = (Option<SyncSender<Resume>>, Option<JoinHandle<()>>);
         let mut bodies: Vec<AsyncBody> = Vec::new();
-        let (links, updates): (Vec<LinkParts>, Vec<UpdateFn>) = {
+        let (links, updates): (Vec<LinkParts>, Vec<Arc<dyn Update>>) = {
             let mut g = self.lock();
             let links = g
                 .processes
@@ -1035,7 +1065,7 @@ impl KernelShared {
             .map(|c| c.into_iter().map(name_of).collect())
             .collect();
         DeadlockReport {
-            time: g.now,
+            time: self.now(),
             blocked,
             cycles,
         }

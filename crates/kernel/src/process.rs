@@ -96,23 +96,24 @@ impl Drop for Polling {
 /// The one wait future: suspends the process that polls it until one of
 /// `ids` fires or, when `timer` is set, its private timer does. Resolves to
 /// the waking event and the timer's id.
-pub(crate) struct Suspend<'a> {
+pub(crate) struct Suspend<'a, I> {
     kernel: &'a Arc<KernelShared>,
-    ids: &'a [EventId],
+    /// The events to wait on, until the wait is registered.
+    ids: Option<I>,
     timer: Option<Timer>,
     /// The private timer's id, once the wait is registered.
     armed: Option<EventId>,
 }
 
-impl<'a> Suspend<'a> {
+impl<'a, I: Iterator<Item = EventId>> Suspend<'a, I> {
     pub(crate) fn new(
         kernel: &'a Arc<KernelShared>,
-        ids: &'a [EventId],
+        ids: impl IntoIterator<IntoIter = I>,
         timer: Option<Timer>,
     ) -> Self {
         Suspend {
             kernel,
-            ids,
+            ids: Some(ids.into_iter()),
             timer,
             armed: None,
         }
@@ -128,27 +129,28 @@ pub(crate) struct Woken {
 }
 
 impl Woken {
-    /// The position of the waking event in `ids`.
-    pub(crate) fn index(&self, ids: &[EventId]) -> usize {
-        ids.iter()
-            .position(|i| *i == self.cause)
+    /// The position of the waking event in `events`.
+    pub(crate) fn index(&self, events: &[&Event]) -> usize {
+        events
+            .iter()
+            .position(|e| e.id == self.cause)
             .expect("woken by unregistered event")
     }
 
-    /// The outcome of a wait on `ids` with a timeout: `None` when the
+    /// The outcome of a wait on `events` with a timeout: `None` when the
     /// timer woke the process, else the waking event's position. An event
     /// wake cancels the pending timeout, so it cannot end a later wait on
     /// the same private timer.
-    pub(crate) fn before_timeout(&self, kernel: &KernelShared, ids: &[EventId]) -> Option<usize> {
+    pub(crate) fn before_timeout(&self, kernel: &KernelShared, events: &[&Event]) -> Option<usize> {
         if self.cause == self.timer {
             return None;
         }
         kernel.cancel(self.timer);
-        Some(self.index(ids))
+        Some(self.index(events))
     }
 }
 
-impl Future for Suspend<'_> {
+impl<I: Iterator<Item = EventId> + Unpin> Future for Suspend<'_, I> {
     type Output = Woken;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Woken> {
@@ -165,7 +167,8 @@ impl Future for Suspend<'_> {
                 timer,
             }),
             None => {
-                self.armed = Some(self.kernel.arm_wait(pid, self.ids, self.timer));
+                let ids = self.ids.take().into_iter().flatten();
+                self.armed = Some(self.kernel.arm_wait(pid, ids, self.timer));
                 Poll::Pending
             }
         }

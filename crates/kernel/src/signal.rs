@@ -4,7 +4,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
-use crate::kernel::{EventId, KernelShared};
+use crate::kernel::{EventId, KernelShared, Update};
+use crate::time::SimTime;
 use crate::trace::{TraceId, TraceValue};
 
 /// Values a [`Signal`] can carry.
@@ -108,10 +109,9 @@ impl<T: SignalValue> Signal<T> {
             !std::mem::replace(&mut g.update_pending, true)
         };
         if need_request {
-            let shared = Arc::clone(&self.shared);
             self.shared
                 .kernel
-                .request_update(Box::new(move |k| Self::apply(&shared, k)));
+                .request_update(Arc::clone(&self.shared) as Arc<dyn Update>);
         }
     }
 
@@ -119,30 +119,28 @@ impl<T: SignalValue> Signal<T> {
     pub fn changed_event(&self) -> Event {
         Event::from_id(Arc::clone(&self.shared.kernel), self.shared.changed)
     }
+}
 
-    fn apply(shared: &Arc<SigShared<T>>, kernel: &KernelShared) {
-        let (changed, trace_rec) = {
-            let mut g = shared.lock();
+impl<T: SignalValue> Update for SigShared<T> {
+    fn update(&self, now: SimTime) -> Option<EventId> {
+        let trace_rec = {
+            let mut g = self.lock();
             g.update_pending = false;
             match g.next.take() {
                 Some(next) if next != g.cur => {
                     g.cur = next;
-                    let rec = g.trace.map(|(id, conv)| (id, conv(&g.cur)));
-                    (true, rec)
+                    g.trace.map(|(id, conv)| (id, conv(&g.cur)))
                 }
-                _ => (false, None),
+                _ => return None,
             }
         };
-        if changed {
-            kernel.notify_delta(shared.changed);
-            if let Some((id, bits)) = trace_rec {
-                let now = kernel.now();
-                let mut tg = kernel.tracer.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(t) = tg.as_mut() {
-                    t.change(now.as_ps(), id, bits);
-                }
+        if let Some((id, bits)) = trace_rec {
+            let mut tg = self.kernel.tracer.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(t) = tg.as_mut() {
+                t.change(now.as_ps(), id, bits);
             }
         }
+        Some(self.changed)
     }
 }
 

@@ -9,7 +9,7 @@ use crate::clock::Clock;
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
 use crate::fifo::Fifo;
-use crate::kernel::{Activations, EventId, KernelShared, ProcessId, RunResult, Timer};
+use crate::kernel::{Activations, KernelShared, ProcessId, RunResult, Timer};
 use crate::liveness::{DeadlockReport, EndpointId};
 use crate::metrics::{HostProfile, MetricsShared, MetricsSnapshot};
 use crate::process::{Polling, Suspend, ThreadCtx};
@@ -353,7 +353,7 @@ impl SimHandle {
 
     /// Suspends the polling process until `event` is notified.
     pub async fn wait(&self, event: &Event) {
-        Suspend::new(&self.kernel, std::slice::from_ref(&event.id), None).await;
+        Suspend::new(&self.kernel, [event.id], None).await;
     }
 
     /// Suspends the polling process until any of `events` fires; resolves
@@ -364,8 +364,9 @@ impl SimHandle {
     /// Panics if `events` is empty (the process could never wake).
     pub async fn wait_any(&self, events: &[&Event]) -> usize {
         assert!(!events.is_empty(), "wait_any on an empty event set");
-        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        Suspend::new(&self.kernel, &ids, None).await.index(&ids)
+        Suspend::new(&self.kernel, events.iter().map(|e| e.id), None)
+            .await
+            .index(events)
     }
 
     /// Suspends the polling process until any of `events` fires or
@@ -380,10 +381,10 @@ impl SimHandle {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         assert!(!timeout.is_zero(), "wait_any_for with a zero timeout");
         self.kernel.disqualify_if_direct(Construct::TimedWait);
-        let ids: Vec<EventId> = events.iter().map(|e| e.id).collect();
-        Suspend::new(&self.kernel, &ids, Some(Timer::After(timeout)))
+        let ids = events.iter().map(|e| e.id);
+        Suspend::new(&self.kernel, ids, Some(Timer::After(timeout)))
             .await
-            .before_timeout(&self.kernel, &ids)
+            .before_timeout(&self.kernel, events)
     }
 
     /// Suspends the polling process for `d` of simulated time; a zero
@@ -393,7 +394,7 @@ impl SimHandle {
             return self.wait_delta().await;
         }
         self.kernel.disqualify_if_direct(Construct::TimedWait);
-        Suspend::new(&self.kernel, &[], Some(Timer::After(d))).await;
+        Suspend::new(&self.kernel, [], Some(Timer::After(d))).await;
     }
 
     /// Suspends the polling process for one delta cycle. On the direct
@@ -403,7 +404,7 @@ impl SimHandle {
         if let Some((core, _)) = self.kernel.direct() {
             return core.yield_hint();
         }
-        Suspend::new(&self.kernel, &[], Some(Timer::Delta)).await;
+        Suspend::new(&self.kernel, [], Some(Timer::Delta)).await;
     }
 
     /// The id of the process being polled; on the direct backend, the
