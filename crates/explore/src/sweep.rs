@@ -355,7 +355,9 @@ impl Sweep {
     /// Arms a live progress callback: `cb` fires with a [`SweepProgress`]
     /// sample after every candidate (serial sweep) or at every completed
     /// worker chunk (parallel sweep), from whichever thread finished the
-    /// work. See [`SweepProgress`] for the determinism contract.
+    /// work. A parallel sweep's full sample fires last, from the calling
+    /// thread once every worker is done. See [`SweepProgress`] for the
+    /// determinism contract.
     pub fn with_progress(mut self, cb: impl Fn(SweepProgress) + Send + Sync + 'static) -> Self {
         self.progress = Some(ProgressHook(Arc::new(cb)));
         self
@@ -511,8 +513,14 @@ impl Sweep {
                         .at(ts, done.elapsed.as_nanos() as u64),
                     );
                 }
+                // Observers run concurrently, so a sample may arrive after a
+                // later one; the full sweep's is left to the caller below,
+                // which emits after every observer has returned.
                 if let Some(p) = progress_ref {
-                    p.emit();
+                    let sample = p.sample();
+                    if sample.done + sample.pruned < sample.total {
+                        (p.cb.0)(sample);
+                    }
                 }
             };
             let on_chunk: Option<&(dyn Fn(crate::pool::ChunkDone) + Send + Sync)> =
@@ -521,7 +529,7 @@ impl Sweep {
                 } else {
                     None
                 };
-            pool.run_fallible_observed(
+            let outcomes = pool.run_fallible_observed(
                 threads,
                 total,
                 WorkerPool::chunk_for(threads, total),
@@ -539,7 +547,11 @@ impl Sweep {
                     )
                 },
                 on_chunk,
-            )?
+            )?;
+            if let Some(p) = progress_ref {
+                p.emit();
+            }
+            outcomes
         };
         for (arch, outcome) in self.archs.iter().zip(outcomes) {
             match outcome {
