@@ -94,11 +94,6 @@ impl<X: Default + Clone> Book<X> {
         self.lock().1.clone()
     }
 
-    /// Clears both.
-    pub(crate) fn reset(&self) {
-        *self.lock() = Default::default();
-    }
-
     /// Settles a transaction that ends now: updates the statistics and,
     /// under the same lock, the family counters through `family` (told
     /// whether the transaction succeeded); records the `bus.*` metrics plus

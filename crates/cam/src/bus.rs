@@ -380,11 +380,6 @@ impl CcatbBus {
         self.book.family()
     }
 
-    /// Resets the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&self) {
-        self.book.reset();
-    }
-
     fn cycles(&self, n: u64) -> SimDur {
         self.cfg.clock.saturating_mul(n)
     }

@@ -218,11 +218,6 @@ impl ShipSlaveAdapter {
         self.update_sideband();
     }
 
-    /// Event fired whenever a message lands in the mailbox.
-    pub fn rx_event(&self) -> &Event {
-        &self.rx_written
-    }
-
     /// Event fired whenever mailbox space frees up (a message was drained).
     /// In hardware this is the dedicated "ready" sideband wire between a
     /// master wrapper and its adapter.

@@ -440,17 +440,6 @@ impl ModelSpec {
         self.motifs.iter().map(Motif::message_count).sum()
     }
 
-    /// All channel names of the elaborated model, in declaration order.
-    pub fn channel_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for (i, m) in self.motifs.iter().enumerate() {
-            for j in 0..m.channel_count() {
-                names.push(format!("m{i}.ch{j}"));
-            }
-        }
-        names
-    }
-
     /// All PE names of the elaborated model.
     pub fn pe_names(&self) -> Vec<String> {
         let mut names = Vec::new();

@@ -188,17 +188,6 @@ impl SwChannelBinding {
         }
     }
 
-    /// A slave-side binding with an interrupt-driven driver.
-    pub fn slave_irq(channel: &str, label: &str, base: u64, sem: RtosSemaphore) -> Self {
-        SwChannelBinding {
-            channel: channel.to_string(),
-            label: label.to_string(),
-            role: SwRole::Slave,
-            base,
-            driver: DriverConfig::irq(sem),
-        }
-    }
-
     /// Overrides the driver's burst size.
     pub fn with_burst(mut self, burst_bytes: usize) -> Self {
         self.driver.burst_bytes = burst_bytes;

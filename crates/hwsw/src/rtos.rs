@@ -34,7 +34,6 @@ enum TState {
 }
 
 struct TaskRec {
-    name: String,
     prio: u8,
     grant: Event,
     preempt: Event,
@@ -130,7 +129,6 @@ impl Rtos {
             let mut g = self.lock();
             let id = TaskId(g.tasks.len());
             g.tasks.push(TaskRec {
-                name: name.to_string(),
                 prio,
                 grant: self.shared.sim.event(&format!("{name}.grant")),
                 preempt: self.shared.sim.event(&format!("{name}.preempt")),
@@ -288,11 +286,6 @@ impl Rtos {
         g.current = None;
         g.tasks[task.0].state = TState::Done;
         Self::schedule_locked(&mut g);
-    }
-
-    /// The name of a task.
-    pub fn task_name(&self, task: TaskId) -> String {
-        self.lock().tasks[task.0].name.clone()
     }
 
     /// Changes a task's priority at runtime (used by priority inheritance).

@@ -4,7 +4,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::event::Event;
 use crate::kernel::{EventId, KernelShared};
 use crate::process::Suspend;
 
@@ -121,16 +120,6 @@ impl<T: Send + 'static> Fifo<T> {
         drop(g);
         self.shared.kernel.notify_delta(self.shared.data_written);
         Ok(())
-    }
-
-    /// Event notified (next delta) after each successful write.
-    pub fn written_event(&self) -> Event {
-        Event::from_id(Arc::clone(&self.shared.kernel), self.shared.data_written)
-    }
-
-    /// Event notified (next delta) after each successful read.
-    pub fn read_event(&self) -> Event {
-        Event::from_id(Arc::clone(&self.shared.kernel), self.shared.data_read)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {

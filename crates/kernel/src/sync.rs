@@ -95,11 +95,6 @@ impl SimMutex {
         self.sem.acquire(sim).await;
     }
 
-    /// Attempts to acquire without blocking.
-    pub fn try_lock(&self) -> bool {
-        self.sem.try_acquire()
-    }
-
     /// Releases the lock.
     ///
     /// # Panics

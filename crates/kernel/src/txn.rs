@@ -17,8 +17,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{self, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -250,17 +248,6 @@ impl TxnTrace {
             ));
         }
         out
-    }
-
-    /// Writes the JSONL export to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn write_jsonl<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())?;
-        f.flush()
     }
 }
 

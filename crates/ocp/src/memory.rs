@@ -56,17 +56,6 @@ impl Memory {
         let end = start.checked_add(len)?;
         d.get(start..end).map(|s| s.to_vec())
     }
-
-    /// Direct backdoor write (no simulated time).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is out of bounds.
-    pub fn poke(&self, addr: u64, bytes: &[u8]) {
-        let mut d = self.data.lock().unwrap_or_else(|e| e.into_inner());
-        let start = addr as usize;
-        d[start..start + bytes.len()].copy_from_slice(bytes);
-    }
 }
 
 impl OcpTarget for Memory {

@@ -627,11 +627,6 @@ impl ShipPort {
         }
     }
 
-    /// The channel name this port belongs to.
-    pub fn channel_name(&self) -> &str {
-        &self.channel
-    }
-
     /// Builds a port that shares `usage` with its channel — the direct
     /// backend uses this so role observation sees the typed-call counters.
     pub(crate) fn with_usage(

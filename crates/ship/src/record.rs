@@ -58,19 +58,6 @@ pub struct TxRecord {
     pub end: SimTime,
 }
 
-impl TxRecord {
-    /// The timing-independent portion used for equivalence checking.
-    pub fn content_key(&self) -> (Label, Label, ShipOp, usize, u64) {
-        (
-            self.channel.clone(),
-            self.port.clone(),
-            self.op,
-            self.len,
-            self.digest,
-        )
-    }
-}
-
 /// FNV-1a 64-bit digest, used to fingerprint payloads cheaply.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
