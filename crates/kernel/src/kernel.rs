@@ -17,7 +17,8 @@
 //! scheduler loop runs on whichever thread holds control: the caller of
 //! `run` until the first thread process is due, then each thread process as
 //! it yields or terminates. The holder polls async processes and applies
-//! updates inline, at the runnable queue position where they are due, and resumes the next due thread process directly. So only a thread
+//! updates inline, at the runnable queue position where they are due, and
+//! resumes the next due thread process directly. So only a thread
 //! activation costs an OS handoff, and none when the yielding thread is
 //! itself the next one due. The holder at the end of a run reports how it
 //! ended on a one-slot channel that `run` blocks on.
@@ -254,6 +255,9 @@ pub(crate) struct Inner {
 pub(crate) struct KernelShared {
     pub(crate) inner: Mutex<Inner>,
     /// Current simulated time in picoseconds. Only the scheduler writes it.
+    /// Relaxed suffices: a thread that reads it holds control, and the
+    /// handoff that gave it control (the kernel lock or a resume channel)
+    /// orders the scheduler's store before the read.
     now: AtomicU64,
     pub(crate) tracer: Mutex<Option<VcdTracer>>,
     /// Liveness edge metadata (endpoints, event annotations).
@@ -479,13 +483,7 @@ impl KernelShared {
     }
 
     fn wake(g: &mut Inner, pid: ProcessId, cause: Option<EventId>) {
-        let Inner {
-            processes,
-            events,
-            runnable,
-            ..
-        } = g;
-        let p = &mut processes[pid.0];
+        let p = &mut g.processes[pid.0];
         if p.state != PState::Waiting {
             return;
         }
@@ -494,9 +492,9 @@ impl KernelShared {
         // Deregister from every other event of a `wait_any` group. Drained
         // in place, so the next wait reuses the list's allocation.
         for eid in p.waiting_on.drain(..) {
-            events[eid.0].waiters.retain(|w| *w != pid);
+            g.events[eid.0].waiters.retain(|w| *w != pid);
         }
-        runnable.push_back(pid);
+        g.runnable.push_back(pid);
     }
 
     /// Registers a dynamic wait of `pid` on each event in `ids` and, when
@@ -518,15 +516,13 @@ impl KernelShared {
             Some(_) => Self::mark_delta(&mut g, own),
             None => {}
         }
-        let Inner {
-            processes, events, ..
-        } = &mut *g;
-        let p = &mut processes[pid.0];
+        let g = &mut *g;
+        let p = &mut g.processes[pid.0];
         p.state = PState::Waiting;
         p.wake_cause = None;
         for id in ids.chain(timer.map(|_| own)) {
             p.waiting_on.push(id);
-            events[id.0].waiters.push(pid);
+            g.events[id.0].waiters.push(pid);
         }
         own
     }

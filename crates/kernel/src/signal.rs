@@ -11,6 +11,9 @@ use crate::trace::{TraceId, TraceValue};
 /// Values a [`Signal`] can carry.
 ///
 /// Blanket-implemented for every `Clone + PartialEq + Send + 'static` type.
+/// The update phase compares a written value with the current one while
+/// the scheduler holds the kernel lock, so `PartialEq` must not call into
+/// the simulation.
 pub trait SignalValue: Clone + PartialEq + Send + 'static {}
 
 impl<T: Clone + PartialEq + Send + 'static> SignalValue for T {}
